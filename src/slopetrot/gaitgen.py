@@ -117,7 +117,3 @@ def checked_foot_target(
     if clamp:
         return legkin.clamp_to_workspace(p, geometry)
     raise WorkspaceViolation(f"target ({x:.3f}, {y:.3f}, {z:.3f}) outside workspace")
-
-
-def is_stance(tau: float) -> bool:
-    return 0.0 <= tau < 0.5

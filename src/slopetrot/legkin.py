@@ -114,6 +114,9 @@ class LegGeometry:
         if np.any(radii < inner - 1e-12):
             raise ValueError("workspace vertex inside the unreachable core")
         object.__setattr__(self, "_poly_cache", poly)
+        # The same vertices as float tuples: the per-step workspace test
+        # and projection then run on Python floats.
+        object.__setattr__(self, "_vertices", tuple(map(tuple, poly.tolist())))
 
     @property
     def total_leg_length(self) -> float:
@@ -153,6 +156,13 @@ def forward_kinematics(q: LegJointAngles, geometry: LegGeometry) -> FootPosition
     return FootPosition(px, d * ca - pz * sa, d * sa + pz * ca)
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    """min(max(x, lo), hi) by the same comparisons, so NaN and ties come
+    out alike, without the cost of two builtin calls."""
+    x = lo if lo > x else x
+    return hi if hi < x else x
+
+
 def _abduction_split(p: FootPosition, geometry: LegGeometry):
     """Split a leg-frame point into (abduction angle, planar x, planar z).
 
@@ -163,7 +173,7 @@ def _abduction_split(p: FootPosition, geometry: LegGeometry):
     rr = p.y * p.y + p.z * p.z - d * d
     if rr < -1e-15:
         raise Unreachable("point inside the abduction offset cylinder")
-    pz = -math.sqrt(max(rr, 0.0))
+    pz = -math.sqrt(0.0 if 0.0 > rr else rr)
     abd = math.atan2(p.z, p.y) - math.atan2(pz, d)
     # wrap to (-pi, pi]
     abd = math.atan2(math.sin(abd), math.cos(abd))
@@ -190,20 +200,21 @@ def inverse_kinematics(
     if r2 > hi + 1e-12 or r2 < lo - 1e-12:
         raise Unreachable(f"planar target radius {math.sqrt(r2):.4f} m outside leg annulus")
     cos_knee = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-    knee = math.acos(min(1.0, max(-1.0, cos_knee)))
+    cos_knee = cos_knee if cos_knee > -1.0 else -1.0
+    knee = math.acos(cos_knee if cos_knee < 1.0 else 1.0)
     hip = math.atan2(px, -pz) - math.atan2(l2 * math.sin(knee), l1 + l2 * math.cos(knee))
-    angles = (abd, hip, knee)
     limits = geometry.joint_limits
     if clip_to_limits:
-        angles = tuple(min(max(a, lo), hi) for a, (lo, hi) in zip(angles, limits))
-    else:
-        for name, a, (lo_j, hi_j) in zip(("abd", "hip", "knee"), angles, limits):
-            if a < lo_j - 1e-9 or a > hi_j + 1e-9:
-                raise JointLimitViolation(f"{name} angle {a:.4f} rad outside [{lo_j}, {hi_j}]")
-    return LegJointAngles(*angles)
+        (lo_a, hi_a), (lo_h, hi_h), (lo_k, hi_k) = limits
+        return LegJointAngles(_clip(abd, lo_a, hi_a), _clip(hip, lo_h, hi_h),
+                              _clip(knee, lo_k, hi_k))
+    for name, a, (lo_j, hi_j) in zip(("abd", "hip", "knee"), (abd, hip, knee), limits):
+        if a < lo_j - 1e-9 or a > hi_j + 1e-9:
+            raise JointLimitViolation(f"{name} angle {a:.4f} rad outside [{lo_j}, {hi_j}]")
+    return LegJointAngles(abd, hip, knee)
 
 
-def _point_in_polygon(px: float, pz: float, poly: np.ndarray, tol: float = 1e-12) -> bool:
+def _point_in_polygon(px: float, pz: float, poly, tol: float = 1e-12) -> bool:
     """Convex polygon membership, boundary inclusive, vertex order agnostic."""
     n = len(poly)
     area2 = 0.0
@@ -228,10 +239,10 @@ def in_workspace(p: FootPosition, geometry: LegGeometry) -> bool:
         _, px, pz = _abduction_split(p, geometry)
     except Unreachable:
         return False
-    return _point_in_polygon(px, pz, geometry.polygon_array())
+    return _point_in_polygon(px, pz, geometry._vertices)
 
 
-def _closest_point_on_polygon(px: float, pz: float, poly: np.ndarray):
+def _closest_point_on_polygon(px: float, pz: float, poly):
     best = None
     best_d2 = math.inf
     n = len(poly)
@@ -264,7 +275,7 @@ def clamp_to_workspace(p: FootPosition, geometry: LegGeometry) -> FootPosition:
         abd, px, pz = 0.0, p.x, -abs(p.z)
     else:
         abd, px, pz = _abduction_split(p, geometry)
-    poly = geometry.polygon_array()
+    poly = geometry._vertices
     if _point_in_polygon(px, pz, poly):
         if rr >= 0.0:
             return p

@@ -39,6 +39,11 @@ class ActionScaling:
     shift_y: tuple = (-0.035, 0.035)
     shift_z: tuple = (-0.06, 0.06)
 
+    def __post_init__(self):
+        bounds = self.bounds()
+        object.__setattr__(self, "_mid", 0.5 * (bounds[:, 0] + bounds[:, 1]))
+        object.__setattr__(self, "_half", 0.5 * (bounds[:, 1] - bounds[:, 0]))
+
     def bounds(self) -> np.ndarray:
         """(20, 2) array of per-entry (lo, hi) in flat action order."""
         per_leg = np.array([getattr(self, ch) for ch in CHANNELS], dtype=float)
@@ -72,11 +77,8 @@ class ActionVector:
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (ACT_DIM,):
             raise ValueError(f"expected {ACT_DIM} action entries, got {flat.shape}")
-        legs = {}
-        for i, leg_id in enumerate(LEG_ORDER):
-            chunk = flat[5 * i : 5 * (i + 1)]
-            legs[leg_id.lower()] = LegAction(*chunk)
-        return cls(**legs)
+        vals = flat.tolist()
+        return cls(*(LegAction(*vals[i : i + 5]) for i in range(0, ACT_DIM, 5)))
 
 
 ZERO_ACTION_VECTOR = ActionVector()
@@ -155,21 +157,14 @@ def scale_clip_action(raw, scaling: ActionScaling = DEFAULT_SCALING) -> ActionVe
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (ACT_DIM,):
         raise ValueError(f"expected raw vector of length {ACT_DIM}")
-    clipped = np.clip(raw, -1.0, 1.0)
-    bounds = scaling.bounds()
-    mid = 0.5 * (bounds[:, 0] + bounds[:, 1])
-    half = 0.5 * (bounds[:, 1] - bounds[:, 0])
-    return ActionVector.from_flat(mid + half * clipped)
+    clipped = np.minimum(np.maximum(raw, -1.0), 1.0)
+    return ActionVector.from_flat(scaling._mid + scaling._half * clipped)
 
 
 def raw_from_action(action: ActionVector, scaling: ActionScaling = DEFAULT_SCALING) -> np.ndarray:
     """Inverse of scale_clip_action for in-range physical actions (used to
     turn scripted demonstrations into regression targets)."""
-    flat = action.to_flat()
-    bounds = scaling.bounds()
-    mid = 0.5 * (bounds[:, 0] + bounds[:, 1])
-    half = 0.5 * (bounds[:, 1] - bounds[:, 0])
-    return np.clip((flat - mid) / half, -1.0, 1.0)
+    return np.clip((action.to_flat() - scaling._mid) / scaling._half, -1.0, 1.0)
 
 
 def save_policy(matrix: np.ndarray, path, metadata: dict | None = None) -> None:

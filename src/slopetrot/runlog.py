@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        # A numpy scalar's own repr() is np.float64(x), not a number.
+        return repr(float(value))
     return str(value)
 
 

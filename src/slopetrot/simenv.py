@@ -30,24 +30,6 @@ class NotReset(RuntimeError):
     """step() called before reset() or after the episode finished."""
 
 
-def _cross_rows(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Cross product of one 3-vector with each row of an (n, 3) array."""
-    out = np.empty_like(rows)
-    out[:, 0] = w[1] * rows[:, 2] - w[2] * rows[:, 1]
-    out[:, 1] = w[2] * rows[:, 0] - w[0] * rows[:, 2]
-    out[:, 2] = w[0] * rows[:, 1] - w[1] * rows[:, 0]
-    return out
-
-
-def _cross_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over rows of the row-wise cross product of two (n, 3) arrays."""
-    return np.array([
-        (a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]).sum(),
-        (a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]).sum(),
-        (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]).sum(),
-    ])
-
-
 class ConfigError(ValueError):
     """Incompatible environment configuration."""
 
@@ -235,6 +217,11 @@ class SlopedTerrainEnv:
             raise ConfigError("nominal stance foot falls outside the workspace polygon")
 
         self.hips = np.asarray(self.geometry.hip_positions_body, dtype=float)
+        self._hip_rows = self.hips.tolist()
+        self._track_alpha = 1.0 - math.exp(-self.sim.dt / self.sim.track_time_const)
+        self._substep_fracs = np.array(
+            [(j + 1) / self.sim.substeps for j in range(self.sim.substeps)]
+        )[:, None, None]
         # Largest possible forward displacement per control step, used to
         # normalize the progress reward: top speed is one max step per half
         # cycle.
@@ -292,6 +279,7 @@ class SlopedTerrainEnv:
 
         n = self.terrain.normal()
         self.plane_normal = n
+        self._normal = tuple(n.tolist())
         self.plane_roll, self.plane_pitch = angles_from_normal(n)
         bx = np.array([1.0, 0.0, 0.0]) - n[0] * n
         bx = bx / np.linalg.norm(bx)
@@ -325,7 +313,6 @@ class SlopedTerrainEnv:
         self._done = False
         self.fall = False
         self.max_friction_ratio = 0.0
-        self.min_normal_force = 0.0
 
         self._estimator.reset()
         self._theta_hist.reset()
@@ -346,9 +333,9 @@ class SlopedTerrainEnv:
     # ------------------------------------------------------------------
     # helpers
 
-    def _torso_theta(self, rot: np.ndarray) -> np.ndarray:
+    def _torso_theta(self, rot: np.ndarray) -> tuple:
         roll, pitch = angles_from_normal(rot[:, 2])
-        return np.array([roll, pitch, yaw_of(rot)])
+        return roll, pitch, yaw_of(rot)
 
     def _observation(self) -> np.ndarray:
         return build_observation(self._theta_hist, self._estimator.estimate)
@@ -383,94 +370,133 @@ class SlopedTerrainEnv:
             self.latched = [action.leg(leg) for leg in LEG_ORDER]
 
         t_end = (s.step_index + 1) * sim.dt
-        targets = np.zeros((4, 3))
-        for i, leg in enumerate(LEG_ORDER):
+        targets = []
+        for leg, latched in zip(LEG_ORDER, self.latched):
             tau = gaitgen.trot_phase(t_end, self.gait.cycle_period, leg)
             foot = gaitgen.checked_foot_target(
-                tau, self.latched[i], self.gait, self.geometry, clamp=True
+                tau, latched, self.gait, self.geometry, clamp=True
             )
             q = legkin.inverse_kinematics(foot, self.geometry, clip_to_limits=True)
-            targets[i] = q.as_array()
+            targets.append((q.abd, q.hip, q.knee))
 
-        alpha = 1.0 - math.exp(-sim.dt / sim.track_time_const)
-        joints_new = s.joints + alpha * (targets - s.joints)
-        feet_new = np.zeros((4, 3))
-        for i in range(4):
-            q = legkin.LegJointAngles(*joints_new[i])
-            feet_new[i] = self.hips[i] + legkin.forward_kinematics(q, self.geometry).as_array()
+        joints_new = s.joints + self._track_alpha * (np.array(targets) - s.joints)
+        feet_new = []
+        for (hx, hy, hz), q in zip(self._hip_rows, joints_new.tolist()):
+            p = legkin.forward_kinematics(legkin.LegJointAngles(*q), self.geometry)
+            feet_new.append((hx + p.x, hy + p.y, hz + p.z))
+        feet_new = np.array(feet_new)
         s.joint_vel = (joints_new - s.joints) / sim.dt
         feet_old = s.feet_body
         feet_rate = (feet_new - feet_old) / sim.dt
 
+        # The contact substeps run on Python floats. Every matrix product
+        # stays a numpy product on the same operands, since BLAS rounds
+        # differently from a scalar sum. The elementwise terms give the same
+        # bits as in array form, and so do the sums over feet: numpy sums a
+        # few rows in order, starting from 0.0. The conditional expressions
+        # make the comparisons of np.clip, np.maximum and np.minimum. A foot
+        # above the plane adds exact zeros to the sums, so it is skipped.
         n = self.plane_normal
+        nx, ny, nz = self._normal
         mu = self.terrain.friction
-        g_vec = np.array([0.0, 0.0, -sim.gravity])
-        push_force = np.zeros(3)
+        kp, kd, cap = sim.contact_kp, sim.contact_kd, self.foot_force_cap
+        neg_damping = -sim.tangential_damping
+        weight = [self.mass * g for g in (0.0, 0.0, -sim.gravity)]
+        push = [0.0, 0.0, 0.0]
         if self.push is not None and self.push.start_step <= s.step_index < self.push.stop_step:
-            push_force = np.array([0.0, self.push.force_y, 0.0])
+            push[1] = self.push.force_y
 
         com_x_before = float(s.com[0])
         h = sim.dt / sim.substeps
+        h_m = h / self.mass
+        rot = s.rot
+        com = s.com
+        omega = s.omega
+        cx, cy, cz = com.tolist()
+        vx, vy, vz = s.vel.tolist()
+        wx, wy, wz = omega.tolist()
+        max_ratio = self.max_friction_ratio
         # Inertia in world coordinates is hoisted out of the substep loop:
         # the torso rotates well under a degree per control step.
-        i_world = (s.rot * self.inertia_body) @ s.rot.T
+        i_world = (rot * self.inertia_body) @ rot.T
         i_world_inv = np.linalg.inv(i_world)
-        feet_span = feet_new - feet_old
-        feet_off = feet_old - self.com_offset_body
-        feet_rate_world = feet_rate @ s.rot.T
-        for j in range(sim.substeps):
-            frac = (j + 1) / sim.substeps
-            rel = (feet_off + frac * feet_span) @ s.rot.T        # feet minus com, world
-            v_feet = s.vel + _cross_rows(s.omega, rel) + feet_rate_world
+        # Feet minus com in the body frame at the end of each substep.
+        feet_sub = (feet_old - self.com_offset_body) + self._substep_fracs * (feet_new - feet_old)
+        rate_world = (feet_rate @ rot.T).tolist()
+        for feet_off in feet_sub:
+            rel = feet_off @ rot.T  # feet minus com, world
+            rel_rows = rel.tolist()
+            v_feet = [
+                (vx + (wy * rz - wz * ry) + ux,
+                 vy + (wz * rx - wx * rz) + uy,
+                 vz + (wx * ry - wy * rx) + uz)
+                for (rx, ry, rz), (ux, uy, uz) in zip(rel_rows, rate_world)
+            ]
+            com_n = float(com @ n)
+            fx = fy = fz = tx = ty = tz = 0.0
+            for (rx, ry, rz), (vfx, vfy, vfz), rel_n, v_n in zip(
+                rel_rows, v_feet, (rel @ n).tolist(), (np.array(v_feet) @ n).tolist()
+            ):
+                sdist = rel_n + com_n
+                if sdist >= 0.0:
+                    continue
+                normal_f = kp * -sdist + kd * -v_n
+                normal_f = 0.0 if 0.0 > normal_f else normal_f
+                normal_f = cap if cap < normal_f else normal_f
+                ftx = neg_damping * (vfx - v_n * nx)
+                fty = neg_damping * (vfy - v_n * ny)
+                ftz = neg_damping * (vfz - v_n * nz)
+                tan_mag = math.sqrt(0.0 + ftx * ftx + fty * fty + ftz * ftz)
+                limit = mu * normal_f
+                scale = limit / (1e-30 if 1e-30 > tan_mag else tan_mag)
+                scale = 1.0 if 1.0 < scale else scale
+                ffx = normal_f * nx + ftx * scale
+                ffy = normal_f * ny + fty * scale
+                ffz = normal_f * nz + ftz * scale
+                fx += ffx
+                fy += ffy
+                fz += ffz
+                tx += ry * ffz - rz * ffy
+                ty += rz * ffx - rx * ffz
+                tz += rx * ffy - ry * ffx
+                ratio = limit if limit < tan_mag else tan_mag
+                ratio /= 1e-30 if 1e-30 > limit else limit
+                max_ratio = ratio if ratio > max_ratio else max_ratio
 
-            sdist = rel @ n + s.com @ n
-            pen_rate = -(v_feet @ n)
-            normal_f = np.clip(
-                sim.contact_kp * -sdist + sim.contact_kd * pen_rate, 0.0, self.foot_force_cap
-            )
-            normal_f[sdist >= 0.0] = 0.0
-            v_tan = v_feet - np.outer(v_feet @ n, n)
-            f_tan = -sim.tangential_damping * v_tan
-            tan_mag = np.sqrt((f_tan * f_tan).sum(axis=1))
-            limit = mu * normal_f
-            scale = np.minimum(1.0, limit / np.maximum(tan_mag, 1e-30))
-            f_tan *= scale[:, None]
+            vx += h_m * (fx + weight[0] + push[0])
+            vy += h_m * (fy + weight[1] + push[1])
+            vz += h_m * (fz + weight[2] + push[2])
+            cx, cy, cz = cx + h * vx, cy + h * vy, cz + h * vz
+            com = np.array([cx, cy, cz])
+            lx, ly, lz = (i_world @ omega).tolist()
+            ax, ay, az = (i_world_inv @ np.array([
+                tx - (wy * lz - wz * ly), ty - (wz * lx - wx * lz), tz - (wx * ly - wy * lx)
+            ])).tolist()
+            wx, wy, wz = wx + h * ax, wy + h * ay, wz + h * az
+            omega = np.array([wx, wy, wz])
+            rot = rodrigues((wx * h, wy * h, wz * h)) @ rot
 
-            f_feet = normal_f[:, None] * n + f_tan
-            force = f_feet.sum(axis=0) + self.mass * g_vec + push_force
-            torque = _cross_sum(rel, f_feet)
-
-            contact_ratio = np.minimum(tan_mag, limit) / np.maximum(limit, 1e-30)
-            self.max_friction_ratio = max(self.max_friction_ratio, float(contact_ratio.max()))
-            self.min_normal_force = min(self.min_normal_force, float(normal_f.min()))
-
-            s.vel = s.vel + (h / self.mass) * force
-            s.com = s.com + h * s.vel
-            l_mom = i_world @ s.omega
-            gyro = np.array([
-                s.omega[1] * l_mom[2] - s.omega[2] * l_mom[1],
-                s.omega[2] * l_mom[0] - s.omega[0] * l_mom[2],
-                s.omega[0] * l_mom[1] - s.omega[1] * l_mom[0],
-            ])
-            s.omega = s.omega + h * (i_world_inv @ (torque - gyro))
-            s.rot = rodrigues(s.omega * h) @ s.rot
-
-        s.rot = orthonormalize(s.rot)
+        self.max_friction_ratio = max_ratio
+        s.vel = np.array([vx, vy, vz])
+        s.com = com
+        s.omega = omega
+        s.rot = orthonormalize(rot)
         s.joints = joints_new
         s.feet_body = feet_new
         s.step_index += 1
 
         self._update_contact_memory()
+        theta = self._torso_theta(s.rot)
         exchange = s.step_index % self.steps_per_half == 0
         if exchange:
             self._begin_capture()
-            self._theta_hist.push(self._torso_theta(s.rot))
+            self._theta_hist.push(theta)
         self._maybe_complete_capture()
 
         dx = float(s.com[0]) - com_x_before
         standing = self._standing.push(float(s.com[0]))
-        theta = self._torso_theta(s.rot)
-        height = self._height_above_feet()
+        clearance = float(s.com @ n)  # torso height straight above the terrain
+        height = self._height_above_feet(clearance)
         reward_val = compute_reward(
             RewardInputs(
                 torso_roll=theta[0],
@@ -486,7 +512,6 @@ class SlopedTerrainEnv:
             self.max_step_per_control,
         )
 
-        clearance = float(s.com @ n)  # torso height straight above the terrain
         self.fall = (
             clearance < self.sim.fall_height_frac * self.gait.desired_height
             or abs(theta[0]) > self.sim.fall_angle
@@ -509,39 +534,36 @@ class SlopedTerrainEnv:
             "fall": self.fall,
             "exchange": exchange,
             "max_friction_ratio": self.max_friction_ratio,
-            "min_normal_force": self.min_normal_force,
             "motor_torque": self.motor_torque,
         }
         return self._observation(), reward_val, done, info
 
-    def _height_above_feet(self) -> float:
+    def _height_above_feet(self, clearance: float) -> float:
         """Torso height along the terrain normal, measured from the lowest
-        stance foot (so it tracks posture, not absolute terrain position)."""
+        stance foot (so it tracks posture, not absolute terrain position).
+        clearance is the torso's own height above the plane, com @ n."""
         s = self.state
-        n = self.plane_normal
         half_index = s.step_index // self.steps_per_half
         stance = self._stance_pair(half_index)
         rel = (s.feet_body[list(stance)] - self.com_offset_body) @ s.rot.T
         feet_w = s.com + rel
-        return float(s.com @ n - (feet_w @ n).min())
+        return clearance - float((feet_w @ self.plane_normal).min())
 
-    def _foot_world(self, i: int) -> np.ndarray:
+    def _feet_world(self) -> list:
+        """World positions of the four kinematic feet, in leg order."""
         s = self.state
-        return s.com + s.rot @ (s.feet_body[i] - self.com_offset_body)
+        return [s.com + s.rot @ offset for offset in s.feet_body - self.com_offset_body]
 
     def _update_contact_memory(self) -> None:
         """Remember each foot's latest world contact point (the kinematic
         foot projected back onto the surface: the physical contact point
         lies on the terrain even though the penalty model lets it sink)."""
         n = self.plane_normal
-        for i in range(4):
-            f_world = self._foot_world(i)
+        for i, f_world in enumerate(self._feet_world()):
             sdist = float(f_world @ n)
+            self._in_contact[i] = sdist <= 0.0
             if sdist <= 0.0:
                 self._contact_world[i] = f_world - sdist * n
-                self._in_contact[i] = True
-            else:
-                self._in_contact[i] = False
 
     def _begin_capture(self) -> None:
         """At a stance exchange, start waiting for the touch-down pair to
@@ -574,7 +596,7 @@ class SlopedTerrainEnv:
         for i, leg in enumerate(LEG_ORDER):
             f_world = self._contact_world[i]
             if f_world is None:
-                f_world = self._foot_world(i)
+                f_world = self._feet_world()[i]
             captured[leg] = s.rot.T @ (f_world - body_origin)
         incoming_ids = pending["incoming_ids"]
         snapshot = capture_contact_pair(

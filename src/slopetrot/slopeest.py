@@ -63,7 +63,7 @@ def angles_from_normal(n) -> tuple:
     n = np.asarray(n, dtype=float)
     n = n / np.linalg.norm(n)
     roll = float(np.arctan2(n[1], n[2]))
-    pitch = float(-np.arcsin(np.clip(n[0], -1.0, 1.0)))
+    pitch = float(-np.arcsin(min(max(float(n[0]), -1.0), 1.0)))
     return roll, pitch
 
 

@@ -36,10 +36,6 @@ from .simenv import (
 )
 
 
-class DegenerateReturns(RuntimeError):
-    """All kept returns identical: the update direction is undefined."""
-
-
 # Stream tags for seed derivation, one per consumer of randomness.
 _DELTA_STREAM = 0
 _TERRAIN_STREAM = 1
@@ -113,8 +109,9 @@ def ars_update(state: ArsIterationState, hp: ArsHyperparams) -> np.ndarray:
 
     Directions are ranked by max(R+, R-) descending; sigma_r is the
     population standard deviation of the return set selected by
-    hp.sigma_returns. When sigma_r collapses the update is skipped and the
-    state is flagged degenerate.
+    hp.sigma_returns. When sigma_r collapses, or is NaN because a return in
+    the set is not finite, the update is skipped and the state is flagged
+    degenerate, so one failed rollout cannot turn theta into NaN.
     """
     b = hp.top()
     score = np.maximum(state.returns_pos, state.returns_neg)
@@ -125,7 +122,7 @@ def ars_update(state: ArsIterationState, hp: ArsHyperparams) -> np.ndarray:
         pool_returns = np.concatenate([state.returns_pos[order], state.returns_neg[order]])
     sigma = float(np.std(pool_returns))
     state.sigma_r = sigma
-    if sigma < 1e-12:
+    if not sigma >= 1e-12:
         state.degenerate = True
         return state.theta.copy()
     step = np.zeros_like(state.theta)

@@ -5,7 +5,7 @@ import pytest
 
 from slopetrot.cli import main
 from slopetrot.policy import save_policy, zero_policy
-from slopetrot.runlog import read_csv
+from slopetrot.runlog import format_value, read_csv
 
 FAST_TRAIN = [
     "--set", "ars.num_directions=2",
@@ -126,6 +126,25 @@ class TestRollout:
         assert code == 0
         header, _, _ = read_csv(os.path.join(out, "rollout.csv"))
         assert "guided-init" in header["policy"]
+
+    def test_every_field_is_a_number(self, tmp_path):
+        policy = tmp_path / "zero.txt"
+        save_policy(zero_policy(), policy)
+        out = str(tmp_path / "roll")
+        assert run_cli("rollout", "--policy", str(policy), "--incline", "7",
+                       "--orientation", "45", "--push", "80", "--push-at", "0.2",
+                       "--out", out, "--set", "sim.episode_len=80") == 0
+        _, cols, rows = read_csv(os.path.join(out, "rollout.csv"))
+        assert len(rows) == 80
+        for row in rows:
+            for col in cols:
+                float(row[col])
+
+    def test_numpy_scalars_written_as_numbers(self):
+        assert format_value(np.float64(0.1)) == "0.1"
+        assert format_value(np.float32(0.5)) == "0.5"
+        assert format_value(0.25) == "0.25"
+        assert format_value(True) == "true"
 
     def test_reproducible(self, tmp_path):
         policy = tmp_path / "zero.txt"

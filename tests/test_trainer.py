@@ -56,6 +56,17 @@ class TestArsUpdate:
         assert state.degenerate
         assert theta[0] == 0.5
 
+    @pytest.mark.parametrize("top, sigma_returns", [(2, "kept"), (1, "all")])
+    def test_nan_return_skips_update(self, top, sigma_returns):
+        # A non-finite return makes sigma_r NaN; the update must be skipped
+        # rather than spread NaN through theta.
+        hp = ArsHyperparams(num_directions=2, top_directions=top, sigma_returns=sigma_returns)
+        theta = np.array([0.5, -0.25])
+        state = make_state(theta, [[1.0, 0.0], [0.0, 1.0]], [np.nan, 2.0], [1.0, 0.0])
+        new_theta = ars_update(state, hp)
+        assert state.degenerate
+        assert np.array_equal(new_theta, theta)
+
     def test_sign_symmetry(self):
         hp = ArsHyperparams(num_directions=4, top_directions=2)
         rng = np.random.default_rng(0)
