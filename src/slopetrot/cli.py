@@ -13,21 +13,16 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__, config as config_mod, policy as policy_mod, trainer
 from .policy import PolicyFormatError
 from .runlog import write_csv
 from .simenv import TerrainPlane, terrain_grid
-from .trainer import EnvBundle, derive_seed, evaluate, make_eval_grid
+from .trainer import derive_seed, evaluate, make_eval_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-# Seed-stream tag for CLI rollouts, distinct from the trainer's streams.
-_ROLLOUT_CLI_STREAM = 99
 
 
 class _UsageError(SystemExit):
@@ -201,20 +196,18 @@ def cmd_eval(args) -> int:
 
 def cmd_rollout(args) -> int:
     cfg = _load_run_config(args)
+    bundle = cfg.bundle()
     policy_note = args.policy or "guided-init (default)"
     if args.policy:
         matrix = policy_mod.load_policy(args.policy)
     else:
-        matrix = trainer.fit_guided(
-            cfg.bundle(), cfg.rand, cfg.run.master_seed, cfg.train
-        ).matrix
+        matrix = trainer.fit_guided(bundle, cfg.rand, cfg.run.master_seed, cfg.train).matrix
 
     terrain = TerrainPlane(inclination_deg=args.incline, yaw_deg=args.orientation,
                            friction=args.friction)
-    bundle = cfg.bundle()
     env = bundle.make_env()
     rand = replace(cfg.rand, push_enabled=False)
-    seed = derive_seed(cfg.run.master_seed, _ROLLOUT_CLI_STREAM)
+    seed = derive_seed(cfg.run.master_seed, trainer._ROLLOUT_CLI_STREAM)
     obs = env.reset(terrain=terrain, rand=rand, seed=seed)
     push_note = "none"
     if args.push is not None:
@@ -223,13 +216,8 @@ def cmd_rollout(args) -> int:
         env.set_push(start, stop, args.push)
         push_note = f"{args.push}N steps [{start},{stop})"
 
-    rows = []
-    done = False
-    while not done:
-        raw = policy_mod.act(matrix, obs)
-        action = policy_mod.scale_clip_action(raw, bundle.scaling)
-        obs, _, done, _ = env.step(action)
-        rows.append(env.log_row())
+    controller = policy_mod.linear_controller(matrix, bundle.scaling)
+    rows = [env.log_row() for _ in env.run(obs, controller)]
 
     out_dir = cfg.run.out_dir
     os.makedirs(out_dir, exist_ok=True)

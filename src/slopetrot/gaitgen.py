@@ -20,10 +20,6 @@ LEG_ORDER = ("FL", "FR", "BL", "BR")
 PHASE_OFFSETS = {"FL": 0.0, "FR": 0.5, "BL": 0.5, "BR": 0.0}
 
 
-class WorkspaceViolation(ValueError):
-    """Transformed foot target left the leg safety polygon."""
-
-
 @dataclass(frozen=True)
 class GaitParams:
     """Trot parameters: max step length, stance height, swing clearance and
@@ -98,22 +94,12 @@ def foot_target(tau: float, action: LegAction, params: GaitParams):
     return transform_point(base_trajectory_point(tau, action, params), action)
 
 
-def checked_foot_target(
-    tau: float,
-    action: LegAction,
-    params: GaitParams,
-    geometry: legkin.LegGeometry,
-    clamp: bool = True,
-):
-    """Foot target kept inside the leg workspace.
-
-    With clamp=True (how the simulator runs) an out-of-workspace target is
-    projected back onto the polygon; otherwise WorkspaceViolation is raised.
-    """
+def checked_foot_target(tau: float, action: LegAction, params: GaitParams,
+                        geometry: legkin.LegGeometry):
+    """Foot target kept inside the leg workspace: a target outside it is
+    projected back onto the polygon."""
     x, y, z = foot_target(tau, action, params)
     p = legkin.FootPosition(x, y, z)
     if legkin.in_workspace(p, geometry):
         return p
-    if clamp:
-        return legkin.clamp_to_workspace(p, geometry)
-    raise WorkspaceViolation(f"target ({x:.3f}, {y:.3f}, {z:.3f}) outside workspace")
+    return legkin.clamp_to_workspace(p, geometry)

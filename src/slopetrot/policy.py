@@ -10,7 +10,6 @@ raw zero.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,46 +96,17 @@ def validate_policy_matrix(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-class ThetaHistory:
-    """Ring buffer of torso orientation samples, one per policy step.
-
-    Missing older samples are duplicated from the oldest available so the
-    observation is well-defined from the first sample on.
-    """
-
-    def __init__(self):
-        self._buf = deque(maxlen=3)
-
-    def push(self, theta) -> None:
-        self._buf.append(np.asarray(theta, dtype=float).copy())
-
-    def samples(self):
-        if not self._buf:
-            raise ValueError("theta history is empty")
-        buf = list(self._buf)
-        while len(buf) < 3:
-            buf.insert(0, buf[0])
-        return buf
-
-    def reset(self) -> None:
-        self._buf.clear()
-
-
 def build_observation(history, plane: PlaneEstimate) -> np.ndarray:
     """Assemble the 11-vector [theta(t-2), theta(t-1), theta(t), roll, pitch].
 
-    history is a ThetaHistory or a sequence of up to three 3-vectors ordered
-    oldest first; shorter histories are left-padded by duplication.
+    history is a sequence of 3-vectors ordered oldest first; the newest
+    three are used, and a shorter history is left-padded by duplicating its
+    oldest sample.
     """
-    if isinstance(history, ThetaHistory):
-        samples = history.samples()
-    else:
-        samples = [np.asarray(h, dtype=float) for h in history]
-        if not samples:
-            raise ValueError("need at least one orientation sample")
-        samples = samples[-3:]
-        while len(samples) < 3:
-            samples.insert(0, samples[0])
+    samples = [np.asarray(h, dtype=float) for h in history][-3:]
+    if not samples:
+        raise ValueError("need at least one orientation sample")
+    samples = [samples[0]] * (3 - len(samples)) + samples
     obs = np.concatenate(samples + [np.array([plane.roll, plane.pitch])])
     if obs.shape != (OBS_DIM,):
         raise ValueError("orientation samples must be 3-vectors")
@@ -159,6 +129,12 @@ def scale_clip_action(raw, scaling: ActionScaling = DEFAULT_SCALING) -> ActionVe
         raise ValueError(f"expected raw vector of length {ACT_DIM}")
     clipped = np.minimum(np.maximum(raw, -1.0), 1.0)
     return ActionVector.from_flat(scaling._mid + scaling._half * clipped)
+
+
+def linear_controller(matrix: np.ndarray, scaling: ActionScaling = DEFAULT_SCALING):
+    """The policy as an episode controller (see SlopedTerrainEnv.run):
+    observation in, scaled and clipped action out."""
+    return lambda obs: scale_clip_action(act(matrix, obs), scaling)
 
 
 def raw_from_action(action: ActionVector, scaling: ActionScaling = DEFAULT_SCALING) -> np.ndarray:

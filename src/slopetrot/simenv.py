@@ -14,13 +14,14 @@ only for domain randomization draws at reset, in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaitgen, legkin
-from .gaitgen import LEG_ORDER, GaitParams, LegAction
-from .policy import ActionVector, ThetaHistory, build_observation
+from .gaitgen import LEG_ORDER, GaitParams
+from .policy import ActionVector, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import orthonormalize, rodrigues, rot_z, yaw_of
 from .slopeest import SlopeEstimator, angles_from_normal, capture_contact_pair
@@ -183,11 +184,11 @@ class SimState:
     joint_vel: np.ndarray    # (4, 3)
     feet_body: np.ndarray    # (4, 3) leg-frame FK + hip mounts, body origin
     step_index: int
-    rng_state: dict
 
 
 class SlopedTerrainEnv:
-    """Episode loop producing (observation, reward, done, info).
+    """Episode loop producing (observation, reward, done, info); run()
+    drives a whole episode from a controller.
 
     One instance is single-owner: create one per rollout worker.
     """
@@ -230,7 +231,8 @@ class SlopedTerrainEnv:
         )
 
         self._estimator = SlopeEstimator(smoothing=self.sim.estimator_smoothing)
-        self._theta_hist = ThetaHistory()
+        # Torso orientation at the last three policy steps, oldest first.
+        self._theta_hist = deque(maxlen=3)
         self._standing = StandingMonitor()
         self.state: SimState | None = None
         self._done = True
@@ -292,9 +294,7 @@ class SlopedTerrainEnv:
         feet_body = np.zeros((4, 3))
         for i, leg in enumerate(LEG_ORDER):
             tau = gaitgen.trot_phase(0.0, self.gait.cycle_period, leg)
-            target = gaitgen.checked_foot_target(
-                tau, self.latched[i], self.gait, self.geometry, clamp=True
-            )
+            target = gaitgen.checked_foot_target(tau, self.latched[i], self.gait, self.geometry)
             q = legkin.inverse_kinematics(target, self.geometry, clip_to_limits=True)
             joints[i] = q.as_array()
             feet_body[i] = self.hips[i] + legkin.forward_kinematics(q, self.geometry).as_array()
@@ -308,15 +308,14 @@ class SlopedTerrainEnv:
             joint_vel=np.zeros((4, 3)),
             feet_body=feet_body,
             step_index=0,
-            rng_state=rng.bit_generator.state,
         )
         self._done = False
         self.fall = False
         self.max_friction_ratio = 0.0
 
         self._estimator.reset()
-        self._theta_hist.reset()
-        self._theta_hist.push(self._torso_theta(rot))
+        self._theta_hist.clear()
+        self._theta_hist.append(np.array(self._torso_theta(rot)))
         self._standing.reset(float(self.state.com[0]))
         self._pending_capture = None
         self._contact_world = [None, None, None, None]
@@ -373,9 +372,7 @@ class SlopedTerrainEnv:
         targets = []
         for leg, latched in zip(LEG_ORDER, self.latched):
             tau = gaitgen.trot_phase(t_end, self.gait.cycle_period, leg)
-            foot = gaitgen.checked_foot_target(
-                tau, latched, self.gait, self.geometry, clamp=True
-            )
+            foot = gaitgen.checked_foot_target(tau, latched, self.gait, self.geometry)
             q = legkin.inverse_kinematics(foot, self.geometry, clip_to_limits=True)
             targets.append((q.abd, q.hip, q.knee))
 
@@ -490,7 +487,7 @@ class SlopedTerrainEnv:
         exchange = s.step_index % self.steps_per_half == 0
         if exchange:
             self._begin_capture()
-            self._theta_hist.push(theta)
+            self._theta_hist.append(np.array(theta))
         self._maybe_complete_capture()
 
         dx = float(s.com[0]) - com_x_before
@@ -512,10 +509,12 @@ class SlopedTerrainEnv:
             self.max_step_per_control,
         )
 
-        self.fall = (
-            clearance < self.sim.fall_height_frac * self.gait.desired_height
-            or abs(theta[0]) > self.sim.fall_angle
-            or abs(theta[1]) > self.sim.fall_angle
+        # Written as "not (within bounds)" so a non-finite state, whose
+        # comparisons are all false, counts as a fall.
+        self.fall = not (
+            clearance >= self.sim.fall_height_frac * self.gait.desired_height
+            and abs(theta[0]) <= self.sim.fall_angle
+            and abs(theta[1]) <= self.sim.fall_angle
         )
         done = self.fall or s.step_index >= sim.episode_len
         self._done = done
@@ -537,6 +536,24 @@ class SlopedTerrainEnv:
             "motor_torque": self.motor_torque,
         }
         return self._observation(), reward_val, done, info
+
+    def run(self, obs: np.ndarray, controller):
+        """Drive the episode that reset() began, yielding (reward, info)
+        per step until it is done.
+
+        controller(obs) is asked for an action after reset and after every
+        step that returns info["exchange"]: those are exactly the steps
+        that step() latches an action on, so the controller is never asked
+        for an action that would be thrown away.
+        """
+        action = controller(obs)
+        while True:
+            obs, reward, done, info = self.step(action)
+            yield reward, info
+            if done:
+                return
+            if info["exchange"]:
+                action = controller(obs)
 
     def _height_above_feet(self, clearance: float) -> float:
         """Torso height along the terrain normal, measured from the lowest

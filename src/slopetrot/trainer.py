@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,13 +36,14 @@ from .simenv import (
 )
 
 
-# Stream tags for seed derivation, one per consumer of randomness.
+# Stream tags for seed derivation, one per consumer of randomness. Stream 5
+# is taken by the acceptance suite's displacement probe.
 _DELTA_STREAM = 0
 _TERRAIN_STREAM = 1
 _ROLLOUT_STREAM = 2
 _EVAL_STREAM = 3
 _DEMO_STREAM = 4
-_PROBE_STREAM = 5
+_ROLLOUT_CLI_STREAM = 99
 
 
 def derive_seed(master_seed: int, *key) -> int:
@@ -223,16 +224,9 @@ def rollout_stats(
     obs = env.reset(terrain=terrain, rand=rand, seed=seed)
     x0 = float(env.state.com[0])
     total = 0.0
-    steps = 0
-    while True:
-        raw = policy_mod.act(matrix, obs)
-        action = policy_mod.scale_clip_action(raw, bundle.scaling)
-        obs, r, done, _ = env.step(action)
+    for r, _ in env.run(obs, policy_mod.linear_controller(matrix, bundle.scaling)):
         total += r
-        steps += 1
-        if done:
-            break
-    return total, float(env.state.com[0]) - x0, steps
+    return total, float(env.state.com[0]) - x0, env.state.step_index
 
 
 def _rollout_task(args):
@@ -451,25 +445,19 @@ def generate_strut_demos(
     if episode_len is not None:
         bundle = replace(bundle, sim=replace(bundle.sim, episode_len=episode_len))
     env = bundle.make_env()
+    demos = []
 
     def scripted(obs):
-        return strut_action(obs, bundle.gait, bundle.scaling, step_len, yaw_gain)
+        action = strut_action(obs, bundle.gait, bundle.scaling, step_len, yaw_gain)
+        demos.append((obs, policy_mod.raw_from_action(action, bundle.scaling)))
+        return action
 
-    demos = []
     for idx, (inc, ori) in enumerate(combos):
         for rep in range(seeds_per_combo):
             seed = derive_seed(master_seed, _DEMO_STREAM, idx, rep)
             terrain = TerrainPlane(inclination_deg=inc, yaw_deg=ori, friction=0.65)
-            obs = env.reset(terrain=terrain, rand=rand, seed=seed)
-            action = scripted(obs)
-            demos.append((obs, policy_mod.raw_from_action(action, bundle.scaling)))
-            while True:
-                obs, _, done, info = env.step(action)
-                if done:
-                    break
-                action = scripted(obs)
-                if info["exchange"]:
-                    demos.append((obs, policy_mod.raw_from_action(action, bundle.scaling)))
+            for _ in env.run(env.reset(terrain=terrain, rand=rand, seed=seed), scripted):
+                pass
     return demos
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,22 @@ class TestRollout:
         assert format_value(np.float32(0.5)) == "0.5"
         assert format_value(0.25) == "0.25"
         assert format_value(True) == "true"
+
+    def test_logged_rows_golden(self, tmp_path):
+        # Data rows recorded from the hand-written rollout loop that the
+        # episode driver replaced: the seed-7 guided policy at 9/30 deg with
+        # a 100 N push. Like TestGoldenTrajectory in test_simenv.py, the
+        # value pins the BLAS it was recorded with.
+        policy = Path(__file__).resolve().parent.parent / "perfbench" / "policy_guided_seed7.txt"
+        out = str(tmp_path / "roll")
+        assert run_cli("rollout", "--policy", str(policy), "--incline", "9",
+                       "--orientation", "30", "--push", "100", "--out", out) == 0
+        with open(os.path.join(out, "rollout.csv")) as fh:
+            lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+        data = lines[1:]
+        assert len(data) == 400
+        assert hashlib.sha256("\n".join(data).encode()).hexdigest() == (
+            "25fec98417049cd11bfbb440353593529b2e4c1505a2c90f4cc42721ef35457a")
 
     def test_reproducible(self, tmp_path):
         policy = tmp_path / "zero.txt"

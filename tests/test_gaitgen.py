@@ -9,7 +9,6 @@ from slopetrot.gaitgen import (
     LEG_ORDER,
     GaitParams,
     LegAction,
-    WorkspaceViolation,
     base_trajectory_point,
     checked_foot_target,
     foot_target,
@@ -151,17 +150,18 @@ class TestFootTarget:
             tau_br = trot_phase(float(t), gait.cycle_period, "BR")
             assert foot_target(tau_fl, a, gait) == foot_target(tau_br, a, gait)
 
-    def test_checked_target_raises_or_clamps(self, gait, geometry):
+    def test_checked_target_clamps(self, gait, geometry):
         # at stance start the x excursion (+step/2 +shift) leaves the polygon
         bad = LegAction(step_len=0.136, shift_x=0.06, shift_z=-0.06)
-        with pytest.raises(WorkspaceViolation):
-            checked_foot_target(0.0, bad, gait, geometry, clamp=False)
-        clamped = checked_foot_target(0.0, bad, gait, geometry, clamp=True)
-        from slopetrot.legkin import in_workspace
+        clamped = checked_foot_target(0.0, bad, gait, geometry)
+        from slopetrot.legkin import FootPosition, clamp_to_workspace, in_workspace
 
+        raw = FootPosition(*foot_target(0.0, bad, gait))
+        assert not in_workspace(raw, geometry)
         assert in_workspace(clamped, geometry)
+        assert clamped == clamp_to_workspace(raw, geometry)
 
     def test_checked_target_passthrough_inside(self, gait, geometry):
         ok = LegAction(step_len=0.05)
-        pt = checked_foot_target(0.25, ok, gait, geometry, clamp=False)
+        pt = checked_foot_target(0.25, ok, gait, geometry)
         assert (pt.x, pt.y, pt.z) == foot_target(0.25, ok, gait)

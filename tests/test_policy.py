@@ -9,7 +9,6 @@ from slopetrot.policy import (
     ActionScaling,
     ActionVector,
     PolicyFormatError,
-    ThetaHistory,
     act,
     build_observation,
     load_policy,
@@ -44,9 +43,7 @@ class TestObservation:
         assert obs[6:9] == pytest.approx(ths[2])
 
     def test_ring_buffer(self):
-        hist = ThetaHistory()
-        for i in range(5):
-            hist.push([float(i), 0.0, 0.0])
+        hist = [[float(i), 0.0, 0.0] for i in range(5)]
         obs = build_observation(hist, FLAT)
         assert obs[0] == 2.0 and obs[3] == 3.0 and obs[6] == 4.0
 

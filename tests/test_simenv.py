@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slopetrot.policy import ActionVector, act, load_policy, scale_clip_action, zero_policy
+from slopetrot.policy import (
+    ActionVector,
+    act,
+    linear_controller,
+    load_policy,
+    scale_clip_action,
+    zero_policy,
+)
 from slopetrot.simenv import (
     NotReset,
     PushEvent,
@@ -27,7 +34,6 @@ def snapshot_state(env):
     return dict(
         com=s.com.copy(), rot=s.rot.copy(), vel=s.vel.copy(), omega=s.omega.copy(),
         joints=s.joints.copy(), feet=s.feet_body.copy(), step=s.step_index,
-        rng=s.rng_state,
     )
 
 
@@ -118,7 +124,9 @@ class TestReset:
         s1, s2 = snapshot_state(env1), snapshot_state(env2)
         for key in ("com", "rot", "vel", "omega", "joints", "feet"):
             assert np.array_equal(s1[key], s2[key]), key
-        assert s1["rng"] == s2["rng"]
+        assert env1.mass == env2.mass
+        assert env1.motor_torque == env2.motor_torque
+        assert env1.push == env2.push
 
     def test_spawn_aligned_on_sidehill(self):
         env = SlopedTerrainEnv()
@@ -204,6 +212,33 @@ class TestGoldenTrajectory:
         assert com == ["0x1.4bba03013a953p-3", "-0x1.2367952f85565p-3", "0x1.0c5218c942011p-2"]
 
 
+class TestEpisodeDriver:
+    def test_controller_asked_only_on_latching_steps(self):
+        env = SlopedTerrainEnv(sim=SimParams(episode_len=120))
+        obs = env.reset(TerrainPlane(), NO_PUSH, seed=1)
+        asked_at = []
+
+        def controller(o):
+            asked_at.append(env.state.step_index)
+            return ZEROS
+
+        assert len(list(env.run(obs, controller))) == 120
+        assert asked_at == [0, 40, 80]
+
+    def test_matches_step_loop(self):
+        # _episode steps with a fresh action every step; the driver must
+        # give the same bits while asking for one action per half cycle.
+        matrix = load_policy(GUIDED_SEED7)
+        terrain, rand = TerrainPlane(9, 30), RandomizationConfig()
+        env = SlopedTerrainEnv(sim=SimParams(episode_len=240))
+        obs = env.reset(terrain, rand, seed=7)
+        total = 0.0
+        for r, _ in env.run(obs, linear_controller(matrix)):
+            total += r
+        assert (total, [float(v).hex() for v in env.state.com]) == _episode(
+            matrix, terrain, rand, seed=7)
+
+
 class TestBehavior:
     def test_zero_action_stands_and_penalized(self):
         env = SlopedTerrainEnv()
@@ -234,6 +269,13 @@ class TestBehavior:
         from slopetrot.rotations import rot_x
 
         env.state.rot = rot_x(math.radians(60.0))
+        _, _, done, info = env.step(ZEROS)
+        assert done and info["fall"]
+
+    def test_nonfinite_state_is_a_fall(self):
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(), NO_PUSH, seed=1)
+        env.state.vel[0] = math.nan
         _, _, done, info = env.step(ZEROS)
         assert done and info["fall"]
 

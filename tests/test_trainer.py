@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopetrot import policy
 from slopetrot.policy import ACT_DIM, OBS_DIM, zero_policy
 from slopetrot.simenv import RandomizationConfig, TerrainPlane
 from slopetrot.trainer import (
@@ -197,6 +200,16 @@ class TestRollouts:
         assert steps == 200
         assert disp > 0.1
 
+    def test_policy_queried_once_per_half_cycle(self, bundle, monkeypatch):
+        # step() latches an action every 40 steps, so a 400-step episode
+        # needs 10 of them.
+        calls = []
+        act = policy.act
+        monkeypatch.setattr(policy, "act", lambda m, o: calls.append(1) or act(m, o))
+        _, _, steps = rollout_stats(zero_policy(), bundle, TerrainPlane(), NO_PUSH, 3)
+        assert steps == 400
+        assert len(calls) == 10
+
 
 class TestRunIteration:
     def test_episode_count(self, bundle):
@@ -301,6 +314,20 @@ class TestGuidedInit:
             assert obs.shape == (OBS_DIM,)
             assert raw.shape == (ACT_DIM,)
             assert np.all(np.abs(raw) <= 1.0 + 1e-12)
+
+    def test_demo_generation_golden(self, bundle):
+        # Recorded from the hand-written demonstration loop that the episode
+        # driver replaced. Like TestGoldenTrajectory in test_simenv.py, the
+        # value pins the BLAS it was recorded with.
+        demos = generate_strut_demos(
+            bundle, NO_PUSH, 0, combos=[(0, 0), (7, 30)], episode_len=120
+        )
+        h = hashlib.sha256()
+        for obs, raw in demos:
+            h.update(" ".join(float(v).hex() for v in obs).encode() + b";")
+            h.update(" ".join(float(v).hex() for v in raw).encode() + b"\n")
+        assert len(demos) == 6
+        assert h.hexdigest() == "5602766682636303205814cd36977cbf609283763385979d02904ff57ac96dc6"
 
 
 class TestEvaluate:
