@@ -162,7 +162,8 @@ def _eval_combos(args):
             combos = [(args.incline, args.orientation or 0.0)]
     if args.orientation is not None:
         filtered = [c for c in combos if c[1] == args.orientation]
-        combos = filtered or [(c[0], args.orientation) for c in combos]
+        # Off the grid: each inclination once, at the requested orientation.
+        combos = filtered or list(dict.fromkeys((c[0], args.orientation) for c in combos))
     return combos
 
 

@@ -80,9 +80,6 @@ class ActionVector:
         return cls(*(LegAction(*vals[i : i + 5]) for i in range(0, ACT_DIM, 5)))
 
 
-ZERO_ACTION_VECTOR = ActionVector()
-
-
 def zero_policy() -> np.ndarray:
     return np.zeros((ACT_DIM, OBS_DIM))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gaitgen, legkin
 from .gaitgen import LEG_ORDER, GaitParams
-from .policy import ActionVector, build_observation
+from .policy import CHANNELS, ActionVector, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import orthonormalize, rodrigues, rot_z, yaw_of
 from .slopeest import SlopeEstimator, angles_from_normal, capture_contact_pair
@@ -181,7 +181,6 @@ class SimState:
     vel: np.ndarray
     omega: np.ndarray
     joints: np.ndarray       # (4, 3) abd/hip/knee per leg, FL FR BL BR
-    joint_vel: np.ndarray    # (4, 3)
     feet_body: np.ndarray    # (4, 3) leg-frame FK + hip mounts, body origin
     step_index: int
 
@@ -217,8 +216,7 @@ class SlopedTerrainEnv:
         if not legkin.in_workspace(nominal, self.geometry):
             raise ConfigError("nominal stance foot falls outside the workspace polygon")
 
-        self.hips = np.asarray(self.geometry.hip_positions_body, dtype=float)
-        self._hip_rows = self.hips.tolist()
+        self._hip_rows = np.asarray(self.geometry.hip_positions_body, dtype=float).tolist()
         self._track_alpha = 1.0 - math.exp(-self.sim.dt / self.sim.track_time_const)
         self._substep_fracs = np.array(
             [(j + 1) / self.sim.substeps for j in range(self.sim.substeps)]
@@ -287,26 +285,16 @@ class SlopedTerrainEnv:
         bx = bx / np.linalg.norm(bx)
         rot = np.column_stack((bx, np.cross(n, bx), n))
 
-        h_d = self.gait.desired_height
-        body_origin = h_d * n
+        body_origin = self.gait.desired_height * n
         self.latched = [gaitgen.ZERO_ACTION for _ in LEG_ORDER]
-        joints = np.zeros((4, 3))
-        feet_body = np.zeros((4, 3))
-        for i, leg in enumerate(LEG_ORDER):
-            tau = gaitgen.trot_phase(0.0, self.gait.cycle_period, leg)
-            target = gaitgen.checked_foot_target(tau, self.latched[i], self.gait, self.geometry)
-            q = legkin.inverse_kinematics(target, self.geometry, clip_to_limits=True)
-            joints[i] = q.as_array()
-            feet_body[i] = self.hips[i] + legkin.forward_kinematics(q, self.geometry).as_array()
-
+        joints = self._joint_targets(0.0)
         self.state = SimState(
             com=body_origin + rot @ self.com_offset_body,
             rot=rot,
             vel=np.zeros(3),
             omega=np.zeros(3),
             joints=joints,
-            joint_vel=np.zeros((4, 3)),
-            feet_body=feet_body,
+            feet_body=self._feet_body(joints),
             step_index=0,
         )
         self._done = False
@@ -317,13 +305,19 @@ class SlopedTerrainEnv:
         self._theta_hist.clear()
         self._theta_hist.append(np.array(self._torso_theta(rot)))
         self._standing.reset(float(self.state.com[0]))
-        self._pending_capture = None
+        # The pending contact capture: the step by which it completes and
+        # the touch-down pair it waits for; None when none is pending.
+        self._capture_due = None
+        self._incoming = ()
         self._contact_world = [None, None, None, None]
         self._in_contact = [False, False, False, False]
         self._update_contact_memory()
         self._last_reward = 0.0
         self._last_dx = 0.0
-        return self._observation()
+        # Rebuilt only when its inputs change: the orientation history at
+        # an exchange and the slope estimate at a completed capture.
+        self._obs = build_observation(self._theta_hist, self._estimator.estimate)
+        return self._obs
 
     def set_push(self, start_step: int, stop_step: int, force_y: float) -> None:
         """Override the sampled push with a scripted one (CLI rollouts)."""
@@ -336,8 +330,24 @@ class SlopedTerrainEnv:
         roll, pitch = angles_from_normal(rot[:, 2])
         return roll, pitch, yaw_of(rot)
 
-    def _observation(self) -> np.ndarray:
-        return build_observation(self._theta_hist, self._estimator.estimate)
+    def _joint_targets(self, t: float) -> np.ndarray:
+        """(4, 3) IK joint targets of the latched actions at time t."""
+        targets = []
+        for leg, latched in zip(LEG_ORDER, self.latched):
+            tau = gaitgen.trot_phase(t, self.gait.cycle_period, leg)
+            foot = gaitgen.checked_foot_target(tau, latched, self.gait, self.geometry)
+            q = legkin.inverse_kinematics(foot, self.geometry, clip_to_limits=True)
+            targets.append((q.abd, q.hip, q.knee))
+        return np.array(targets)
+
+    def _feet_body(self, joints: np.ndarray) -> np.ndarray:
+        """(4, 3) body-frame feet of the given joints: leg-frame FK plus
+        the hip mounts."""
+        feet = []
+        for (hx, hy, hz), q in zip(self._hip_rows, joints.tolist()):
+            p = legkin.forward_kinematics(legkin.LegJointAngles(*q), self.geometry)
+            feet.append((hx + p.x, hy + p.y, hz + p.z))
+        return np.array(feet)
 
     def _stance_pair(self, half_index: int):
         """Leg indices in stance during the given half-cycle."""
@@ -360,6 +370,8 @@ class SlopedTerrainEnv:
 
         The commanded action is latched only on half-cycle boundary steps
         (including the first step), keeping the foot references continuous.
+        The returned observation array is reused until its inputs change,
+        so callers must not modify it in place.
         """
         if self.state is None or self._done:
             raise NotReset("environment must be reset before stepping")
@@ -368,21 +380,9 @@ class SlopedTerrainEnv:
         if s.step_index % self.steps_per_half == 0:
             self.latched = [action.leg(leg) for leg in LEG_ORDER]
 
-        t_end = (s.step_index + 1) * sim.dt
-        targets = []
-        for leg, latched in zip(LEG_ORDER, self.latched):
-            tau = gaitgen.trot_phase(t_end, self.gait.cycle_period, leg)
-            foot = gaitgen.checked_foot_target(tau, latched, self.gait, self.geometry)
-            q = legkin.inverse_kinematics(foot, self.geometry, clip_to_limits=True)
-            targets.append((q.abd, q.hip, q.knee))
-
-        joints_new = s.joints + self._track_alpha * (np.array(targets) - s.joints)
-        feet_new = []
-        for (hx, hy, hz), q in zip(self._hip_rows, joints_new.tolist()):
-            p = legkin.forward_kinematics(legkin.LegJointAngles(*q), self.geometry)
-            feet_new.append((hx + p.x, hy + p.y, hz + p.z))
-        feet_new = np.array(feet_new)
-        s.joint_vel = (joints_new - s.joints) / sim.dt
+        targets = self._joint_targets((s.step_index + 1) * sim.dt)
+        joints_new = s.joints + self._track_alpha * (targets - s.joints)
+        feet_new = self._feet_body(joints_new)
         feet_old = s.feet_body
         feet_rate = (feet_new - feet_old) / sim.dt
 
@@ -482,13 +482,16 @@ class SlopedTerrainEnv:
         s.feet_body = feet_new
         s.step_index += 1
 
-        self._update_contact_memory()
+        feet_w = self._update_contact_memory()
         theta = self._torso_theta(s.rot)
         exchange = s.step_index % self.steps_per_half == 0
         if exchange:
-            self._begin_capture()
+            # Wait for the touch-down pair to land before snapshotting.
+            self._capture_due = s.step_index + self.steps_per_half
+            self._incoming = self._stance_pair(s.step_index // self.steps_per_half)
             self._theta_hist.append(np.array(theta))
-        self._maybe_complete_capture()
+        if self._capture(feet_w) or exchange:
+            self._obs = build_observation(self._theta_hist, self._estimator.estimate)
 
         dx = float(s.com[0]) - com_x_before
         standing = self._standing.push(float(s.com[0]))
@@ -522,10 +525,8 @@ class SlopedTerrainEnv:
         self._last_dx = dx
         self._last_theta = theta
         self._last_height = height
-        self._last_standing = standing
 
         info = {
-            "time": s.step_index * sim.dt,
             "height": height,
             "clearance": clearance,
             "dx": dx,
@@ -533,9 +534,8 @@ class SlopedTerrainEnv:
             "fall": self.fall,
             "exchange": exchange,
             "max_friction_ratio": self.max_friction_ratio,
-            "motor_torque": self.motor_torque,
         }
-        return self._observation(), reward_val, done, info
+        return self._obs, reward_val, done, info
 
     def run(self, obs: np.ndarray, controller):
         """Drive the episode that reset() began, yielding (reward, info)
@@ -566,65 +566,45 @@ class SlopedTerrainEnv:
         feet_w = s.com + rel
         return clearance - float((feet_w @ self.plane_normal).min())
 
-    def _feet_world(self) -> list:
-        """World positions of the four kinematic feet, in leg order."""
-        s = self.state
-        return [s.com + s.rot @ offset for offset in s.feet_body - self.com_offset_body]
-
-    def _update_contact_memory(self) -> None:
+    def _update_contact_memory(self) -> list:
         """Remember each foot's latest world contact point (the kinematic
         foot projected back onto the surface: the physical contact point
-        lies on the terrain even though the penalty model lets it sink)."""
+        lies on the terrain even though the penalty model lets it sink).
+        Returns the world positions of the four feet, in leg order."""
+        s = self.state
         n = self.plane_normal
-        for i, f_world in enumerate(self._feet_world()):
+        feet_w = [s.com + s.rot @ offset for offset in s.feet_body - self.com_offset_body]
+        for i, f_world in enumerate(feet_w):
             sdist = float(f_world @ n)
             self._in_contact[i] = sdist <= 0.0
             if sdist <= 0.0:
                 self._contact_world[i] = f_world - sdist * n
+        return feet_w
 
-    def _begin_capture(self) -> None:
-        """At a stance exchange, start waiting for the touch-down pair to
-        actually land before snapshotting the contacts."""
-        s = self.state
-        incoming = self._stance_pair(s.step_index // self.steps_per_half)
-        self._pending_capture = {
-            "incoming_ids": incoming,
-            "deadline": s.step_index + self.steps_per_half,
-        }
-
-    def _maybe_complete_capture(self) -> None:
+    def _capture(self, feet_w: list) -> bool:
         """Finish the pending snapshot once the touch-down pair has made
-        contact (or at the deadline).
+        contact (or at the deadline); True when an estimator update ran.
 
-        Every foot contributes its last world contact point, re-expressed
-        in the body frame at this single instant: a stance foot does not
-        move in the world (zero-slip leg odometry), so the lift-off pair's
-        points stay valid even though they were touched earlier.
+        Every foot contributes its last world contact point (a foot that
+        never touched, its world position feet_w), re-expressed in the body
+        frame at this single instant: a stance foot does not move in the
+        world (zero-slip leg odometry), so the lift-off pair's points stay
+        valid even though they were touched earlier.
         """
-        pending = self._pending_capture
-        if pending is None:
-            return
         s = self.state
-        landed = all(self._in_contact[i] for i in pending["incoming_ids"])
-        if not landed and s.step_index < pending["deadline"]:
-            return
+        if self._capture_due is None or (
+            s.step_index < self._capture_due
+            and not all(self._in_contact[i] for i in self._incoming)
+        ):
+            return False
         body_origin = s.com - s.rot @ self.com_offset_body
-        captured = {}
-        for i, leg in enumerate(LEG_ORDER):
-            f_world = self._contact_world[i]
-            if f_world is None:
-                f_world = self._feet_world()[i]
-            captured[leg] = s.rot.T @ (f_world - body_origin)
-        incoming_ids = pending["incoming_ids"]
-        snapshot = capture_contact_pair(
-            outgoing={LEG_ORDER[i]: captured[LEG_ORDER[i]]
-                      for i in range(4) if i not in incoming_ids},
-            incoming={LEG_ORDER[i]: captured[LEG_ORDER[i]] for i in incoming_ids},
-            torso_rotation=s.rot,
-            timestamp=s.step_index * self.sim.dt,
-        )
-        self._estimator.update(snapshot)
-        self._pending_capture = None
+        outgoing, incoming = {}, {}
+        for i, (leg, contact, f_world) in enumerate(zip(LEG_ORDER, self._contact_world, feet_w)):
+            side = incoming if i in self._incoming else outgoing
+            side[leg] = s.rot.T @ ((f_world if contact is None else contact) - body_origin)
+        self._estimator.update(capture_contact_pair(outgoing, incoming, s.rot))
+        self._capture_due = None
+        return True
 
     # ------------------------------------------------------------------
     # logging
@@ -632,8 +612,7 @@ class SlopedTerrainEnv:
     LOG_COLUMNS = (
         ["step", "time", "torso_roll", "torso_pitch", "torso_yaw",
          "plane_roll", "plane_pitch", "height", "dx", "reward"]
-        + [f"{leg.lower()}_{ch}" for leg in LEG_ORDER
-           for ch in ("step_len", "steer", "shift_x", "shift_y", "shift_z")]
+        + [f"{leg.lower()}_{ch}" for leg in LEG_ORDER for ch in CHANNELS]
     )
 
     def log_row(self) -> dict:
@@ -652,8 +631,7 @@ class SlopedTerrainEnv:
             "dx": self._last_dx,
             "reward": self._last_reward,
         }
-        for i, leg in enumerate(LEG_ORDER):
-            act = self.latched[i]
-            for ch in ("step_len", "steer", "shift_x", "shift_y", "shift_z"):
+        for leg, act in zip(LEG_ORDER, self.latched):
+            for ch in CHANNELS:
                 row[f"{leg.lower()}_{ch}"] = getattr(act, ch)
         return row

@@ -32,7 +32,6 @@ class ContactSnapshot:
     p_bl: np.ndarray
     p_br: np.ndarray
     torso_rotation: np.ndarray
-    timestamp: float = 0.0
 
     def __post_init__(self):
         rot = np.asarray(self.torso_rotation, dtype=float)
@@ -71,7 +70,6 @@ def capture_contact_pair(
     outgoing: dict,
     incoming: dict,
     torso_rotation: np.ndarray,
-    timestamp: float = 0.0,
 ) -> ContactSnapshot:
     """Merge the lift-off pair and the touch-down pair into one snapshot.
 
@@ -91,7 +89,6 @@ def capture_contact_pair(
         p_bl=np.asarray(feet["BL"], dtype=float),
         p_br=np.asarray(feet["BR"], dtype=float),
         torso_rotation=np.asarray(torso_rotation, dtype=float),
-        timestamp=timestamp,
     )
 
 

@@ -89,6 +89,20 @@ class TestEval:
         assert len(rows) == 1
         assert rows[0]["inclination"] == "9" and rows[0]["orientation"] == "90"
 
+    @pytest.mark.parametrize("filters, expected", [
+        (["--inclination", "9", "--orientation", "20"], [("9", "20.0")]),
+        (["--orientation", "20"],
+         [("0", "20.0"), ("5", "20.0"), ("7", "20.0"), ("9", "20.0"), ("11", "20.0")]),
+    ])
+    def test_off_grid_orientation_runs_each_terrain_once(self, tmp_path, filters, expected):
+        policy = tmp_path / "zero.txt"
+        save_policy(zero_policy(), policy)
+        out = str(tmp_path / "eval")
+        assert run_cli("eval", "--policy", str(policy), "--out", out, *filters,
+                       "--set", "train.episode_len=40") == 0
+        _, _, rows = read_csv(os.path.join(out, "eval.csv"))
+        assert [(r["inclination"], r["orientation"]) for r in rows] == expected
+
     def test_corrupt_policy_runtime_error(self, tmp_path):
         policy = tmp_path / "corrupt.txt"
         policy.write_text("19 11\nnot numbers\n")
