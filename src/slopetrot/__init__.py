@@ -5,8 +5,8 @@ against a built-in simplified rigid-body environment."""
 __version__ = "0.1.0"
 
 from .gaitgen import GaitParams, LegAction
-from .legkin import FootPosition, LegGeometry, LegJointAngles
-from .policy import ActionScaling, ActionVector, load_policy, save_policy
+from .legkin import FootPosition, LegGeometry
+from .policy import ActionScaling, load_policy, save_policy
 from .reward import RewardWeights
 from .simenv import RandomizationConfig, SimParams, SlopedTerrainEnv, TerrainPlane
 from .slopeest import PlaneEstimate, SlopeEstimator
@@ -15,14 +15,12 @@ from .trainer import ArsHyperparams, EnvBundle, TrainParams
 __all__ = [
     "__version__",
     "ActionScaling",
-    "ActionVector",
     "ArsHyperparams",
     "EnvBundle",
     "FootPosition",
     "GaitParams",
     "LegAction",
     "LegGeometry",
-    "LegJointAngles",
     "PlaneEstimate",
     "RandomizationConfig",
     "RewardWeights",

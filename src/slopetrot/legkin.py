@@ -25,18 +25,6 @@ class JointLimitViolation(ValueError):
 
 
 @dataclass(frozen=True)
-class LegJointAngles:
-    """Joint angles (radians) for abduction, hip and knee actuators."""
-
-    abd: float
-    hip: float
-    knee: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.abd, self.hip, self.knee])
-
-
-@dataclass(frozen=True)
 class FootPosition:
     """Foot position (meters) in the leg frame: origin at the hip mount,
     x forward, y lateral, z up (so a foot below the hip has z < 0)."""
@@ -142,16 +130,18 @@ def _check_convex(poly: np.ndarray) -> None:
         raise ValueError("workspace polygon must be convex")
 
 
-def forward_kinematics(q: LegJointAngles, geometry: LegGeometry) -> FootPosition:
-    """Closed-form foot position for the given joint angles.
+def forward_kinematics(q, geometry: LegGeometry) -> FootPosition:
+    """Closed-form foot position for the joint angles q = (abd, hip, knee),
+    in radians.
 
     Total on finite input; joint limits are not checked here.
     """
+    abd, hip, knee = q
     l1 = geometry.upper_link_len
     l2 = geometry.lower_link_len
-    px = l1 * math.sin(q.hip) + l2 * math.sin(q.hip + q.knee)
-    pz = -(l1 * math.cos(q.hip) + l2 * math.cos(q.hip + q.knee))
-    ca, sa = math.cos(q.abd), math.sin(q.abd)
+    px = l1 * math.sin(hip) + l2 * math.sin(hip + knee)
+    pz = -(l1 * math.cos(hip) + l2 * math.cos(hip + knee))
+    ca, sa = math.cos(abd), math.sin(abd)
     d = geometry.abduction_offset
     return FootPosition(px, d * ca - pz * sa, d * sa + pz * ca)
 
@@ -182,8 +172,9 @@ def _abduction_split(p: FootPosition, geometry: LegGeometry):
 
 def inverse_kinematics(
     p: FootPosition, geometry: LegGeometry, clip_to_limits: bool = False
-) -> LegJointAngles:
-    """Joint angles reaching the foot position, backward-flexing knee branch.
+) -> tuple:
+    """Joint angles (abd, hip, knee), in radians, reaching the foot position
+    on the backward-flexing knee branch.
 
     Raises Unreachable when the target is outside the annulus of the planar
     pair and JointLimitViolation when the unique branch solution violates a
@@ -206,12 +197,11 @@ def inverse_kinematics(
     limits = geometry.joint_limits
     if clip_to_limits:
         (lo_a, hi_a), (lo_h, hi_h), (lo_k, hi_k) = limits
-        return LegJointAngles(_clip(abd, lo_a, hi_a), _clip(hip, lo_h, hi_h),
-                              _clip(knee, lo_k, hi_k))
+        return _clip(abd, lo_a, hi_a), _clip(hip, lo_h, hi_h), _clip(knee, lo_k, hi_k)
     for name, a, (lo_j, hi_j) in zip(("abd", "hip", "knee"), (abd, hip, knee), limits):
         if a < lo_j - 1e-9 or a > hi_j + 1e-9:
             raise JointLimitViolation(f"{name} angle {a:.4f} rad outside [{lo_j}, {hi_j}]")
-    return LegJointAngles(abd, hip, knee)
+    return abd, hip, knee
 
 
 def _point_in_polygon(px: float, pz: float, poly, tol: float = 1e-12) -> bool:

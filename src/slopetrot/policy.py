@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaitgen import LEG_ORDER, LegAction
+from .gaitgen import LegAction
 from .slopeest import PlaneEstimate
 
 OBS_DIM = 11
@@ -50,34 +50,6 @@ class ActionScaling:
 
 
 DEFAULT_SCALING = ActionScaling()
-
-
-@dataclass(frozen=True)
-class ActionVector:
-    """Per-leg trajectory transforms in fixed leg order FL, FR, BL, BR."""
-
-    fl: LegAction = LegAction()
-    fr: LegAction = LegAction()
-    bl: LegAction = LegAction()
-    br: LegAction = LegAction()
-
-    def leg(self, leg_id: str) -> LegAction:
-        return getattr(self, leg_id.lower())
-
-    def to_flat(self) -> np.ndarray:
-        vals = []
-        for leg_id in LEG_ORDER:
-            act = self.leg(leg_id)
-            vals.extend(getattr(act, ch) for ch in CHANNELS)
-        return np.array(vals)
-
-    @classmethod
-    def from_flat(cls, flat) -> "ActionVector":
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (ACT_DIM,):
-            raise ValueError(f"expected {ACT_DIM} action entries, got {flat.shape}")
-        vals = flat.tolist()
-        return cls(*(LegAction(*vals[i : i + 5]) for i in range(0, ACT_DIM, 5)))
 
 
 def zero_policy() -> np.ndarray:
@@ -119,13 +91,18 @@ def act(matrix: np.ndarray, observation: np.ndarray) -> np.ndarray:
     return matrix @ observation
 
 
-def scale_clip_action(raw, scaling: ActionScaling = DEFAULT_SCALING) -> ActionVector:
-    """Clamp each raw entry to [-1, 1] and map onto the physical ranges."""
+def scale_clip_action(raw, scaling: ActionScaling = DEFAULT_SCALING) -> tuple:
+    """Clamp each raw entry to [-1, 1] and map onto the physical ranges.
+
+    Returns the action as the environment latches it: one LegAction per
+    leg, in LEG_ORDER.
+    """
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (ACT_DIM,):
         raise ValueError(f"expected raw vector of length {ACT_DIM}")
     clipped = np.minimum(np.maximum(raw, -1.0), 1.0)
-    return ActionVector.from_flat(scaling._mid + scaling._half * clipped)
+    vals = (scaling._mid + scaling._half * clipped).tolist()
+    return tuple(LegAction(*vals[i : i + 5]) for i in range(0, ACT_DIM, 5))
 
 
 def linear_controller(matrix: np.ndarray, scaling: ActionScaling = DEFAULT_SCALING):
@@ -134,10 +111,11 @@ def linear_controller(matrix: np.ndarray, scaling: ActionScaling = DEFAULT_SCALI
     return lambda obs: scale_clip_action(act(matrix, obs), scaling)
 
 
-def raw_from_action(action: ActionVector, scaling: ActionScaling = DEFAULT_SCALING) -> np.ndarray:
+def raw_from_action(action, scaling: ActionScaling = DEFAULT_SCALING) -> np.ndarray:
     """Inverse of scale_clip_action for in-range physical actions (used to
     turn scripted demonstrations into regression targets)."""
-    return np.clip((action.to_flat() - scaling._mid) / scaling._half, -1.0, 1.0)
+    flat = np.array([getattr(leg, ch) for leg in action for ch in CHANNELS])
+    return np.clip((flat - scaling._mid) / scaling._half, -1.0, 1.0)
 
 
 def save_policy(matrix: np.ndarray, path, metadata: dict | None = None) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gaitgen, legkin
 from .gaitgen import LEG_ORDER, GaitParams
-from .policy import CHANNELS, ActionVector, build_observation
+from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import orthonormalize, rodrigues, rot_z, yaw_of
 from .slopeest import SlopeEstimator, angles_from_normal, capture_contact_pair
@@ -286,7 +286,7 @@ class SlopedTerrainEnv:
         rot = np.column_stack((bx, np.cross(n, bx), n))
 
         body_origin = self.gait.desired_height * n
-        self.latched = [gaitgen.ZERO_ACTION for _ in LEG_ORDER]
+        self.latched = (gaitgen.ZERO_ACTION,) * 4
         joints = self._joint_targets(0.0)
         self.state = SimState(
             com=body_origin + rot @ self.com_offset_body,
@@ -303,15 +303,16 @@ class SlopedTerrainEnv:
 
         self._estimator.reset()
         self._theta_hist.clear()
-        self._theta_hist.append(np.array(self._torso_theta(rot)))
+        self._last_theta = self._torso_theta(rot)
+        self._theta_hist.append(np.array(self._last_theta))
         self._standing.reset(float(self.state.com[0]))
-        # The pending contact capture: the step by which it completes and
-        # the touch-down pair it waits for; None when none is pending.
-        self._capture_due = None
+        # The touch-down pair the pending contact capture waits for; empty
+        # when no capture is pending.
         self._incoming = ()
         self._contact_world = [None, None, None, None]
         self._in_contact = [False, False, False, False]
         self._update_contact_memory()
+        self._last_height = self._height_above_feet(float(self.state.com @ n))
         self._last_reward = 0.0
         self._last_dx = 0.0
         # Rebuilt only when its inputs change: the orientation history at
@@ -336,8 +337,7 @@ class SlopedTerrainEnv:
         for leg, latched in zip(LEG_ORDER, self.latched):
             tau = gaitgen.trot_phase(t, self.gait.cycle_period, leg)
             foot = gaitgen.checked_foot_target(tau, latched, self.gait, self.geometry)
-            q = legkin.inverse_kinematics(foot, self.geometry, clip_to_limits=True)
-            targets.append((q.abd, q.hip, q.knee))
+            targets.append(legkin.inverse_kinematics(foot, self.geometry, clip_to_limits=True))
         return np.array(targets)
 
     def _feet_body(self, joints: np.ndarray) -> np.ndarray:
@@ -345,7 +345,7 @@ class SlopedTerrainEnv:
         the hip mounts."""
         feet = []
         for (hx, hy, hz), q in zip(self._hip_rows, joints.tolist()):
-            p = legkin.forward_kinematics(legkin.LegJointAngles(*q), self.geometry)
+            p = legkin.forward_kinematics(q, self.geometry)
             feet.append((hx + p.x, hy + p.y, hz + p.z))
         return np.array(feet)
 
@@ -365,11 +365,12 @@ class SlopedTerrainEnv:
     # ------------------------------------------------------------------
     # stepping
 
-    def step(self, action: ActionVector):
+    def step(self, action):
         """Advance one control step.
 
-        The commanded action is latched only on half-cycle boundary steps
-        (including the first step), keeping the foot references continuous.
+        action is one LegAction per leg, in LEG_ORDER. It is latched only on
+        half-cycle boundary steps (including the first step), keeping the
+        foot references continuous.
         The returned observation array is reused until its inputs change,
         so callers must not modify it in place.
         """
@@ -378,7 +379,7 @@ class SlopedTerrainEnv:
         s = self.state
         sim = self.sim
         if s.step_index % self.steps_per_half == 0:
-            self.latched = [action.leg(leg) for leg in LEG_ORDER]
+            self.latched = tuple(action)
 
         targets = self._joint_targets((s.step_index + 1) * sim.dt)
         joints_new = s.joints + self._track_alpha * (targets - s.joints)
@@ -487,7 +488,6 @@ class SlopedTerrainEnv:
         exchange = s.step_index % self.steps_per_half == 0
         if exchange:
             # Wait for the touch-down pair to land before snapshotting.
-            self._capture_due = s.step_index + self.steps_per_half
             self._incoming = self._stance_pair(s.step_index // self.steps_per_half)
             self._theta_hist.append(np.array(theta))
         if self._capture(feet_w) or exchange:
@@ -527,9 +527,6 @@ class SlopedTerrainEnv:
         self._last_height = height
 
         info = {
-            "height": height,
-            "clearance": clearance,
-            "dx": dx,
             "standing": standing,
             "fall": self.fall,
             "exchange": exchange,
@@ -583,7 +580,7 @@ class SlopedTerrainEnv:
 
     def _capture(self, feet_w: list) -> bool:
         """Finish the pending snapshot once the touch-down pair has made
-        contact (or at the deadline); True when an estimator update ran.
+        contact; True when an estimator update ran.
 
         Every foot contributes its last world contact point (a foot that
         never touched, its world position feet_w), re-expressed in the body
@@ -591,19 +588,16 @@ class SlopedTerrainEnv:
         world (zero-slip leg odometry), so the lift-off pair's points stay
         valid even though they were touched earlier.
         """
-        s = self.state
-        if self._capture_due is None or (
-            s.step_index < self._capture_due
-            and not all(self._in_contact[i] for i in self._incoming)
-        ):
+        if not self._incoming or not all(self._in_contact[i] for i in self._incoming):
             return False
+        s = self.state
         body_origin = s.com - s.rot @ self.com_offset_body
         outgoing, incoming = {}, {}
         for i, (leg, contact, f_world) in enumerate(zip(LEG_ORDER, self._contact_world, feet_w)):
             side = incoming if i in self._incoming else outgoing
             side[leg] = s.rot.T @ ((f_world if contact is None else contact) - body_origin)
         self._estimator.update(capture_contact_pair(outgoing, incoming, s.rot))
-        self._capture_due = None
+        self._incoming = ()
         return True
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from . import policy as policy_mod
 from .gaitgen import GaitParams, LegAction
 from .legkin import LegGeometry
-from .policy import ACT_DIM, OBS_DIM, ActionScaling, ActionVector
+from .policy import ACT_DIM, OBS_DIM, ActionScaling
 from .reward import RewardWeights
 from .simenv import (
     RandomizationConfig,
@@ -385,9 +385,9 @@ _YAW_RATE_STRIDE_GAIN = 0.4
 
 
 def strut_action(observation: np.ndarray, gait: GaitParams, scaling: ActionScaling,
-                 step_len: float, yaw_gain: float = STRUT_YAW_GAIN) -> ActionVector:
-    """Hand-tuned posture action: feet vertically under the hips plus a
-    heading hold.
+                 step_len: float, yaw_gain: float = STRUT_YAW_GAIN) -> tuple:
+    """Hand-tuned posture action, one LegAction per leg in LEG_ORDER: feet
+    vertically under the hips plus a heading hold.
 
     The estimated support-plane roll and pitch (the last two observation
     entries) give the steady tilt; shifting each trajectory center by the
@@ -424,8 +424,7 @@ def strut_action(observation: np.ndarray, gait: GaitParams, scaling: ActionScali
         return LegAction(step_len=step_len + side * stride, steer=steer_sign * steer,
                          shift_x=xs, shift_y=ys, shift_z=0.0)
 
-    return ActionVector(fl=leg(1.0, -1.0), fr=leg(-1.0, -1.0),
-                        bl=leg(1.0, 1.0), br=leg(-1.0, 1.0))
+    return leg(1.0, -1.0), leg(-1.0, -1.0), leg(1.0, 1.0), leg(-1.0, 1.0)
 
 
 def generate_strut_demos(

@@ -1,9 +1,13 @@
-"""The benchmark's hooks still find what they wrap.
+"""The benchmark's hooks still find what they wrap, and its output
+checks still pass.
 
 perfbench/instrument.py replaces public functions by name, where their
 callers look them up. A refactor that renames, moves or stops calling one
 of them leaves a hook that never fires, so these tests run one traced
-episode and check every per-step layer records spans.
+episode and check every per-step layer records spans. They also run one
+round of the two in-process workloads through perfbench/workloads.py, so a
+change that breaks the benchmark's checks or its eval_grid digest fails
+here rather than only when the benchmark is run.
 """
 
 import sys
@@ -18,6 +22,8 @@ from slopetrot.simenv import RandomizationConfig, TerrainPlane
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 import instrument  # noqa: E402
+import run  # noqa: E402
+import workloads  # noqa: E402
 
 PER_STEP_SPANS = (
     "simenv.step", "simenv.reset", "policy.observation", "reward.compute",
@@ -58,3 +64,16 @@ def test_observation_built_only_when_inputs_change(span_counts):
     assert span_counts["simenv.step"] == 120
     assert span_counts["slopeest.update"] == 2
     assert span_counts["policy.observation"] == 6
+
+
+@pytest.mark.parametrize("name", ["rollout_log", "eval_grid"])
+def test_workload_round_passes_its_checks(name, tmp_path, monkeypatch):
+    # The workloads name the policy file relative to the repository root.
+    monkeypatch.chdir(PERFBENCH.parent)
+    workload = workloads.WORKLOADS[name](1, str(tmp_path))
+    workload.setup()
+    rnd = workload.run_round(instrument.Recorder(str(tmp_path), trace=False))
+    assert rnd.attempted >= 1
+    assert (rnd.failed, rnd.problems, rnd.known) == (0, [], [])
+    if name == "eval_grid":
+        assert rnd.digest == run._reference_digests()[(name, 1)]

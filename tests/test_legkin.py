@@ -10,7 +10,6 @@ from slopetrot.legkin import (
     FootPosition,
     JointLimitViolation,
     LegGeometry,
-    LegJointAngles,
     Unreachable,
     clamp_to_workspace,
     forward_kinematics,
@@ -22,32 +21,33 @@ from slopetrot.rotations import rot_x, rot_y
 from conftest import sample_workspace_points
 
 
-def fk_oracle(q: LegJointAngles, g: LegGeometry) -> np.ndarray:
+def fk_oracle(q, g: LegGeometry) -> np.ndarray:
     """Independent FK: build the chain from rotation matrices instead of
     the closed-form trig expressions under test."""
-    upper = rot_y(-q.hip) @ np.array([0.0, 0.0, -g.upper_link_len])
-    lower = rot_y(-(q.hip + q.knee)) @ np.array([0.0, 0.0, -g.lower_link_len])
+    abd, hip, knee = q
+    upper = rot_y(-hip) @ np.array([0.0, 0.0, -g.upper_link_len])
+    lower = rot_y(-(hip + knee)) @ np.array([0.0, 0.0, -g.lower_link_len])
     planar = upper + lower + np.array([0.0, g.abduction_offset, 0.0])
-    return rot_x(q.abd) @ planar
+    return rot_x(abd) @ planar
 
 
 class TestForwardKinematics:
     def test_straight_down(self, geometry):
-        p = forward_kinematics(LegJointAngles(0.0, 0.0, 0.0), geometry)
+        p = forward_kinematics((0.0, 0.0, 0.0), geometry)
         assert p.as_array() == pytest.approx([0.0, 0.0, -0.325], abs=1e-12)
 
     def test_horizontal(self, geometry):
-        p = forward_kinematics(LegJointAngles(0.0, math.pi / 2, 0.0), geometry)
+        p = forward_kinematics((0.0, math.pi / 2, 0.0), geometry)
         assert p.as_array() == pytest.approx([0.325, 0.0, 0.0], abs=1e-12)
 
     def test_matches_rotation_chain_oracle(self, geometry):
-        q = LegJointAngles(0.2, 0.3, -0.4)
+        q = (0.2, 0.3, -0.4)
         p = forward_kinematics(q, geometry)
         assert p.as_array() == pytest.approx(fk_oracle(q, geometry), abs=1e-12)
 
     def test_oracle_with_abduction_offset(self):
         g = LegGeometry(abduction_offset=0.04)
-        for q in [LegJointAngles(0.3, -0.5, 1.2), LegJointAngles(-0.6, 0.9, 0.4)]:
+        for q in [(0.3, -0.5, 1.2), (-0.6, 0.9, 0.4)]:
             p = forward_kinematics(q, g)
             assert p.as_array() == pytest.approx(fk_oracle(q, g), abs=1e-12)
 
@@ -64,8 +64,8 @@ class TestForwardKinematics:
         base = [abd, hip, knee]
         bumped = list(base)
         bumped[axis] += eps
-        p0 = forward_kinematics(LegJointAngles(*base), g).as_array()
-        p1 = forward_kinematics(LegJointAngles(*bumped), g).as_array()
+        p0 = forward_kinematics(base, g).as_array()
+        p1 = forward_kinematics(bumped, g).as_array()
         bound = g.total_leg_length * abs(eps) + 1e-12
         assert np.linalg.norm(p1 - p0) <= bound
 
@@ -73,7 +73,7 @@ class TestForwardKinematics:
 class TestInverseKinematics:
     def test_straight_down(self, geometry):
         q = inverse_kinematics(FootPosition(0.0, 0.0, -0.325), geometry)
-        assert q.as_array() == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
+        assert q == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
 
     def test_beyond_reach(self, geometry):
         with pytest.raises(Unreachable):
@@ -90,7 +90,7 @@ class TestInverseKinematics:
 
     def test_clip_to_limits_clamps(self, geometry):
         q = inverse_kinematics(FootPosition(0.0, 0.3, -0.1), geometry, clip_to_limits=True)
-        assert abs(q.abd) <= 0.7 + 1e-12
+        assert abs(q[0]) <= 0.7 + 1e-12
 
     def test_round_trip_over_workspace(self, geometry):
         # 1e4 uniform workspace samples, FK(IK) error < 1e-9 m
@@ -99,7 +99,7 @@ class TestInverseKinematics:
         for x, z in points:
             target = FootPosition(x, 0.0, z)
             q = inverse_kinematics(target, geometry)
-            assert q.knee >= -1e-12  # backward-flexing branch only
+            assert q[2] >= -1e-12  # backward-flexing branch only
             p = forward_kinematics(q, geometry)
             err = np.linalg.norm(p.as_array() - target.as_array())
             worst = max(worst, err)
@@ -116,7 +116,7 @@ class TestInverseKinematics:
             target = rot_x(abd) @ planar
             p = FootPosition(*target)
             q = inverse_kinematics(p, g)
-            assert q.abd == pytest.approx(abd, abs=1e-9)
+            assert q[0] == pytest.approx(abd, abs=1e-9)
             p2 = forward_kinematics(q, g)
             assert np.linalg.norm(p2.as_array() - p.as_array()) < 1e-9
 

@@ -7,7 +7,7 @@ from slopetrot.policy import (
     ACT_DIM,
     OBS_DIM,
     ActionScaling,
-    ActionVector,
+    CHANNELS,
     PolicyFormatError,
     act,
     build_observation,
@@ -92,29 +92,25 @@ class TestAct:
 
 class TestScaling:
     def test_zero_maps_to_midpoints(self):
-        av = scale_clip_action(np.zeros(ACT_DIM))
-        for leg in ("fl", "fr", "bl", "br"):
-            a = getattr(av, leg)
+        for a in scale_clip_action(np.zeros(ACT_DIM)):
             assert a.step_len == pytest.approx(0.068)
             assert a.steer == 0.0
             assert a.shift_x == 0.0 and a.shift_y == 0.0 and a.shift_z == 0.0
 
     def test_saturation_clamps(self):
-        av = scale_clip_action(np.full(ACT_DIM, 5.0))
-        assert av.fl.step_len == pytest.approx(0.136)
-        assert av.fl.shift_y == pytest.approx(0.035)
-        assert av.br.steer == pytest.approx(0.35)
+        fl, fr, bl, br = scale_clip_action(np.full(ACT_DIM, 5.0))
+        assert fl.step_len == pytest.approx(0.136)
+        assert fl.shift_y == pytest.approx(0.035)
+        assert br.steer == pytest.approx(0.35)
 
     def test_lower_bounds(self):
-        av = scale_clip_action(np.full(ACT_DIM, -1.0))
-        assert av.fl.step_len == 0.0
-        assert av.bl.shift_y == pytest.approx(-0.035)
+        fl, fr, bl, br = scale_clip_action(np.full(ACT_DIM, -1.0))
+        assert fl.step_len == 0.0
+        assert bl.shift_y == pytest.approx(-0.035)
 
     def test_saturated_idempotent(self):
         big = np.full(ACT_DIM, 5.0)
-        assert scale_clip_action(big).to_flat() == pytest.approx(
-            scale_clip_action(np.ones(ACT_DIM)).to_flat()
-        )
+        assert scale_clip_action(big) == scale_clip_action(np.ones(ACT_DIM))
 
     @given(
         lo=st.floats(-1.0, 1.0), hi=st.floats(-1.0, 1.0), channel=st.integers(0, ACT_DIM - 1)
@@ -126,8 +122,9 @@ class TestScaling:
         rb = np.zeros(ACT_DIM)
         ra[channel] = a
         rb[channel] = b
-        va = scale_clip_action(ra).to_flat()[channel]
-        vb = scale_clip_action(rb).to_flat()[channel]
+        leg, ch = divmod(channel, len(CHANNELS))
+        va = getattr(scale_clip_action(ra)[leg], CHANNELS[ch])
+        vb = getattr(scale_clip_action(rb)[leg], CHANNELS[ch])
         assert va <= vb + 1e-15
 
     def test_raw_round_trip(self):
@@ -138,27 +135,22 @@ class TestScaling:
 
     def test_custom_scaling(self):
         sc = ActionScaling(step_len=(0.0, 0.2))
-        av = scale_clip_action(np.zeros(ACT_DIM), sc)
-        assert av.fl.step_len == pytest.approx(0.1)
+        fl = scale_clip_action(np.zeros(ACT_DIM), sc)[0]
+        assert fl.step_len == pytest.approx(0.1)
 
-
-class TestActionVector:
-    def test_flat_round_trip(self):
-        rng = np.random.default_rng(1)
-        flat = rng.normal(size=ACT_DIM)
-        assert ActionVector.from_flat(flat).to_flat() == pytest.approx(flat)
 
     def test_leg_order(self):
-        flat = np.arange(ACT_DIM, dtype=float)
-        av = ActionVector.from_flat(flat)
-        assert av.fl.step_len == 0.0
-        assert av.fr.step_len == 5.0
-        assert av.bl.step_len == 10.0
-        assert av.br.step_len == 15.0
+        # raw entry 5k drives leg k's step length, in LEG_ORDER
+        for k in range(4):
+            raw = np.full(ACT_DIM, -1.0)
+            raw[5 * k] = 1.0
+            legs = scale_clip_action(raw)
+            assert len(legs) == 4
+            assert [a.step_len for a in legs] == [0.136 if j == k else 0.0 for j in range(4)]
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            ActionVector.from_flat(np.zeros(19))
+            scale_clip_action(np.zeros(ACT_DIM - 1))
 
 
 class TestPersistence:

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slopetrot.gaitgen import ZERO_ACTION, LegAction
 from slopetrot.policy import (
-    ActionVector,
     act,
     linear_controller,
     load_policy,
@@ -24,9 +24,10 @@ from slopetrot.simenv import (
     stage_combos,
     terrain_grid,
 )
+from slopetrot.slopeest import PlaneEstimate
 
 NO_PUSH = RandomizationConfig(push_enabled=False)
-ZEROS = ActionVector()
+ZEROS = (ZERO_ACTION,) * 4
 
 
 def snapshot_state(env):
@@ -339,12 +340,10 @@ class TestBehavior:
             assert w.max() <= windows[0].max() + 5e-3
 
     def test_workspace_clamp_keeps_episode_alive(self):
-        from slopetrot.gaitgen import LegAction
-
         env = SlopedTerrainEnv()
         env.reset(TerrainPlane(), NO_PUSH, seed=1)
         wild = LegAction(step_len=0.136, steer=0.3, shift_x=0.06, shift_y=0.035, shift_z=-0.06)
-        a = ActionVector(wild, wild, wild, wild)
+        a = (wild,) * 4
         for _ in range(100):
             _, _, done, _ = env.step(a)
         assert not done
@@ -370,6 +369,37 @@ class TestExchangeAndLogging:
                 exchanges.append(i)
         assert exchanges == [40, 80, 120]
 
+    def test_action_latched_only_on_exchange_steps(self):
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(), NO_PUSH, seed=1)
+        a = (LegAction(step_len=0.1), LegAction(steer=0.1),
+             LegAction(shift_x=0.01), LegAction(shift_z=-0.01))
+        b = (LegAction(step_len=0.05),) * 4
+        env.step(list(a))
+        assert env.latched == a
+        for _ in range(1, 40):
+            env.step(b)
+            assert env.latched == a
+        env.step(b)
+        assert env.latched == b
+
+    def test_no_capture_before_touch_down(self):
+        # Lifted a metre, no foot lands before step 80, so the pairs of the
+        # exchanges at steps 40 and 80 never touch down: neither exchange
+        # updates the estimator and the estimate stays flat.
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(9, 0), NO_PUSH, seed=1)
+        env.state.com[2] += 1.0
+        updates = []
+        update = env._estimator.update
+        env._estimator.update = lambda snap: updates.append(update(snap))
+        for _ in range(80):
+            obs, _, done, _ = env.step(ZEROS)
+            assert not done and not any(env._in_contact)
+        assert updates == []
+        assert env._estimator.estimate == PlaneEstimate.flat()
+        assert obs[9] == 0.0 and obs[10] == 0.0
+
     def test_estimator_converges_on_slope(self):
         env = SlopedTerrainEnv()
         obs = env.reset(TerrainPlane(9, 0), NO_PUSH, seed=1)
@@ -388,3 +418,30 @@ class TestExchangeAndLogging:
         assert list(row.keys()) == list(env.LOG_COLUMNS)
         assert row["step"] == 1
         assert row["time"] == pytest.approx(0.005)
+
+    def test_log_row_after_reset_reports_spawn(self):
+        env = SlopedTerrainEnv()
+        terrain = TerrainPlane(11, 90)
+        env.reset(terrain, NO_PUSH, seed=0)
+        _assert_spawn_row(env.log_row(), terrain)
+
+    def test_log_row_after_second_reset_reports_spawn(self):
+        env = SlopedTerrainEnv(sim=SimParams(episode_len=5))
+        obs = env.reset(TerrainPlane(), NO_PUSH, seed=0)
+        for _ in env.run(obs, lambda obs: ZEROS):
+            pass
+        terrain = TerrainPlane(11, 90)
+        env.reset(terrain, NO_PUSH, seed=0)
+        _assert_spawn_row(env.log_row(), terrain)
+
+
+def _assert_spawn_row(row, terrain):
+    """A row logged right after reset: step 0, the plane-aligned spawn
+    torso, the desired height and no motion or reward yet."""
+    roll, pitch = terrain.angles()
+    assert row["step"] == 0 and row["time"] == 0.0
+    assert row["torso_roll"] == pytest.approx(roll, abs=1e-9)
+    assert row["torso_pitch"] == pytest.approx(pitch, abs=1e-9)
+    assert row["torso_yaw"] == pytest.approx(0.0, abs=1e-9)
+    assert row["height"] == pytest.approx(0.243, abs=1e-9)
+    assert row["dx"] == 0.0 and row["reward"] == 0.0

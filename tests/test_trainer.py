@@ -276,34 +276,34 @@ class TestGuidedInit:
         obs = np.zeros(OBS_DIM)
         obs[9] = 0.1   # plane roll
         obs[10] = 0.15  # plane pitch
-        av = strut_action(obs, bundle.gait, bundle.scaling, 0.1)
+        fl, fr, bl, br = strut_action(obs, bundle.gait, bundle.scaling, 0.1)
         h_d = bundle.gait.desired_height
-        assert av.fl.shift_x == pytest.approx(-h_d * np.tan(0.15))
-        assert av.fl.shift_y == pytest.approx(min(h_d * np.tan(0.1), 0.035))
-        assert av.fl.step_len == 0.1
+        assert fl.shift_x == pytest.approx(-h_d * np.tan(0.15))
+        assert fl.shift_y == pytest.approx(min(h_d * np.tan(0.1), 0.035))
+        assert fl.step_len == 0.1
 
     def test_strut_yaw_hold_differential(self, bundle):
         obs = np.zeros(OBS_DIM)
         obs[5] = 0.2
         obs[8] = 0.2
-        av = strut_action(obs, bundle.gait, bundle.scaling, 0.1, yaw_gain=0.5)
-        assert av.fl.steer == pytest.approx(-0.1)
-        assert av.bl.steer == pytest.approx(0.1)
-        assert av.fr.steer == av.fl.steer and av.br.steer == av.bl.steer
+        fl, fr, bl, br = strut_action(obs, bundle.gait, bundle.scaling, 0.1, yaw_gain=0.5)
+        assert fl.steer == pytest.approx(-0.1)
+        assert bl.steer == pytest.approx(0.1)
+        assert fr.steer == fl.steer and br.steer == bl.steer
 
     def test_strut_yaw_hold_stride_difference(self, bundle):
         obs = np.zeros(OBS_DIM)
         obs[5] = 0.05
         obs[8] = 0.05
-        av = strut_action(obs, bundle.gait, bundle.scaling, 0.068)
+        fl, fr, bl, br = strut_action(obs, bundle.gait, bundle.scaling, 0.068)
         # yaw 0.05 rad, half-cycle change 0.025 rad: 0.4 * 0.05 + 0.4 * 0.025
-        assert av.fl.step_len == pytest.approx(0.068 + 0.03)
-        assert av.fr.step_len == pytest.approx(0.068 - 0.03)
-        assert av.bl.step_len == av.fl.step_len and av.br.step_len == av.fr.step_len
+        assert fl.step_len == pytest.approx(0.068 + 0.03)
+        assert fr.step_len == pytest.approx(0.068 - 0.03)
+        assert bl.step_len == fl.step_len and br.step_len == fr.step_len
         big = obs.copy()
         big[5] = big[8] = 1.0
-        av = strut_action(big, bundle.gait, bundle.scaling, 0.068)
-        assert (av.fl.step_len, av.fr.step_len) == (0.136, 0.0)
+        fl, fr, bl, br = strut_action(big, bundle.gait, bundle.scaling, 0.068)
+        assert (fl.step_len, fr.step_len) == (0.136, 0.0)
 
     def test_demo_generation_shapes(self, bundle):
         demos = generate_strut_demos(
