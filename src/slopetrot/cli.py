@@ -173,7 +173,8 @@ def cmd_eval(args) -> int:
     combos = _eval_combos(args)
     friction = args.friction if args.friction is not None else cfg.train.eval_friction
     grid = make_eval_grid(combos, cfg.run.master_seed, friction)
-    mean, per_terrain = evaluate(matrix, grid, cfg.bundle(), cfg.train.episode_len)
+    bundle = cfg.bundle().with_episode_len(cfg.train.episode_len)
+    mean, per_terrain = evaluate(matrix, grid, bundle, replace(cfg.rand, push_enabled=False))
 
     rows = []
     for terrain, seed, ret in per_terrain:
@@ -239,6 +240,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "rollout" and not (args.push_at >= 0.0 and args.push_dur > 0.0):
+            parser.error("--push-at must be >= 0 and --push-dur > 0")
     except _UsageError as exc:
         return int(exc.code)
     try:

@@ -191,6 +191,9 @@ class EnvBundle:
     def make_env(self) -> SlopedTerrainEnv:
         return SlopedTerrainEnv(self.geometry, self.gait, self.reward, self.sim)
 
+    def with_episode_len(self, episode_len: int) -> EnvBundle:
+        return replace(self, sim=replace(self.sim, episode_len=episode_len))
+
 
 def rollout_return(
     matrix: np.ndarray,
@@ -200,7 +203,9 @@ def rollout_return(
     seed: int,
     episode_len: int | None = None,
 ) -> float:
-    return rollout_stats(matrix, bundle, terrain, rand, seed, episode_len)[0]
+    if episode_len is not None:
+        bundle = bundle.with_episode_len(episode_len)
+    return rollout_stats(matrix, bundle, terrain, rand, seed)[0]
 
 
 def rollout_stats(
@@ -209,15 +214,13 @@ def rollout_stats(
     terrain: TerrainPlane,
     rand: RandomizationConfig,
     seed: int,
-    episode_len: int | None = None,
 ):
-    """One policy episode in a fresh environment.
+    """One policy episode of bundle.sim.episode_len steps in a fresh
+    environment.
 
     Returns (total reward, forward displacement, steps survived). Fully
     determined by the arguments.
     """
-    if episode_len is not None:
-        bundle = replace(bundle, sim=replace(bundle.sim, episode_len=episode_len))
     if bundle.sim.episode_len <= 0:
         return 0.0, 0.0, 0
     env = bundle.make_env()
@@ -230,8 +233,7 @@ def rollout_stats(
 
 
 def _rollout_task(args):
-    matrix, bundle, terrain, rand, seed, episode_len = args
-    return rollout_return(matrix, bundle, terrain, rand, seed, episode_len)
+    return rollout_return(*args)
 
 
 class RolloutPool:
@@ -270,7 +272,6 @@ def run_iteration(
     bundle: EnvBundle,
     rand: RandomizationConfig,
     iteration: int,
-    episode_len: int,
     pool: RolloutPool,
     curriculum_switch: int = 30,
 ):
@@ -298,7 +299,7 @@ def run_iteration(
 
     def batch(thetas, meta):
         tasks = [
-            (t.reshape(ACT_DIM, OBS_DIM), bundle, terrains[k], rand, seeds[k], episode_len)
+            (t.reshape(ACT_DIM, OBS_DIM), bundle, terrains[k], rand, seeds[k])
             for t, (k, _) in zip(thetas, meta)
         ]
         return pool.map(tasks)
@@ -327,13 +328,12 @@ def evaluate(
     matrix: np.ndarray,
     grid,
     bundle: EnvBundle,
-    episode_len: int | None = None,
     rand: RandomizationConfig = EVAL_RANDOMIZATION,
 ):
     """Mean return over the grid plus the per-terrain breakdown."""
     per_terrain = []
     for terrain, seed in grid:
-        ret = rollout_return(matrix, bundle, terrain, rand, seed, episode_len)
+        ret = rollout_return(matrix, bundle, terrain, rand, seed)
         per_terrain.append((terrain, seed, ret))
     mean = float(np.mean([r for _, _, r in per_terrain])) if per_terrain else 0.0
     return mean, per_terrain
@@ -427,43 +427,6 @@ def strut_action(observation: np.ndarray, gait: GaitParams, scaling: ActionScali
     return leg(1.0, -1.0), leg(-1.0, -1.0), leg(1.0, 1.0), leg(-1.0, 1.0)
 
 
-def generate_strut_demos(
-    bundle: EnvBundle,
-    rand: RandomizationConfig,
-    master_seed: int,
-    step_len: float = 0.068,
-    combos=None,
-    seeds_per_combo: int = 1,
-    episode_len: int | None = None,
-    yaw_gain: float = STRUT_YAW_GAIN,
-):
-    """Roll the scripted strut controller over the stage-1 terrains and
-    record (observation, raw action) pairs at every policy step."""
-    if combos is None:
-        combos = stage_combos(1)
-    if episode_len is not None:
-        bundle = replace(bundle, sim=replace(bundle.sim, episode_len=episode_len))
-    env = bundle.make_env()
-    demos = []
-
-    def scripted(obs):
-        action = strut_action(obs, bundle.gait, bundle.scaling, step_len, yaw_gain)
-        demos.append((obs, policy_mod.raw_from_action(action, bundle.scaling)))
-        return action
-
-    for idx, (inc, ori) in enumerate(combos):
-        for rep in range(seeds_per_combo):
-            seed = derive_seed(master_seed, _DEMO_STREAM, idx, rep)
-            terrain = TerrainPlane(inclination_deg=inc, yaw_deg=ori, friction=0.65)
-            for _ in env.run(env.reset(terrain=terrain, rand=rand, seed=seed), scripted):
-                pass
-    return demos
-
-
-# ----------------------------------------------------------------------
-# full training loop
-
-
 @dataclass(frozen=True)
 class TrainParams:
     """Loop settings: episode length, curriculum switch point, evaluation
@@ -479,21 +442,53 @@ class TrainParams:
     demo_seeds_per_combo: int = 1
     eval_friction: float = 0.65
 
+    def __post_init__(self):
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+
+
+def generate_strut_demos(
+    bundle: EnvBundle,
+    rand: RandomizationConfig,
+    master_seed: int,
+    params: TrainParams = TrainParams(),
+    combos=None,
+):
+    """Roll the scripted strut controller, with the guided settings of
+    params, over the stage-1 terrains (or combos) for params.episode_len
+    steps each and record (observation, raw action) pairs at every policy
+    step."""
+    if combos is None:
+        combos = stage_combos(1)
+    bundle = bundle.with_episode_len(params.episode_len)
+    env = bundle.make_env()
+    demos = []
+
+    def scripted(obs):
+        action = strut_action(obs, bundle.gait, bundle.scaling,
+                              params.guided_step_len, params.guided_yaw_gain)
+        demos.append((obs, policy_mod.raw_from_action(action, bundle.scaling)))
+        return action
+
+    for idx, (inc, ori) in enumerate(combos):
+        for rep in range(params.demo_seeds_per_combo):
+            seed = derive_seed(master_seed, _DEMO_STREAM, idx, rep)
+            terrain = TerrainPlane(inclination_deg=inc, yaw_deg=ori, friction=0.65)
+            for _ in env.run(env.reset(terrain=terrain, rand=rand, seed=seed), scripted):
+                pass
+    return demos
+
+
+# ----------------------------------------------------------------------
+# full training loop
+
 
 def fit_guided(bundle: EnvBundle, rand: RandomizationConfig, master_seed: int,
                params: TrainParams) -> GuidedFit:
     """The guided warm start: scripted strut demonstrations (pushes off)
     fitted by least squares."""
-    demos = generate_strut_demos(
-        bundle,
-        replace(rand, push_enabled=False),
-        master_seed,
-        step_len=params.guided_step_len,
-        seeds_per_combo=params.demo_seeds_per_combo,
-        episode_len=params.episode_len,
-        yaw_gain=params.guided_yaw_gain,
-    )
-    return guided_init(demos)
+    return guided_init(generate_strut_demos(
+        bundle, replace(rand, push_enabled=False), master_seed, params))
 
 
 TRAIN_LOG_COLUMNS = (
@@ -532,7 +527,9 @@ def train(
     checkpoint_fn(iteration, matrix, eval_score) is called at every
     evaluation; progress_fn(row_dict) after every iteration. The returned
     history rows are deterministic in (bundle, hp, rand, params).
+    Every episode runs params.episode_len steps.
     """
+    bundle = bundle.with_episode_len(params.episode_len)
     guided_fit = None
     if initial_matrix is not None:
         theta = policy_mod.validate_policy_matrix(initial_matrix).flatten()
@@ -550,7 +547,7 @@ def train(
     with RolloutPool(hp.workers) as pool:
         for it in range(params.iterations):
             theta, state, _ = run_iteration(
-                theta, hp, bundle, rand, it, params.episode_len, pool,
+                theta, hp, bundle, rand, it, pool,
                 curriculum_switch=params.curriculum_switch,
             )
             episodes += 2 * hp.num_directions
@@ -558,10 +555,7 @@ def train(
             all_returns = np.concatenate([state.returns_pos, state.returns_neg])
             eval_score = ""
             if (it + 1) % params.eval_every == 0:
-                score, _ = evaluate(
-                    theta.reshape(ACT_DIM, OBS_DIM), eval_grid, bundle,
-                    params.episode_len, rand=rand,
-                )
+                score, _ = evaluate(theta.reshape(ACT_DIM, OBS_DIM), eval_grid, bundle, rand)
                 eval_scores.append((it, score))
                 eval_score = score
                 if checkpoint_fn is not None:

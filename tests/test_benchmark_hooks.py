@@ -5,8 +5,8 @@ perfbench/instrument.py replaces public functions by name, where their
 callers look them up. A refactor that renames, moves or stops calling one
 of them leaves a hook that never fires, so these tests run one traced
 episode and check every per-step layer records spans. They also run one
-round of the two in-process workloads through perfbench/workloads.py, so a
-change that breaks the benchmark's checks or its eval_grid digest fails
+round of each workload through perfbench/workloads.py, so a change that
+breaks the benchmark's checks or its train_desk or eval_grid digest fails
 here rather than only when the benchmark is run.
 """
 
@@ -66,7 +66,7 @@ def test_observation_built_only_when_inputs_change(span_counts):
     assert span_counts["policy.observation"] == 6
 
 
-@pytest.mark.parametrize("name", ["rollout_log", "eval_grid"])
+@pytest.mark.parametrize("name", ["rollout_log", "eval_grid", "train_desk"])
 def test_workload_round_passes_its_checks(name, tmp_path, monkeypatch):
     # The workloads name the policy file relative to the repository root.
     monkeypatch.chdir(PERFBENCH.parent)
@@ -75,5 +75,5 @@ def test_workload_round_passes_its_checks(name, tmp_path, monkeypatch):
     rnd = workload.run_round(instrument.Recorder(str(tmp_path), trace=False))
     assert rnd.attempted >= 1
     assert (rnd.failed, rnd.problems, rnd.known) == (0, [], [])
-    if name == "eval_grid":
+    if name != "rollout_log":
         assert rnd.digest == run._reference_digests()[(name, 1)]

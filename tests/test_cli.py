@@ -63,6 +63,13 @@ class TestTrain:
         cfg.write_text("gait.max_step_len = banana\n")
         assert run_cli("train", "--config", str(cfg)) == 2
 
+    def test_zero_eval_every_is_config_error(self, tmp_path):
+        out = str(tmp_path / "run")
+        code = run_cli("train", "--iters", "1", "--out", out, *FAST_TRAIN,
+                       "--set", "train.eval_every=0")
+        assert code == 2
+        assert not os.path.exists(os.path.join(out, "training.csv"))
+
 
 class TestEval:
     def test_full_grid_rows_and_summary(self, tmp_path, capsys):
@@ -103,6 +110,21 @@ class TestEval:
         _, _, rows = read_csv(os.path.join(out, "eval.csv"))
         assert [(r["inclination"], r["orientation"]) for r in rows] == expected
 
+    def test_uses_configured_randomization(self, tmp_path):
+        policy = tmp_path / "zero.txt"
+        save_policy(zero_policy(), policy)
+        returns = []
+        for name, extra in (("default", []),
+                            ("heavy", ["--set", "rand.motor_torque_range=1.0,1.0",
+                                       "--set", "rand.added_mass_range=3.0,3.0"])):
+            out = str(tmp_path / name)
+            assert run_cli("eval", "--policy", str(policy), "--out", out,
+                           "--incline", "9", "--orientation", "0",
+                           "--set", "train.episode_len=80", *extra) == 0
+            _, _, rows = read_csv(os.path.join(out, "eval.csv"))
+            returns.append(rows[0]["return"])
+        assert returns[0] != returns[1]
+
     def test_corrupt_policy_runtime_error(self, tmp_path):
         policy = tmp_path / "corrupt.txt"
         policy.write_text("19 11\nnot numbers\n")
@@ -134,6 +156,17 @@ class TestRollout:
         header, _, rows = read_csv(os.path.join(out, "rollout.csv"))
         assert "100" in header["push"]
         assert "[60,100)" in header["push"]
+
+    @pytest.mark.parametrize("window", [
+        ["--push-at", "-0.1"], ["--push-dur", "-0.2"], ["--push-dur", "0"],
+    ])
+    def test_malformed_push_window_usage_error(self, tmp_path, window):
+        policy = tmp_path / "zero.txt"
+        save_policy(zero_policy(), policy)
+        out = str(tmp_path / "roll")
+        assert run_cli("rollout", "--policy", str(policy), "--push", "100", *window,
+                       "--out", out, "--set", "sim.episode_len=40") == 1
+        assert not os.path.exists(os.path.join(out, "rollout.csv"))
 
     def test_default_guided_policy_noted(self, tmp_path):
         out = str(tmp_path / "roll")

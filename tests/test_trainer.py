@@ -195,7 +195,7 @@ class TestRollouts:
 
     def test_stats_report_displacement(self, bundle):
         ret, disp, steps = rollout_stats(
-            zero_policy(), bundle, TerrainPlane(), NO_PUSH, 3, episode_len=200
+            zero_policy(), bundle.with_episode_len(200), TerrainPlane(), NO_PUSH, 3
         )
         assert steps == 200
         assert disp > 0.1
@@ -222,7 +222,7 @@ class TestRunIteration:
                 return [float(len(t[0])) for t in tasks]
 
         theta = np.zeros(ACT_DIM * OBS_DIM)
-        run_iteration(theta, hp, bundle, NO_PUSH, 0, 50, CountingPool())
+        run_iteration(theta, hp, bundle.with_episode_len(50), NO_PUSH, 0, CountingPool())
         assert len(calls) == 8  # 2N episodes
 
     def test_terrain_stage_respects_curriculum(self, bundle):
@@ -234,7 +234,8 @@ class TestRunIteration:
 
         for iteration, stages in ((29, {0, 5, 7}), (31, {0, 5, 7, 9, 11})):
             _, _, terrains = run_iteration(
-                np.zeros(ACT_DIM * OBS_DIM), hp, bundle, NO_PUSH, iteration, 10, StubPool()
+                np.zeros(ACT_DIM * OBS_DIM), hp, bundle.with_episode_len(10), NO_PUSH,
+                iteration, StubPool()
             )
             assert len(terrains) == hp.num_directions
             for terrain in terrains:
@@ -249,7 +250,7 @@ class TestRunIteration:
             with RolloutPool(hp.workers) as pool:
                 for it in range(2):
                     theta, _, _ = run_iteration(
-                        theta, hp, bundle, NO_PUSH, it, 100, pool
+                        theta, hp, bundle.with_episode_len(100), NO_PUSH, it, pool
                     )
             thetas[hp.workers] = theta
         assert np.array_equal(thetas[1], thetas[2])
@@ -307,7 +308,7 @@ class TestGuidedInit:
 
     def test_demo_generation_shapes(self, bundle):
         demos = generate_strut_demos(
-            bundle, NO_PUSH, 0, combos=[(0, 0), (7, 0)], episode_len=120
+            bundle, NO_PUSH, 0, TrainParams(episode_len=120), combos=[(0, 0), (7, 0)]
         )
         assert len(demos) >= 6
         for obs, raw in demos:
@@ -320,7 +321,7 @@ class TestGuidedInit:
         # driver replaced. Like TestGoldenTrajectory in test_simenv.py, the
         # value pins the BLAS it was recorded with.
         demos = generate_strut_demos(
-            bundle, NO_PUSH, 0, combos=[(0, 0), (7, 30)], episode_len=120
+            bundle, NO_PUSH, 0, TrainParams(episode_len=120), combos=[(0, 0), (7, 30)]
         )
         h = hashlib.sha256()
         for obs, raw in demos:
@@ -334,8 +335,9 @@ class TestEvaluate:
     def test_deterministic_and_counts(self, bundle):
         grid = make_eval_grid([(0, 0), (5, 0), (7, 90)], 0)
         m = zero_policy()
-        mean1, per1 = evaluate(m, grid, bundle, episode_len=100)
-        mean2, per2 = evaluate(m, grid, bundle, episode_len=100)
+        short = bundle.with_episode_len(100)
+        mean1, per1 = evaluate(m, grid, short)
+        mean2, per2 = evaluate(m, grid, short)
         assert mean1 == mean2
         assert len(per1) == 3
         assert mean1 == pytest.approx(np.mean([r for _, _, r in per1]))
