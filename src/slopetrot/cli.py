@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__, config as config_mod, policy as policy_mod, trainer
 from .policy import PolicyFormatError
@@ -40,19 +39,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="slopetrot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def setting(p, flag, key, metavar, what):
+        # The flag is shorthand for --set KEY=VALUE: it joins the same list,
+        # so the config parser reads and checks its value.
+        p.add_argument(flag, dest="set", action="append", type=lambda v: f"{key}={v}",
+                       metavar=metavar, help=f"{what} (--set {key}=...)")
+
     def common(p):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override one config entry (repeatable)")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out", help="output directory (default from config)")
+        setting(p, "--seed", "run.master_seed", "SEED", "master seed")
+        setting(p, "--out", "run.out_dir", "OUT", "output directory")
 
     p_train = sub.add_parser("train", help="run guided init plus the search loop")
     common(p_train)
-    p_train.add_argument("--iters", type=int, help="iteration count override")
-    p_train.add_argument("--workers", type=int, help="rollout worker count override")
+    setting(p_train, "--iters", "train.iterations", "ITERS", "iteration count")
+    setting(p_train, "--workers", "ars.workers", "WORKERS", "rollout worker count")
     p_train.add_argument("--init-policy", help="start from this policy file instead of guided init")
-    p_train.add_argument("--no-guided", action="store_true", help="start from the zero policy")
+    p_train.add_argument("--no-guided", dest="set", action="append_const",
+                         const="train.guided=false",
+                         help="start from the zero policy (--set train.guided=false)")
 
     p_eval = sub.add_parser("eval", help="score a policy over the terrain grid")
     common(p_eval)
@@ -60,7 +67,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--incline", "--inclination", dest="incline", type=float,
                         help="restrict to one inclination (deg)")
     p_eval.add_argument("--orientation", type=float, help="restrict to one slope yaw (deg)")
-    p_eval.add_argument("--friction", type=float, help="friction coefficient override")
+    setting(p_eval, "--friction", "train.eval_friction", "FRICTION", "friction coefficient")
 
     p_roll = sub.add_parser("rollout", help="run one logged episode")
     common(p_roll)
@@ -75,6 +82,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_run_config(args) -> config_mod.RunConfig:
+    """Defaults, then --config, then every --set entry and setting flag in
+    command-line order, so the last value given wins."""
     cfg = config_mod.RunConfig()
     if args.config:
         if not os.path.exists(args.config):
@@ -85,10 +94,6 @@ def _load_run_config(args) -> config_mod.RunConfig:
             raise config_mod.ConfigFileError(f"--set needs SEC.KEY=VAL, got {setting!r}")
         key, _, value = setting.partition("=")
         cfg = config_mod.apply_setting(cfg, key.strip(), value)
-    if args.seed is not None:
-        cfg = replace(cfg, run=replace(cfg.run, master_seed=args.seed))
-    if args.out is not None:
-        cfg = replace(cfg, run=replace(cfg.run, out_dir=args.out))
     return cfg
 
 
@@ -105,14 +110,6 @@ def _csv_header(cfg: config_mod.RunConfig, extra: dict | None = None) -> dict:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    # Flag overrides go into the config itself, so the hash and
-    # config_resolved.cfg describe the run that actually happens.
-    if args.iters is not None:
-        cfg = replace(cfg, train=replace(cfg.train, iterations=args.iters))
-    if args.workers is not None:
-        cfg = replace(cfg, ars=replace(cfg.ars, workers=args.workers))
-    if args.no_guided:
-        cfg = replace(cfg, train=replace(cfg.train, guided=False))
     hp = cfg.hyperparams()
     params = cfg.train
     initial = None
@@ -171,10 +168,8 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     matrix = policy_mod.load_policy(args.policy)
     combos = _eval_combos(args)
-    friction = args.friction if args.friction is not None else cfg.train.eval_friction
-    grid = make_eval_grid(combos, cfg.run.master_seed, friction)
-    bundle = cfg.bundle().with_episode_len(cfg.train.episode_len)
-    mean, per_terrain = evaluate(matrix, grid, bundle, replace(cfg.rand, push_enabled=False))
+    grid = make_eval_grid(combos, cfg.run.master_seed, cfg.train.eval_friction)
+    mean, per_terrain = evaluate(matrix, grid, cfg.bundle(), cfg.rand_without_pushes())
 
     rows = []
     for terrain, seed, ret in per_terrain:
@@ -208,9 +203,8 @@ def cmd_rollout(args) -> int:
     terrain = TerrainPlane(inclination_deg=args.incline, yaw_deg=args.orientation,
                            friction=args.friction)
     env = bundle.make_env()
-    rand = replace(cfg.rand, push_enabled=False)
     seed = derive_seed(cfg.run.master_seed, trainer._ROLLOUT_CLI_STREAM)
-    obs = env.reset(terrain=terrain, rand=rand, seed=seed)
+    obs = env.reset(terrain=terrain, rand=cfg.rand_without_pushes(), seed=seed)
     push_note = "none"
     if args.push is not None:
         start = round(args.push_at / cfg.sim.dt)
@@ -240,6 +234,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command != "train" and args.incline is not None and not abs(args.incline) < 90.0:
+            parser.error("--incline must be strictly between -90 and 90 deg")
+        if args.command == "rollout" and not args.friction >= 0.0:
+            parser.error("--friction must be >= 0")
         if args.command == "rollout" and not (args.push_at >= 0.0 and args.push_dur > 0.0):
             parser.error("--push-at must be >= 0 and --push-dur > 0")
     except _UsageError as exc:

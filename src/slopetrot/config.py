@@ -47,13 +47,19 @@ class RunConfig:
     run: RunParams = RunParams()
 
     def bundle(self) -> EnvBundle:
+        """The run's environment; its episodes run train.episode_len steps."""
         return EnvBundle(
             geometry=self.geometry,
             gait=self.gait,
             reward=self.reward,
-            sim=self.sim,
+            sim=replace(self.sim, episode_len=self.train.episode_len),
             scaling=self.scaling,
         )
+
+    def rand_without_pushes(self) -> RandomizationConfig:
+        """The configured randomization with scheduled pushes off, as
+        `slopetrot eval` and `slopetrot rollout` run it."""
+        return replace(self.rand, push_enabled=False)
 
     def hyperparams(self) -> ArsHyperparams:
         return replace(self.ars, master_seed=self.run.master_seed)
@@ -62,47 +68,28 @@ class RunConfig:
 SECTIONS = ("geometry", "gait", "scaling", "reward", "sim", "rand", "ars", "train", "run")
 
 
-def _parse_scalar(text: str, kind):
+def _parse_value(text: str, default):
+    """Parse text as a value of the type of the field's current value."""
     text = text.strip()
-    if kind is bool:
+    if isinstance(default, bool):
         low = text.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigFileError(f"expected boolean, got {text!r}")
-    if kind is int:
+    if isinstance(default, int):
         return int(text)
-    if kind is float:
-        return float(text)
-    if kind is str:
-        return text
-    raise ConfigFileError(f"unsupported scalar type {kind}")
-
-
-def _parse_value(text: str, default):
-    """Parse by the type of the field's current/default value."""
-    text = text.strip()
-    if isinstance(default, bool):
-        return _parse_scalar(text, bool)
-    if isinstance(default, int) and not isinstance(default, bool):
-        return _parse_scalar(text, int)
     if isinstance(default, float):
-        return _parse_scalar(text, float)
+        return float(text)
     if isinstance(default, str):
         return text
     if default is None:
-        if text.lower() in ("none", ""):
-            return None
-        return _parse_scalar(text, int)
+        return None if text.lower() in ("none", "") else int(text)
     if isinstance(default, tuple):
         if default and isinstance(default[0], tuple):
-            groups = [g for g in text.split(";") if g.strip()]
-            return tuple(
-                tuple(_parse_scalar(v, float) for v in g.split(",")) for g in groups
-            )
-        inner = float if (not default or isinstance(default[0], float)) else int
-        return tuple(_parse_scalar(v, inner) for v in text.split(","))
+            return tuple(_parse_value(g, default[0]) for g in text.split(";") if g.strip())
+        return tuple(_parse_value(v, default[0] if default else 0.0) for v in text.split(","))
     raise ConfigFileError(f"cannot parse value for default {default!r}")
 
 

@@ -443,8 +443,14 @@ class TrainParams:
     eval_friction: float = 0.65
 
     def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if self.episode_len < 1:
+            raise ValueError("episode_len must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if not self.eval_friction >= 0.0:
+            raise ValueError("eval_friction must be >= 0")
 
 
 def generate_strut_demos(

@@ -1,11 +1,13 @@
 import hashlib
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slopetrot.cli import main
+from slopetrot.cli import _build_parser, main
 from slopetrot.policy import save_policy, zero_policy
 from slopetrot.runlog import format_value, read_csv
 
@@ -21,12 +23,94 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def zero_policy_file(tmp_path):
+    path = tmp_path / "zero.txt"
+    save_policy(zero_policy(), path)
+    return str(path)
+
+
 class TestUsage:
     def test_no_command_usage_error(self, capsys):
         assert run_cli() == 1
 
     def test_unknown_flag_usage_error(self):
         assert run_cli("train", "--bogus") == 1
+
+    def test_readme_examples_parse(self):
+        # Every `slopetrot ...` command in README.md's sh blocks, with
+        # backslash continuations joined, must parse with today's flags.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["slopetrot"]:
+                    commands.append(argv[1:])
+        assert len(commands) >= 5
+        for argv in commands:
+            _build_parser().parse_args(argv)
+
+
+class TestFlagsAreSettings:
+    SHORT_TRAIN = [
+        "--set", "ars.num_directions=2",
+        "--set", "train.episode_len=80",
+        "--set", "train.eval_every=2",
+    ]
+
+    def test_flags_equal_set_entries(self, tmp_path):
+        out = str(tmp_path / "run")
+        spellings = [
+            ["--iters", "1", "--seed", "3", "--workers", "1", "--no-guided"],
+            ["--set", "train.iterations=1", "--set", "run.master_seed=3",
+             "--set", "ars.workers=1", "--set", "train.guided=false"],
+        ]
+        blobs = []
+        for flags in spellings:
+            assert run_cli("train", "--out", out, *self.SHORT_TRAIN, *flags) == 0
+            blobs.append([Path(out, name).read_bytes()
+                          for name in ("training.csv", "config_resolved.cfg")])
+        assert blobs[0] == blobs[1]
+
+    def test_last_setting_wins(self, tmp_path):
+        out = str(tmp_path / "eval")
+        assert run_cli("eval", "--policy", zero_policy_file(tmp_path), "--incline", "0",
+                       "--orientation", "0", "--out", out, "--set", "train.episode_len=40",
+                       "--seed", "3", "--set", "run.master_seed=5") == 0
+        header, _, _ = read_csv(os.path.join(out, "eval.csv"))
+        assert header["master_seed"] == "5"
+
+    def test_eval_friction_flag_is_the_setting(self, tmp_path):
+        policy = zero_policy_file(tmp_path)
+        blobs = []
+        for name, spelling in (("flag", ["--friction", "0.5"]),
+                               ("set", ["--set", "train.eval_friction=0.5"])):
+            out = str(tmp_path / name)
+            assert run_cli("eval", "--policy", policy, "--incline", "9", "--orientation", "0",
+                           "--out", out, "--set", "train.episode_len=40", *spelling) == 0
+            blobs.append(Path(out, "eval.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--workers", "0"]),
+        ("train", ["--iters", "-2"]),
+        ("train", ["--set", "train.episode_len=0"]),
+        ("eval", ["--set", "train.episode_len=-5"]),
+        ("eval", ["--friction", "-1"]),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, command, extra):
+        out = str(tmp_path / "out")
+        argv = ["--policy", zero_policy_file(tmp_path)] if command == "eval" else FAST_TRAIN
+        assert run_cli(command, *argv, "--out", out, *extra) == 2
+        assert not os.path.exists(out)
+
+    def test_bad_value_in_config_file_is_config_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("train.eval_friction = -0.1\n")
+        out = str(tmp_path / "out")
+        assert run_cli("eval", "--policy", zero_policy_file(tmp_path), "--config", str(cfg),
+                       "--out", out) == 2
+        assert not os.path.exists(out)
 
 
 class TestTrain:
@@ -138,7 +222,7 @@ class TestRollout:
         out = str(tmp_path / "roll")
         code = run_cli("rollout", "--policy", str(policy), "--incline", "9",
                        "--orientation", "0", "--out", out,
-                       "--set", "sim.episode_len=120")
+                       "--set", "train.episode_len=120")
         assert code == 0
         header, cols, rows = read_csv(os.path.join(out, "rollout.csv"))
         assert len(rows) == 120
@@ -151,7 +235,7 @@ class TestRollout:
         out = str(tmp_path / "roll")
         code = run_cli("rollout", "--policy", str(policy), "--push", "100",
                        "--push-at", "0.3", "--push-dur", "0.2", "--out", out,
-                       "--set", "sim.episode_len=160")
+                       "--set", "train.episode_len=160")
         assert code == 0
         header, _, rows = read_csv(os.path.join(out, "rollout.csv"))
         assert "100" in header["push"]
@@ -165,13 +249,24 @@ class TestRollout:
         save_policy(zero_policy(), policy)
         out = str(tmp_path / "roll")
         assert run_cli("rollout", "--policy", str(policy), "--push", "100", *window,
-                       "--out", out, "--set", "sim.episode_len=40") == 1
+                       "--out", out, "--set", "train.episode_len=40") == 1
         assert not os.path.exists(os.path.join(out, "rollout.csv"))
+
+    @pytest.mark.parametrize("command, terrain", [
+        ("rollout", ["--friction", "-0.5"]),
+        ("rollout", ["--incline", "95"]),
+        ("rollout", ["--incline", "-90"]),
+        ("eval", ["--incline", "90"]),
+    ])
+    def test_impossible_terrain_usage_error(self, tmp_path, command, terrain):
+        out = str(tmp_path / "out")
+        assert run_cli(command, "--policy", zero_policy_file(tmp_path), *terrain,
+                       "--out", out, "--set", "train.episode_len=40") == 1
+        assert not os.path.exists(out)
 
     def test_default_guided_policy_noted(self, tmp_path):
         out = str(tmp_path / "roll")
-        code = run_cli("rollout", "--out", out, "--set", "sim.episode_len=80",
-                       "--set", "train.episode_len=80")
+        code = run_cli("rollout", "--out", out, "--set", "train.episode_len=80")
         assert code == 0
         header, _, _ = read_csv(os.path.join(out, "rollout.csv"))
         assert "guided-init" in header["policy"]
@@ -182,7 +277,7 @@ class TestRollout:
         out = str(tmp_path / "roll")
         assert run_cli("rollout", "--policy", str(policy), "--incline", "7",
                        "--orientation", "45", "--push", "80", "--push-at", "0.2",
-                       "--out", out, "--set", "sim.episode_len=80") == 0
+                       "--out", out, "--set", "train.episode_len=80") == 0
         _, cols, rows = read_csv(os.path.join(out, "rollout.csv"))
         assert len(rows) == 80
         for row in rows:
@@ -218,7 +313,7 @@ class TestRollout:
         for name in ("r1", "r2"):
             out = str(tmp_path / name)
             assert run_cli("rollout", "--policy", str(policy), "--out", out,
-                           "--set", "sim.episode_len=100") == 0
+                           "--set", "train.episode_len=100") == 0
             with open(os.path.join(out, "rollout.csv"), "rb") as fh:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1]
