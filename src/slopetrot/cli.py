@@ -15,7 +15,7 @@ import sys
 from . import __version__, config as config_mod, policy as policy_mod, trainer
 from .policy import PolicyFormatError
 from .runlog import write_csv
-from .simenv import TerrainPlane, terrain_grid
+from .simenv import ConfigError, TerrainPlane, terrain_grid
 from .trainer import derive_seed, evaluate, make_eval_grid
 
 EXIT_OK = 0
@@ -83,7 +83,12 @@ def _build_parser() -> _Parser:
 
 def _load_run_config(args) -> config_mod.RunConfig:
     """Defaults, then --config, then every --set entry and setting flag in
-    command-line order, so the last value given wins."""
+    command-line order, so the last value given wins.
+
+    Building the run's environment here checks the settings that clash
+    only across sections (gait period against time step, stance height
+    against leg geometry), so they fail before any output is written.
+    """
     cfg = config_mod.RunConfig()
     if args.config:
         if not os.path.exists(args.config):
@@ -94,6 +99,7 @@ def _load_run_config(args) -> config_mod.RunConfig:
             raise config_mod.ConfigFileError(f"--set needs SEC.KEY=VAL, got {setting!r}")
         key, _, value = setting.partition("=")
         cfg = config_mod.apply_setting(cfg, key.strip(), value)
+    cfg.bundle().make_env()
     return cfg
 
 
@@ -142,8 +148,12 @@ def cmd_train(args) -> int:
         fh.write(config_mod.dump_config(cfg))
     write_csv(os.path.join(out_dir, "training.csv"),
               trainer.TRAIN_LOG_COLUMNS, result.history, header)
+    # With no iterations the final policy is the initial one: it has no
+    # iteration to record.
+    metadata = {"iteration": params.iterations - 1} if params.iterations else {}
+    metadata["seed"] = hp.master_seed
     policy_mod.save_policy(result.matrix, os.path.join(out_dir, "policy_final.txt"),
-                           metadata={"iteration": params.iterations - 1, "seed": hp.master_seed})
+                           metadata=metadata)
     if result.guided_fit is not None and result.guided_fit.rank_deficient:
         print(f"warning: guided fit rank deficient (rank {result.guided_fit.rank})",
               file=sys.stderr)
@@ -248,7 +258,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_rollout(args)
-    except (config_mod.ConfigFileError, FileNotFoundError) as exc:
+    except (config_mod.ConfigFileError, ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PolicyFormatError, ValueError, RuntimeError, OSError) as exc:

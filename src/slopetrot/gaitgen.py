@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import legkin
 
@@ -36,8 +37,7 @@ class GaitParams:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class LegAction:
+class LegAction(NamedTuple):
     """One leg's trajectory transforms: step length (m), steering rotation
     (rad) and the ellipse-center shift along x/y/z (m)."""
 
@@ -79,27 +79,26 @@ def base_trajectory_point(tau: float, action: LegAction, params: GaitParams):
     return (x, 0.0, z)
 
 
-def transform_point(pt, action: LegAction):
+def transform_point(pt, action: LegAction) -> legkin.FootPosition:
     """Apply the leg's steering rotation and center shift to a base point."""
     x, _, z = pt
-    return (
+    return legkin.FootPosition(
         action.shift_x + x * math.cos(action.steer),
         action.shift_y + x * math.sin(action.steer),
         action.shift_z + z,
     )
 
 
-def foot_target(tau: float, action: LegAction, params: GaitParams):
+def foot_target(tau: float, action: LegAction, params: GaitParams) -> legkin.FootPosition:
     """Transformed leg-frame foot reference at phase tau."""
     return transform_point(base_trajectory_point(tau, action, params), action)
 
 
 def checked_foot_target(tau: float, action: LegAction, params: GaitParams,
-                        geometry: legkin.LegGeometry):
+                        geometry: legkin.LegGeometry) -> legkin.FootPosition:
     """Foot target kept inside the leg workspace: a target outside it is
     projected back onto the polygon."""
-    x, y, z = foot_target(tau, action, params)
-    p = legkin.FootPosition(x, y, z)
+    p = foot_target(tau, action, params)
     if legkin.in_workspace(p, geometry):
         return p
     return legkin.clamp_to_workspace(p, geometry)

@@ -11,7 +11,8 @@ planar safety polygon (a trapezoid by default).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,21 +21,13 @@ class Unreachable(ValueError):
     """Target lies outside the reachable annulus of the planar pair."""
 
 
-class JointLimitViolation(ValueError):
-    """IK solution exists but violates a joint limit."""
-
-
-@dataclass(frozen=True)
-class FootPosition:
+class FootPosition(NamedTuple):
     """Foot position (meters) in the leg frame: origin at the hip mount,
     x forward, y lateral, z up (so a foot below the hip has z < 0)."""
 
     x: float
     y: float
     z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 # Trapezoidal safety region in the planar (x, z) leg coordinates, listed
@@ -170,17 +163,13 @@ def _abduction_split(p: FootPosition, geometry: LegGeometry):
     return abd, p.x, pz
 
 
-def inverse_kinematics(
-    p: FootPosition, geometry: LegGeometry, clip_to_limits: bool = False
-) -> tuple:
+def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
     """Joint angles (abd, hip, knee), in radians, reaching the foot position
-    on the backward-flexing knee branch.
+    on the backward-flexing knee branch, clamped into the joint limits.
 
     Raises Unreachable when the target is outside the annulus of the planar
-    pair and JointLimitViolation when the unique branch solution violates a
-    joint limit. With clip_to_limits=True the solution is clamped into the
-    limits instead of raising (the tracking error is then the caller's
-    problem, which is how the simulator treats saturated joints).
+    pair. A clamped joint leaves a tracking error, which is how the
+    simulator treats saturated joints.
     """
     abd, px, pz = _abduction_split(p, geometry)
     l1 = geometry.upper_link_len
@@ -194,14 +183,8 @@ def inverse_kinematics(
     cos_knee = cos_knee if cos_knee > -1.0 else -1.0
     knee = math.acos(cos_knee if cos_knee < 1.0 else 1.0)
     hip = math.atan2(px, -pz) - math.atan2(l2 * math.sin(knee), l1 + l2 * math.cos(knee))
-    limits = geometry.joint_limits
-    if clip_to_limits:
-        (lo_a, hi_a), (lo_h, hi_h), (lo_k, hi_k) = limits
-        return _clip(abd, lo_a, hi_a), _clip(hip, lo_h, hi_h), _clip(knee, lo_k, hi_k)
-    for name, a, (lo_j, hi_j) in zip(("abd", "hip", "knee"), (abd, hip, knee), limits):
-        if a < lo_j - 1e-9 or a > hi_j + 1e-9:
-            raise JointLimitViolation(f"{name} angle {a:.4f} rad outside [{lo_j}, {hi_j}]")
-    return abd, hip, knee
+    (lo_a, hi_a), (lo_h, hi_h), (lo_k, hi_k) = geometry.joint_limits
+    return _clip(abd, lo_a, hi_a), _clip(hip, lo_h, hi_h), _clip(knee, lo_k, hi_k)
 
 
 def _point_in_polygon(px: float, pz: float, poly, tol: float = 1e-12) -> bool:

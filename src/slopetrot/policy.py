@@ -21,7 +21,7 @@ OBS_DIM = 11
 ACT_DIM = 20
 
 # Per-leg channel order within the flat 20-vector.
-CHANNELS = ("step_len", "steer", "shift_x", "shift_y", "shift_z")
+CHANNELS = LegAction._fields
 
 
 class PolicyFormatError(ValueError):
@@ -114,7 +114,7 @@ def linear_controller(matrix: np.ndarray, scaling: ActionScaling = DEFAULT_SCALI
 def raw_from_action(action, scaling: ActionScaling = DEFAULT_SCALING) -> np.ndarray:
     """Inverse of scale_clip_action for in-range physical actions (used to
     turn scripted demonstrations into regression targets)."""
-    flat = np.array([getattr(leg, ch) for leg in action for ch in CHANNELS])
+    flat = np.array(action, dtype=float).ravel()
     return np.clip((flat - scaling._mid) / scaling._half, -1.0, 1.0)
 
 

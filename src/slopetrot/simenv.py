@@ -24,7 +24,7 @@ from .gaitgen import LEG_ORDER, GaitParams
 from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import orthonormalize, rodrigues, rot_z, yaw_of
-from .slopeest import SlopeEstimator, angles_from_normal, capture_contact_pair
+from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
 
 
 class NotReset(RuntimeError):
@@ -118,6 +118,18 @@ class RandomizationConfig:
     push_enabled: bool = True
     friction_range: tuple = (0.5, 0.8)        # consumed by sample_terrain
 
+    def __post_init__(self):
+        # Written as "not (within bounds)" so NaN is rejected too.
+        for name in ("added_mass_range", "push_force_range", "friction_range"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi:
+                raise ConfigError(f"{name} needs 0 <= lo <= hi")
+        lo, hi = self.motor_torque_range
+        if not 0.0 < lo <= hi:
+            raise ConfigError("motor_torque_range needs 0 < lo <= hi")
+        if not self.push_duration_steps >= 1:
+            raise ConfigError("push_duration_steps must be >= 1")
+
 
 @dataclass(frozen=True)
 class PushEvent:
@@ -169,6 +181,15 @@ class SimParams:
             raise ConfigError("dt must be positive and substeps >= 1")
         if self.torso_mass <= 0.0:
             raise ConfigError("torso_mass must be positive")
+        # Written as "not (within bounds)" so NaN is rejected too.
+        for name in ("motor_moment_arm", "track_time_const"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive")
+        if len(self.torso_dims) != 3 or not all(d > 0.0 for d in self.torso_dims):
+            raise ConfigError("torso_dims must be three positive lengths")
+        for name in ("contact_kp", "contact_kd", "tangential_damping"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -337,7 +358,7 @@ class SlopedTerrainEnv:
         for leg, latched in zip(LEG_ORDER, self.latched):
             tau = gaitgen.trot_phase(t, self.gait.cycle_period, leg)
             foot = gaitgen.checked_foot_target(tau, latched, self.gait, self.geometry)
-            targets.append(legkin.inverse_kinematics(foot, self.geometry, clip_to_limits=True))
+            targets.append(legkin.inverse_kinematics(foot, self.geometry))
         return np.array(targets)
 
     def _feet_body(self, joints: np.ndarray) -> np.ndarray:
@@ -345,8 +366,8 @@ class SlopedTerrainEnv:
         the hip mounts."""
         feet = []
         for (hx, hy, hz), q in zip(self._hip_rows, joints.tolist()):
-            p = legkin.forward_kinematics(q, self.geometry)
-            feet.append((hx + p.x, hy + p.y, hz + p.z))
+            x, y, z = legkin.forward_kinematics(q, self.geometry)
+            feet.append((hx + x, hy + y, hz + z))
         return np.array(feet)
 
     def _stance_pair(self, half_index: int):
@@ -582,21 +603,22 @@ class SlopedTerrainEnv:
         """Finish the pending snapshot once the touch-down pair has made
         contact; True when an estimator update ran.
 
-        Every foot contributes its last world contact point (a foot that
-        never touched, its world position feet_w), re-expressed in the body
-        frame at this single instant: a stance foot does not move in the
-        world (zero-slip leg odometry), so the lift-off pair's points stay
-        valid even though they were touched earlier.
+        Every foot contributes, in LEG_ORDER, its last world contact point
+        (a foot that never touched, its world position feet_w),
+        re-expressed in the body frame at this single instant: a stance
+        foot does not move in the world (zero-slip leg odometry), so the
+        lift-off pair's points stay valid even though they were touched
+        earlier.
         """
         if not self._incoming or not all(self._in_contact[i] for i in self._incoming):
             return False
         s = self.state
         body_origin = s.com - s.rot @ self.com_offset_body
-        outgoing, incoming = {}, {}
-        for i, (leg, contact, f_world) in enumerate(zip(LEG_ORDER, self._contact_world, feet_w)):
-            side = incoming if i in self._incoming else outgoing
-            side[leg] = s.rot.T @ ((f_world if contact is None else contact) - body_origin)
-        self._estimator.update(capture_contact_pair(outgoing, incoming, s.rot))
+        points = [
+            s.rot.T @ ((f_world if contact is None else contact) - body_origin)
+            for contact, f_world in zip(self._contact_world, feet_w)
+        ]
+        self._estimator.update(ContactSnapshot(*points, s.rot))
         self._incoming = ()
         return True
 
@@ -626,6 +648,6 @@ class SlopedTerrainEnv:
             "reward": self._last_reward,
         }
         for leg, act in zip(LEG_ORDER, self.latched):
-            for ch in CHANNELS:
-                row[f"{leg.lower()}_{ch}"] = getattr(act, ch)
+            for ch, value in zip(CHANNELS, act):
+                row[f"{leg.lower()}_{ch}"] = value
         return row

@@ -14,7 +14,7 @@ with the normal n flipped to point upward (n_z > 0) first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

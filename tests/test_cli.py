@@ -113,6 +113,47 @@ class TestFlagsAreSettings:
         assert not os.path.exists(out)
 
 
+    @pytest.mark.parametrize("command, setting", [
+        ("rollout", "gait.cycle_period=0.401"),
+        ("rollout", "gait.desired_height=0.4"),
+        ("rollout", "geometry.abduction_offset=0.5"),
+        ("train", "gait.cycle_period=0.401"),
+    ])
+    def test_cross_section_clash_is_config_error(self, tmp_path, command, setting):
+        # Each value passes its own section's checks; the environment
+        # built from the whole config rejects it.
+        out = str(tmp_path / "out")
+        argv = (["--iters", "1", *FAST_TRAIN] if command == "train"
+                else ["--policy", zero_policy_file(tmp_path)])
+        assert run_cli(command, *argv, "--out", out, "--set", setting) == 2
+        assert not os.path.exists(out)
+
+    UNRUNNABLE_PHYSICS = [
+        "sim.motor_moment_arm=0",
+        "sim.track_time_const=0",
+        "sim.torso_dims=0,0,0",
+        "rand.added_mass_range=-6,-5",
+        "rand.motor_torque_range=-5,-4",
+        "rand.friction_range=-0.5,-0.4",
+        "sim.contact_kp=-1",
+        "rand.push_duration_steps=0",
+    ]
+
+    @pytest.mark.parametrize("source", ["set", "file"])
+    @pytest.mark.parametrize("setting", UNRUNNABLE_PHYSICS)
+    def test_unrunnable_physics_is_config_error(self, tmp_path, setting, source):
+        out = str(tmp_path / "out")
+        if source == "set":
+            extra = ["--set", setting]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(setting.replace("=", " = ") + "\n")
+            extra = ["--config", str(cfg)]
+        assert run_cli("rollout", "--policy", zero_policy_file(tmp_path),
+                       "--set", "train.episode_len=40", "--out", out, *extra) == 2
+        assert not os.path.exists(out)
+
+
 class TestTrain:
     def test_train_writes_artifacts(self, tmp_path):
         out = str(tmp_path / "run")
@@ -126,6 +167,13 @@ class TestTrain:
         assert len(rows) == 2
         assert "config_hash" in header
         assert "sim_time_s" in cols
+
+    def test_zero_iterations_record_no_iteration(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert run_cli("train", "--iters", "0", "--seed", "3", "--out", out, *FAST_TRAIN) == 0
+        meta = [ln for ln in Path(out, "policy_final.txt").read_text().splitlines()
+                if ln.startswith("#")]
+        assert meta == ["# seed: 3"]
 
     def test_train_reproducible_byte_for_byte(self, tmp_path):
         outs = []

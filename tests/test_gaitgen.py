@@ -15,7 +15,7 @@ from slopetrot.gaitgen import (
     transform_point,
     trot_phase,
 )
-from slopetrot.legkin import LegGeometry
+from slopetrot.legkin import FootPosition, LegGeometry
 
 
 def reference_point(tau, step_len, params):
@@ -154,9 +154,9 @@ class TestFootTarget:
         # at stance start the x excursion (+step/2 +shift) leaves the polygon
         bad = LegAction(step_len=0.136, shift_x=0.06, shift_z=-0.06)
         clamped = checked_foot_target(0.0, bad, gait, geometry)
-        from slopetrot.legkin import FootPosition, clamp_to_workspace, in_workspace
+        from slopetrot.legkin import clamp_to_workspace, in_workspace
 
-        raw = FootPosition(*foot_target(0.0, bad, gait))
+        raw = foot_target(0.0, bad, gait)
         assert not in_workspace(raw, geometry)
         assert in_workspace(clamped, geometry)
         assert clamped == clamp_to_workspace(raw, geometry)
@@ -165,3 +165,12 @@ class TestFootTarget:
         ok = LegAction(step_len=0.05)
         pt = checked_foot_target(0.25, ok, gait, geometry)
         assert (pt.x, pt.y, pt.z) == foot_target(0.25, ok, gait)
+
+    def test_target_is_a_foot_position(self, gait, geometry):
+        # An inside target passes through as the FootPosition foot_target
+        # built, a plain (x, y, z) tuple.
+        ok = LegAction(step_len=0.05)
+        pt = checked_foot_target(0.25, ok, gait, geometry)
+        assert isinstance(pt, FootPosition)
+        assert pt == foot_target(0.25, ok, gait) == tuple(pt)
+        assert np.array(pt).dtype == np.float64

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from slopetrot.legkin import (
     DEFAULT_WORKSPACE,
     FootPosition,
-    JointLimitViolation,
     LegGeometry,
     Unreachable,
     clamp_to_workspace,
@@ -32,24 +31,31 @@ def fk_oracle(q, g: LegGeometry) -> np.ndarray:
 
 
 class TestForwardKinematics:
+    def test_result_is_a_plain_triple(self, geometry):
+        q = (0.2, 0.3, 1.1)
+        x, y, z = forward_kinematics(q, geometry)
+        vec = np.array(forward_kinematics(q, geometry))
+        assert vec.dtype == np.float64 and vec.shape == (3,)
+        assert vec.tolist() == [x, y, z]
+
     def test_straight_down(self, geometry):
         p = forward_kinematics((0.0, 0.0, 0.0), geometry)
-        assert p.as_array() == pytest.approx([0.0, 0.0, -0.325], abs=1e-12)
+        assert np.array(p) == pytest.approx([0.0, 0.0, -0.325], abs=1e-12)
 
     def test_horizontal(self, geometry):
         p = forward_kinematics((0.0, math.pi / 2, 0.0), geometry)
-        assert p.as_array() == pytest.approx([0.325, 0.0, 0.0], abs=1e-12)
+        assert np.array(p) == pytest.approx([0.325, 0.0, 0.0], abs=1e-12)
 
     def test_matches_rotation_chain_oracle(self, geometry):
         q = (0.2, 0.3, -0.4)
         p = forward_kinematics(q, geometry)
-        assert p.as_array() == pytest.approx(fk_oracle(q, geometry), abs=1e-12)
+        assert np.array(p) == pytest.approx(fk_oracle(q, geometry), abs=1e-12)
 
     def test_oracle_with_abduction_offset(self):
         g = LegGeometry(abduction_offset=0.04)
         for q in [(0.3, -0.5, 1.2), (-0.6, 0.9, 0.4)]:
             p = forward_kinematics(q, g)
-            assert p.as_array() == pytest.approx(fk_oracle(q, g), abs=1e-12)
+            assert np.array(p) == pytest.approx(fk_oracle(q, g), abs=1e-12)
 
     @given(
         abd=st.floats(-0.7, 0.7),
@@ -64,8 +70,8 @@ class TestForwardKinematics:
         base = [abd, hip, knee]
         bumped = list(base)
         bumped[axis] += eps
-        p0 = forward_kinematics(base, g).as_array()
-        p1 = forward_kinematics(bumped, g).as_array()
+        p0 = np.array(forward_kinematics(base, g))
+        p1 = np.array(forward_kinematics(bumped, g))
         bound = g.total_leg_length * abs(eps) + 1e-12
         assert np.linalg.norm(p1 - p0) <= bound
 
@@ -83,14 +89,16 @@ class TestInverseKinematics:
         with pytest.raises(Unreachable):
             inverse_kinematics(FootPosition(0.0, 0.0, -0.01), geometry)
 
-    def test_joint_limit_violation(self, geometry):
-        # requires |abduction| beyond the 0.7 rad limit
-        with pytest.raises(JointLimitViolation):
-            inverse_kinematics(FootPosition(0.0, 0.3, -0.1), geometry)
-
-    def test_clip_to_limits_clamps(self, geometry):
-        q = inverse_kinematics(FootPosition(0.0, 0.3, -0.1), geometry, clip_to_limits=True)
-        assert abs(q[0]) <= 0.7 + 1e-12
+    def test_clamps_to_joint_limits(self, geometry):
+        # The target needs an abduction of atan2(-0.1, 0.3) + pi/2 = 1.25 rad,
+        # beyond the 0.7 rad limit: IK returns the limit, not an error.
+        target = FootPosition(0.0, 0.3, -0.1)
+        assert math.atan2(target.z, target.y) + math.pi / 2 > 0.7
+        q = inverse_kinematics(target, geometry)
+        assert q[0] == 0.7
+        lo_h, hi_h = geometry.joint_limits[1]
+        lo_k, hi_k = geometry.joint_limits[2]
+        assert lo_h <= q[1] <= hi_h and lo_k <= q[2] <= hi_k
 
     def test_round_trip_over_workspace(self, geometry):
         # 1e4 uniform workspace samples, FK(IK) error < 1e-9 m
@@ -101,7 +109,7 @@ class TestInverseKinematics:
             q = inverse_kinematics(target, geometry)
             assert q[2] >= -1e-12  # backward-flexing branch only
             p = forward_kinematics(q, geometry)
-            err = np.linalg.norm(p.as_array() - target.as_array())
+            err = np.linalg.norm(np.array(p) - np.array(target))
             worst = max(worst, err)
         assert worst < 1e-9
 
@@ -118,7 +126,7 @@ class TestInverseKinematics:
             q = inverse_kinematics(p, g)
             assert q[0] == pytest.approx(abd, abs=1e-9)
             p2 = forward_kinematics(q, g)
-            assert np.linalg.norm(p2.as_array() - p.as_array()) < 1e-9
+            assert np.linalg.norm(np.array(p2) - np.array(p)) < 1e-9
 
 
 class TestWorkspace:

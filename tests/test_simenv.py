@@ -157,6 +157,47 @@ class TestReset:
             SlopedTerrainEnv(gait=GaitParams(desired_height=0.4))
 
 
+class TestParamValidation:
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"motor_moment_arm": 0.0},
+        {"track_time_const": -0.02},
+        {"track_time_const": NAN},
+        {"torso_dims": (0.55, 0.0, 0.1)},
+        {"torso_dims": (0.55, 0.3)},
+        {"contact_kp": -1.0},
+        {"contact_kd": NAN},
+        {"tangential_damping": -300.0},
+    ])
+    def test_sim_params_rejected(self, kwargs):
+        from slopetrot.simenv import ConfigError
+
+        with pytest.raises(ConfigError):
+            SimParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"added_mass_range": (-0.1, 0.2)},
+        {"added_mass_range": (0.2, 0.1)},
+        {"push_force_range": (NAN, 120.0)},
+        {"friction_range": (0.5, NAN)},
+        {"motor_torque_range": (0.0, 8.0)},
+        {"motor_torque_range": (8.0, 5.0)},
+        {"push_duration_steps": 0},
+    ])
+    def test_randomization_rejected(self, kwargs):
+        from slopetrot.simenv import ConfigError
+
+        with pytest.raises(ConfigError):
+            RandomizationConfig(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        SimParams(contact_kp=0.0, contact_kd=0.0, tangential_damping=0.0)
+        RandomizationConfig(added_mass_range=(0.0, 0.0), push_force_range=(0.0, 0.0),
+                            friction_range=(0.0, 0.0), motor_torque_range=(5.0, 5.0),
+                            push_duration_steps=1)
+
+
 class TestStepDeterminism:
     def test_trajectories_bitwise_identical(self):
         rolls = []
