@@ -89,16 +89,21 @@ class TestInverseKinematics:
         with pytest.raises(Unreachable):
             inverse_kinematics(FootPosition(0.0, 0.0, -0.01), geometry)
 
-    def test_clamps_to_joint_limits(self, geometry):
+    def test_joint_limit_violation(self, geometry):
         # The target needs an abduction of atan2(-0.1, 0.3) + pi/2 = 1.25 rad,
-        # beyond the 0.7 rad limit: IK returns the limit, not an error.
+        # beyond the 0.7 rad limit: IK returns the limit, not an error, and
+        # the violation shows as a gap between the reached foot and the target.
         target = FootPosition(0.0, 0.3, -0.1)
         assert math.atan2(target.z, target.y) + math.pi / 2 > 0.7
         q = inverse_kinematics(target, geometry)
         assert q[0] == 0.7
-        lo_h, hi_h = geometry.joint_limits[1]
-        lo_k, hi_k = geometry.joint_limits[2]
-        assert lo_h <= q[1] <= hi_h and lo_k <= q[2] <= hi_k
+        reached = np.array(forward_kinematics(q, geometry))
+        assert np.linalg.norm(reached - np.array(target)) > 1e-3
+
+    def test_clip_to_limits_clamps(self, geometry):
+        q = inverse_kinematics(FootPosition(0.0, 0.3, -0.1), geometry)
+        for angle, (lo, hi) in zip(q, geometry.joint_limits):
+            assert lo <= angle <= hi
 
     def test_round_trip_over_workspace(self, geometry):
         # 1e4 uniform workspace samples, FK(IK) error < 1e-9 m
