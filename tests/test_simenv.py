@@ -229,8 +229,19 @@ def _episode(matrix, terrain, rand, seed, steps=240):
     return total, [float(v).hex() for v in env.state.com]
 
 
+def _pinned_episode(env, obs, controller):
+    """Return, final com, step count and max friction ratio of the episode
+    env was reset for, floats as float.hex."""
+    total, done = 0.0, False
+    while not done:
+        obs, r, done, _ = env.step(controller(obs))
+        total += r
+    return (total.hex(), [float(v).hex() for v in env.state.com],
+            env.state.step_index, env.max_friction_ratio.hex())
+
+
 class TestGoldenTrajectory:
-    """Exact return and final torso position of two short episodes.
+    """Exact return and final torso position of short episodes.
 
     The values pin the bits a step computes, so a change meant to compute
     the same thing faster must reproduce them with ==. They also pin the
@@ -252,6 +263,33 @@ class TestGoldenTrajectory:
                               RandomizationConfig(), seed=7)
         assert total.hex() == "0x1.1db60523310a3p+10"
         assert com == ["0x1.4bba03013a953p-3", "-0x1.2367952f85565p-3", "0x1.0c5218c942011p-2"]
+
+    def test_pushed_over_falls(self):
+        # A 2000 N shove on an 11 deg sidehill tips the torso: the fall
+        # check ends the episode early.
+        env = SlopedTerrainEnv(sim=SimParams(episode_len=240))
+        obs = env.reset(TerrainPlane(11, 90), NO_PUSH, seed=1)
+        env.set_push(100, 140, 2000.0)
+        assert _pinned_episode(env, obs, lambda o: ZEROS) == (
+            "0x1.7a1fed9ea734fp+8",
+            ["0x1.63dbc9ab013d8p-9", "0x1.608bd2ff6320ap-1", "0x1.f4c4faf5d990ap-3"],
+            119,
+            "0x1.0000000000000p+0",
+        )
+
+    def test_low_friction_slides(self):
+        # At friction 0.2 the stance feet slip on the 9 deg slope: the
+        # Coulomb clamp bounds the tangential force and the torso slides
+        # downhill.
+        env = SlopedTerrainEnv(sim=SimParams(episode_len=240))
+        obs = env.reset(TerrainPlane(9, 30, 0.2), RandomizationConfig(), seed=7)
+        controller = linear_controller(load_policy(GUIDED_SEED7))
+        assert _pinned_episode(env, obs, controller) == (
+            "0x1.3779b536c22fcp+9",
+            ["-0x1.8a1ced5abed78p-3", "-0x1.81ee87421f6b1p-2", "0x1.8f8165eb309b3p-3"],
+            240,
+            "0x1.0000000000000p+0",
+        )
 
 
 class TestEpisodeDriver:
