@@ -32,8 +32,9 @@ class GaitParams:
     cycle_period: float = 0.4
 
     def __post_init__(self):
+        # Written as "not (within bounds)" so NaN is rejected too.
         for name in ("max_step_len", "desired_height", "foot_clearance", "cycle_period"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
 

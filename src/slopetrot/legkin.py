@@ -74,14 +74,15 @@ class LegGeometry:
     workspace_polygon: tuple = DEFAULT_WORKSPACE
 
     def __post_init__(self):
-        if self.upper_link_len <= 0.0 or self.lower_link_len <= 0.0:
+        # Written as "not (within bounds)" so NaN is rejected too.
+        if not (self.upper_link_len > 0.0 and self.lower_link_len > 0.0):
             raise ValueError("link lengths must be positive")
         if len(self.hip_positions_body) != 4:
             raise ValueError("expected four hip mount points")
         if len(self.joint_limits) != 3:
             raise ValueError("expected limits for abd, hip, knee")
         for lo, hi in self.joint_limits:
-            if lo > hi:
+            if not lo <= hi:
                 raise ValueError("joint limit min exceeds max")
         poly = np.asarray(self.workspace_polygon, dtype=float)
         if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
@@ -95,9 +96,12 @@ class LegGeometry:
         if np.any(radii < inner - 1e-12):
             raise ValueError("workspace vertex inside the unreachable core")
         object.__setattr__(self, "_poly_cache", poly)
-        # The same vertices as float tuples: the per-step workspace test
-        # and projection then run on Python floats.
-        object.__setattr__(self, "_vertices", tuple(map(tuple, poly.tolist())))
+        # The same vertices as float tuples, and the edges as the
+        # membership test reads them: the per-step workspace test and
+        # projection then run on Python floats.
+        vertices = tuple(map(tuple, poly.tolist()))
+        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_edges", _oriented_edges(vertices))
 
     @property
     def total_leg_length(self) -> float:
@@ -187,8 +191,10 @@ def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
     return _clip(abd, lo_a, hi_a), _clip(hip, lo_h, hi_h), _clip(knee, lo_k, hi_k)
 
 
-def _point_in_polygon(px: float, pz: float, poly, tol: float = 1e-12) -> bool:
-    """Convex polygon membership, boundary inclusive, vertex order agnostic."""
+def _oriented_edges(poly) -> tuple:
+    """(x1, z1, ex, ez) per edge of a convex polygon: its start vertex and
+    its direction, negated for a clockwise polygon so that inside points
+    lie on the non-negative side of every edge in either vertex order."""
     n = len(poly)
     area2 = 0.0
     for i in range(n):
@@ -196,11 +202,20 @@ def _point_in_polygon(px: float, pz: float, poly, tol: float = 1e-12) -> bool:
         x2, z2 = poly[(i + 1) % n]
         area2 += x1 * z2 - x2 * z1
     orient = 1.0 if area2 >= 0.0 else -1.0
+    edges = []
     for i in range(n):
         x1, z1 = poly[i]
         x2, z2 = poly[(i + 1) % n]
-        cross = (x2 - x1) * (pz - z1) - (z2 - z1) * (px - x1)
-        if orient * cross < -tol:
+        edges.append((x1, z1, orient * (x2 - x1), orient * (z2 - z1)))
+    return tuple(edges)
+
+
+def _point_in_polygon(px: float, pz: float, edges, tol: float = 1e-12) -> bool:
+    """Convex polygon membership, boundary inclusive, for the polygon's
+    _oriented_edges. Negating an edge negates each product and the
+    difference exactly, so the test gives the bits of orient * cross."""
+    for x1, z1, ex, ez in edges:
+        if ex * (pz - z1) - ez * (px - x1) < -tol:
             return False
     return True
 
@@ -212,7 +227,7 @@ def in_workspace(p: FootPosition, geometry: LegGeometry) -> bool:
         _, px, pz = _abduction_split(p, geometry)
     except Unreachable:
         return False
-    return _point_in_polygon(px, pz, geometry._vertices)
+    return _point_in_polygon(px, pz, geometry._edges)
 
 
 def _closest_point_on_polygon(px: float, pz: float, poly):
@@ -248,11 +263,10 @@ def clamp_to_workspace(p: FootPosition, geometry: LegGeometry) -> FootPosition:
         abd, px, pz = 0.0, p.x, -abs(p.z)
     else:
         abd, px, pz = _abduction_split(p, geometry)
-    poly = geometry._vertices
-    if _point_in_polygon(px, pz, poly):
+    if _point_in_polygon(px, pz, geometry._edges):
         if rr >= 0.0:
             return p
     else:
-        px, pz = _closest_point_on_polygon(px, pz, poly)
+        px, pz = _closest_point_on_polygon(px, pz, geometry._vertices)
     ca, sa = math.cos(abd), math.sin(abd)
     return FootPosition(px, d * ca - pz * sa, d * sa + pz * ca)

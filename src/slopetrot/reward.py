@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InvalidWidth(ValueError):
@@ -36,17 +37,17 @@ class RewardWeights:
     desired_height: float = 0.243
 
     def __post_init__(self):
+        # Written as "not (within bounds)" so NaN is rejected too.
         for name in ("roll_width", "pitch_width", "yaw_width", "height_width"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise InvalidWidth(f"{name} must be > 0")
-        if self.forward_weight <= 0.0:
+        if not self.forward_weight > 0.0:
             raise ValueError("forward_weight must be > 0")
-        if self.standing_penalty < 0.0:
+        if not self.standing_penalty >= 0.0:
             raise ValueError("standing_penalty must be >= 0")
 
 
-@dataclass(frozen=True)
-class RewardInputs:
+class RewardInputs(NamedTuple):
     torso_roll: float
     torso_pitch: float
     torso_yaw: float

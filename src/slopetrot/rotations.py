@@ -20,41 +20,26 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rodrigues(axis_angle) -> np.ndarray:
-    """Rotation matrix for a rotation vector (axis * angle, radians)."""
-    rx, ry, rz = float(axis_angle[0]), float(axis_angle[1]), float(axis_angle[2])
-    angle = math.sqrt(rx * rx + ry * ry + rz * rz)
-    if angle < 1e-12:
-        # Second-order small-angle expansion keeps the integrator smooth
-        # through near-zero angular velocity.
-        s, scale = 1.0, 0.5
-    else:
-        s = math.sin(angle) / angle
-        scale = (1.0 - math.cos(angle)) / (angle * angle)
-    kx, ky, kz = s * rx, s * ry, s * rz
-    xx, yy, zz = scale * rx * rx, scale * ry * ry, scale * rz * rz
-    xy, xz, yz = scale * rx * ry, scale * rx * rz, scale * ry * rz
-    return np.array(
-        [
-            [1.0 - yy - zz, xy - kz, xz + ky],
-            [xy + kz, 1.0 - xx - zz, yz - kx],
-            [xz - ky, yz + kx, 1.0 - xx - yy],
-        ]
-    )
-
-
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
     """Re-orthonormalize a drifting rotation matrix (Gram-Schmidt on columns)."""
-    x = rot[:, 0]
-    x = x / math.sqrt(x @ x)
-    y = rot[:, 1] - (rot[:, 1] @ x) * x
-    y = y / math.sqrt(y @ y)
-    z = np.array([
-        x[1] * y[2] - x[2] * y[1],
-        x[2] * y[0] - x[0] * y[2],
-        x[0] * y[1] - x[1] * y[0],
-    ])
-    return np.column_stack((x, y, z))
+    # The elementwise steps run on Python floats, which round as numpy's
+    # elementwise operations do. The three dot products stay numpy dot
+    # products on the same operands (column views and the normalized
+    # vector), since BLAS rounds them differently from a scalar sum.
+    (a0, b0, _), (a1, b1, _), (a2, b2, _) = rot.tolist()
+    c0, c1 = rot[:, 0], rot[:, 1]
+    norm = math.sqrt(c0.dot(c0))
+    x0, x1, x2 = a0 / norm, a1 / norm, a2 / norm
+    proj = float(c1.dot(np.array((x0, x1, x2))))
+    y0, y1, y2 = b0 - proj * x0, b1 - proj * x1, b2 - proj * x2
+    y = np.array((y0, y1, y2))
+    norm = math.sqrt(y.dot(y))
+    y0, y1, y2 = y0 / norm, y1 / norm, y2 / norm
+    return np.array((
+        (x0, y0, x1 * y2 - x2 * y1),
+        (x1, y1, x2 * y0 - x0 * y2),
+        (x2, y2, x0 * y1 - x1 * y0),
+    ))
 
 
 def yaw_of(rot: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from . import gaitgen, legkin
 from .gaitgen import LEG_ORDER, GaitParams
 from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
-from .rotations import orthonormalize, rodrigues, rot_z, yaw_of
+from .rotations import orthonormalize, rot_z, yaw_of
 from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
 
 
@@ -177,14 +177,18 @@ class SimParams:
     estimator_smoothing: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.substeps < 1:
-            raise ConfigError("dt must be positive and substeps >= 1")
-        if self.torso_mass <= 0.0:
-            raise ConfigError("torso_mass must be positive")
         # Written as "not (within bounds)" so NaN is rejected too.
-        for name in ("motor_moment_arm", "track_time_const"):
+        if not (self.dt > 0.0 and self.substeps >= 1):
+            raise ConfigError("dt must be positive and substeps >= 1")
+        for name in ("torso_mass", "motor_moment_arm", "track_time_const", "fall_angle"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
+        if not 0.0 <= self.gravity < math.inf:
+            raise ConfigError("gravity must be finite and >= 0")
+        if not self.fall_height_frac >= 0.0:
+            raise ConfigError("fall_height_frac must be >= 0")
+        if not 0.0 < self.estimator_smoothing <= 1.0:
+            raise ConfigError("estimator_smoothing must lie in (0, 1]")
         if len(self.torso_dims) != 3 or not all(d > 0.0 for d in self.torso_dims):
             raise ConfigError("torso_dims must be three positive lengths")
         for name in ("contact_kp", "contact_kd", "tangential_damping"):
@@ -314,8 +318,8 @@ class SlopedTerrainEnv:
             rot=rot,
             vel=np.zeros(3),
             omega=np.zeros(3),
-            joints=joints,
-            feet_body=self._feet_body(joints),
+            joints=np.array(joints),
+            feet_body=np.array(self._feet_body(joints)),
             step_index=0,
         )
         self._done = False
@@ -352,23 +356,25 @@ class SlopedTerrainEnv:
         roll, pitch = angles_from_normal(rot[:, 2])
         return roll, pitch, yaw_of(rot)
 
-    def _joint_targets(self, t: float) -> np.ndarray:
-        """(4, 3) IK joint targets of the latched actions at time t."""
+    def _joint_targets(self, t: float) -> list:
+        """IK joint targets (abd, hip, knee) of the latched actions at
+        time t, one per leg."""
+        gait, geometry = self.gait, self.geometry
         targets = []
         for leg, latched in zip(LEG_ORDER, self.latched):
-            tau = gaitgen.trot_phase(t, self.gait.cycle_period, leg)
-            foot = gaitgen.checked_foot_target(tau, latched, self.gait, self.geometry)
-            targets.append(legkin.inverse_kinematics(foot, self.geometry))
-        return np.array(targets)
+            tau = gaitgen.trot_phase(t, gait.cycle_period, leg)
+            foot = gaitgen.checked_foot_target(tau, latched, gait, geometry)
+            targets.append(legkin.inverse_kinematics(foot, geometry))
+        return targets
 
-    def _feet_body(self, joints: np.ndarray) -> np.ndarray:
-        """(4, 3) body-frame feet of the given joints: leg-frame FK plus
-        the hip mounts."""
+    def _feet_body(self, joints) -> list:
+        """Body-frame feet (x, y, z) of the given joints, one per leg:
+        leg-frame FK plus the hip mounts."""
         feet = []
-        for (hx, hy, hz), q in zip(self._hip_rows, joints.tolist()):
+        for (hx, hy, hz), q in zip(self._hip_rows, joints):
             x, y, z = legkin.forward_kinematics(q, self.geometry)
             feet.append((hx + x, hy + y, hz + z))
-        return np.array(feet)
+        return feet
 
     def _stance_pair(self, half_index: int):
         """Leg indices in stance during the given half-cycle."""
@@ -402,63 +408,81 @@ class SlopedTerrainEnv:
         if s.step_index % self.steps_per_half == 0:
             self.latched = tuple(action)
 
-        targets = self._joint_targets((s.step_index + 1) * sim.dt)
-        joints_new = s.joints + self._track_alpha * (targets - s.joints)
-        feet_new = self._feet_body(joints_new)
+        # Joint tracking runs on Python floats, which round as the array
+        # form's elementwise operations do.
+        alpha = self._track_alpha
+        joints = []
+        for (a, b, c), (ta, tb, tc) in zip(
+            s.joints.tolist(), self._joint_targets((s.step_index + 1) * sim.dt)
+        ):
+            joints.append((a + alpha * (ta - a), b + alpha * (tb - b), c + alpha * (tc - c)))
+        feet_new = np.array(self._feet_body(joints))
         feet_old = s.feet_body
-        feet_rate = (feet_new - feet_old) / sim.dt
+        feet_move = feet_new - feet_old
+        feet_rate = feet_move / sim.dt
 
         # The contact substeps run on Python floats. Every matrix product
-        # stays a numpy product on the same operands, since BLAS rounds
-        # differently from a scalar sum. The elementwise terms give the same
-        # bits as in array form, and so do the sums over feet: numpy sums a
-        # few rows in order, starting from 0.0. The conditional expressions
-        # make the comparisons of np.clip, np.maximum and np.minimum. A foot
-        # above the plane adds exact zeros to the sums, so it is skipped.
+        # stays a numpy product on the same operands, called through
+        # ndarray.dot, which runs the same BLAS kernel as @ at less cost:
+        # BLAS rounds differently from a scalar sum. The elementwise terms
+        # give the same bits as in array form, and so do the sums over
+        # feet: numpy sums a few rows in order, starting from 0.0. The
+        # conditional expressions make the comparisons of np.clip,
+        # np.maximum and np.minimum. A foot above the plane adds exact
+        # zeros to the sums, so it is skipped.
         n = self.plane_normal
         nx, ny, nz = self._normal
         mu = self.terrain.friction
         kp, kd, cap = sim.contact_kp, sim.contact_kd, self.foot_force_cap
         neg_damping = -sim.tangential_damping
-        weight = [self.mass * g for g in (0.0, 0.0, -sim.gravity)]
-        push = [0.0, 0.0, 0.0]
+        gx, gy, gz = [self.mass * g for g in (0.0, 0.0, -sim.gravity)]
+        push_y = 0.0
         if self.push is not None and self.push.start_step <= s.step_index < self.push.stop_step:
-            push[1] = self.push.force_y
+            push_y = self.push.force_y
 
-        com_x_before = float(s.com[0])
         h = sim.dt / sim.substeps
         h_m = h / self.mass
         rot = s.rot
         com = s.com
         omega = s.omega
         cx, cy, cz = com.tolist()
+        com_x_before = cx
         vx, vy, vz = s.vel.tolist()
         wx, wy, wz = omega.tolist()
         max_ratio = self.max_friction_ratio
         # Inertia in world coordinates is hoisted out of the substep loop:
         # the torso rotates well under a degree per control step.
-        i_world = (rot * self.inertia_body) @ rot.T
+        i_world = (rot * self.inertia_body).dot(rot.T)
         i_world_inv = np.linalg.inv(i_world)
         # Feet minus com in the body frame at the end of each substep.
-        feet_sub = (feet_old - self.com_offset_body) + self._substep_fracs * (feet_new - feet_old)
-        rate_world = (feet_rate @ rot.T).tolist()
+        feet_sub = (feet_old - self.com_offset_body) + self._substep_fracs * feet_move
+        rate_world = feet_rate.dot(rot.T).tolist()
         for feet_off in feet_sub:
-            rel = feet_off @ rot.T  # feet minus com, world
-            rel_rows = rel.tolist()
-            v_feet = [
-                (vx + (wy * rz - wz * ry) + ux,
-                 vy + (wz * rx - wx * rz) + uy,
-                 vz + (wx * ry - wy * rx) + uz)
-                for (rx, ry, rz), (ux, uy, uz) in zip(rel_rows, rate_world)
-            ]
-            com_n = float(com @ n)
-            fx = fy = fz = tx = ty = tz = 0.0
-            for (rx, ry, rz), (vfx, vfy, vfz), rel_n, v_n in zip(
-                rel_rows, v_feet, (rel @ n).tolist(), (np.array(v_feet) @ n).tolist()
+            rel = feet_off.dot(rot.T)  # feet minus com, world
+            com_n = float(com.dot(n))
+            # The feet below the plane, with their signed distances and
+            # world velocities. The velocities' normal parts are one
+            # matrix-vector product over those rows, since a row of it does
+            # not depend on the other rows. A single row is repeated: numpy
+            # would take it alone as a vector dot product, which rounds
+            # differently.
+            touching = []
+            v_feet = []
+            for (rx, ry, rz), (ux, uy, uz), rel_n in zip(
+                rel.tolist(), rate_world, rel.dot(n).tolist()
             ):
                 sdist = rel_n + com_n
                 if sdist >= 0.0:
                     continue
+                touching.append((rx, ry, rz, sdist))
+                v_feet.append((vx + (wy * rz - wz * ry) + ux,
+                               vy + (wz * rx - wx * rz) + uy,
+                               vz + (wx * ry - wy * rx) + uz))
+            fx = fy = fz = tx = ty = tz = 0.0
+            if len(v_feet) == 1:
+                v_feet.append(v_feet[0])
+            v_normal = np.array(v_feet).dot(n).tolist() if v_feet else ()
+            for (rx, ry, rz, sdist), (vfx, vfy, vfz), v_n in zip(touching, v_feet, v_normal):
                 normal_f = kp * -sdist + kd * -v_n
                 normal_f = 0.0 if 0.0 > normal_f else normal_f
                 normal_f = cap if cap < normal_f else normal_f
@@ -482,25 +506,44 @@ class SlopedTerrainEnv:
                 ratio /= 1e-30 if 1e-30 > limit else limit
                 max_ratio = ratio if ratio > max_ratio else max_ratio
 
-            vx += h_m * (fx + weight[0] + push[0])
-            vy += h_m * (fy + weight[1] + push[1])
-            vz += h_m * (fz + weight[2] + push[2])
+            # The zero push terms stay: adding 0.0 turns -0.0 into 0.0, as
+            # the sum of the force, weight and push vectors does.
+            vx += h_m * (fx + gx + 0.0)
+            vy += h_m * (fy + gy + push_y)
+            vz += h_m * (fz + gz + 0.0)
             cx, cy, cz = cx + h * vx, cy + h * vy, cz + h * vz
-            com = np.array([cx, cy, cz])
-            lx, ly, lz = (i_world @ omega).tolist()
-            ax, ay, az = (i_world_inv @ np.array([
+            com = np.array((cx, cy, cz))
+            lx, ly, lz = i_world.dot(omega).tolist()
+            ax, ay, az = i_world_inv.dot(np.array((
                 tx - (wy * lz - wz * ly), ty - (wz * lx - wx * lz), tz - (wx * ly - wy * lx)
-            ])).tolist()
+            ))).tolist()
             wx, wy, wz = wx + h * ax, wy + h * ay, wz + h * az
-            omega = np.array([wx, wy, wz])
-            rot = rodrigues((wx * h, wy * h, wz * h)) @ rot
+            omega = np.array((wx, wy, wz))
+            # Rotation by the vector omega * h (Rodrigues), with the
+            # second-order small-angle expansion near zero so the
+            # integrator stays smooth through a still torso.
+            rx, ry, rz = wx * h, wy * h, wz * h
+            angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+            if angle < 1e-12:
+                sinc, cosc = 1.0, 0.5
+            else:
+                sinc = math.sin(angle) / angle
+                cosc = (1.0 - math.cos(angle)) / (angle * angle)
+            kx, ky, kz = sinc * rx, sinc * ry, sinc * rz
+            xx, yy, zz = cosc * rx * rx, cosc * ry * ry, cosc * rz * rz
+            xy, xz, yz = cosc * rx * ry, cosc * rx * rz, cosc * ry * rz
+            rot = np.array((
+                (1.0 - yy - zz, xy - kz, xz + ky),
+                (xy + kz, 1.0 - xx - zz, yz - kx),
+                (xz - ky, yz + kx, 1.0 - xx - yy),
+            )).dot(rot)
 
         self.max_friction_ratio = max_ratio
-        s.vel = np.array([vx, vy, vz])
+        s.vel = np.array((vx, vy, vz))
         s.com = com
         s.omega = omega
         s.rot = orthonormalize(rot)
-        s.joints = joints_new
+        s.joints = np.array(joints)
         s.feet_body = feet_new
         s.step_index += 1
 
@@ -514,9 +557,9 @@ class SlopedTerrainEnv:
         if self._capture(feet_w) or exchange:
             self._obs = build_observation(self._theta_hist, self._estimator.estimate)
 
-        dx = float(s.com[0]) - com_x_before
-        standing = self._standing.push(float(s.com[0]))
-        clearance = float(s.com @ n)  # torso height straight above the terrain
+        dx = cx - com_x_before
+        standing = self._standing.push(cx)
+        clearance = float(s.com.dot(n))  # torso height straight above the terrain
         height = self._height_above_feet(clearance)
         reward_val = compute_reward(
             RewardInputs(
@@ -578,28 +621,36 @@ class SlopedTerrainEnv:
         stance foot (so it tracks posture, not absolute terrain position).
         clearance is the torso's own height above the plane, com @ n."""
         s = self.state
-        half_index = s.step_index // self.steps_per_half
-        stance = self._stance_pair(half_index)
-        rel = (s.feet_body[list(stance)] - self.com_offset_body) @ s.rot.T
-        feet_w = s.com + rel
-        return clearance - float((feet_w @ self.plane_normal).min())
+        i, j = self._stance_pair(s.step_index // self.steps_per_half)
+        # The stance rows of products over all four feet: a row of a
+        # matrix product does not depend on the other rows.
+        rel = (s.feet_body - self.com_offset_body).dot(s.rot.T)
+        sdist = (s.com + rel).dot(self.plane_normal).tolist()
+        a, b = sdist[i], sdist[j]
+        # ndarray.min's comparison: the first value unless the second is
+        # smaller, and NaN wins.
+        lowest = a if a <= b or a != a else b
+        return clearance - lowest
 
     def _update_contact_memory(self) -> list:
         """Remember each foot's latest world contact point (the kinematic
         foot projected back onto the surface: the physical contact point
         lies on the terrain even though the penalty model lets it sink).
-        Returns the world positions of the four feet, in leg order."""
+        Returns the (4, 3) world positions of the feet, in leg order."""
         s = self.state
-        n = self.plane_normal
-        feet_w = [s.com + s.rot @ offset for offset in s.feet_body - self.com_offset_body]
-        for i, f_world in enumerate(feet_w):
-            sdist = float(f_world @ n)
+        nx, ny, nz = self._normal
+        # Each foot's rot @ offset and f_world @ n, as one stacked matmul
+        # each: the stack items have the per-foot products' own shapes.
+        offsets = (s.feet_body - self.com_offset_body)[:, :, None]
+        feet_w = s.com + np.matmul(s.rot, offsets)[:, :, 0]
+        sdists = np.matmul(feet_w[:, None, :], self.plane_normal).tolist()
+        for i, ((fx, fy, fz), (sdist,)) in enumerate(zip(feet_w.tolist(), sdists)):
             self._in_contact[i] = sdist <= 0.0
             if sdist <= 0.0:
-                self._contact_world[i] = f_world - sdist * n
+                self._contact_world[i] = (fx - sdist * nx, fy - sdist * ny, fz - sdist * nz)
         return feet_w
 
-    def _capture(self, feet_w: list) -> bool:
+    def _capture(self, feet_w: np.ndarray) -> bool:
         """Finish the pending snapshot once the touch-down pair has made
         contact; True when an estimator update ran.
 
@@ -615,7 +666,7 @@ class SlopedTerrainEnv:
         s = self.state
         body_origin = s.com - s.rot @ self.com_offset_body
         points = [
-            s.rot.T @ ((f_world if contact is None else contact) - body_origin)
+            s.rot.T @ ((f_world if contact is None else np.array(contact)) - body_origin)
             for contact, f_world in zip(self._contact_world, feet_w)
         ]
         self._estimator.update(ContactSnapshot(*points, s.rot))

@@ -14,6 +14,7 @@ with the normal n flipped to point upward (n_z > 0) first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,14 @@ class PlaneEstimate:
 def angles_from_normal(n) -> tuple:
     """(roll, pitch) of a plane (or of a body's up-axis) under the pinned
     convention. n need not be normalized but must point upward-ish."""
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    roll = float(np.arctan2(n[1], n[2]))
-    pitch = float(-np.arcsin(min(max(float(n[0]), -1.0), 1.0)))
+    # np.linalg.norm's own steps: a dot product over the contiguous vector
+    # and its square root. The division runs on Python floats, which round
+    # as numpy's elementwise division does.
+    n = np.asarray(n, dtype=float).ravel()
+    norm = math.sqrt(n.dot(n))
+    nx, ny, nz = n.tolist()
+    roll = float(np.arctan2(ny / norm, nz / norm))
+    pitch = float(-np.arcsin(min(max(nx / norm, -1.0), 1.0)))
     return roll, pitch
 
 

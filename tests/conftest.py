@@ -40,7 +40,7 @@ def sample_workspace_points(geometry, n, seed=0):
     while len(points) < n:
         cand = rng.uniform(lo, hi, size=(4 * n, 2))
         for x, z in cand:
-            if _point_in_polygon(x, z, poly):
+            if _point_in_polygon(x, z, geometry._edges):
                 points.append((x, z))
                 if len(points) == n:
                     break

@@ -153,6 +153,25 @@ class TestFlagsAreSettings:
                        "--set", "train.episode_len=40", "--out", out, *extra) == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("setting", [
+        "sim.torso_mass=nan",
+        "sim.gravity=nan",
+        "sim.fall_angle=nan",
+        "sim.dt=nan",
+        "sim.estimator_smoothing=0",
+        "gait.max_step_len=nan",
+        "gait.foot_clearance=nan",
+        "reward.roll_width=nan",
+        "reward.forward_weight=nan",
+        "geometry.upper_link_len=nan",
+    ])
+    def test_non_finite_setting_is_config_error(self, tmp_path, setting):
+        out = str(tmp_path / "out")
+        assert run_cli("rollout", "--policy", zero_policy_file(tmp_path),
+                       "--set", "train.episode_len=40", "--out", out,
+                       "--set", setting) == 2
+        assert not os.path.exists(out)
+
 
 class TestTrain:
     def test_train_writes_artifacts(self, tmp_path):

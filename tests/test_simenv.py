@@ -169,6 +169,10 @@ class TestParamValidation:
         {"contact_kp": -1.0},
         {"contact_kd": NAN},
         {"tangential_damping": -300.0},
+        {"gravity": -9.81},
+        {"gravity": math.inf},
+        {"fall_height_frac": NAN},
+        {"estimator_smoothing": 1.5},
     ])
     def test_sim_params_rejected(self, kwargs):
         from slopetrot.simenv import ConfigError
@@ -192,7 +196,8 @@ class TestParamValidation:
             RandomizationConfig(**kwargs)
 
     def test_boundary_values_accepted(self):
-        SimParams(contact_kp=0.0, contact_kd=0.0, tangential_damping=0.0)
+        SimParams(contact_kp=0.0, contact_kd=0.0, tangential_damping=0.0, gravity=0.0,
+                  fall_height_frac=0.0, estimator_smoothing=1.0)
         RandomizationConfig(added_mass_range=(0.0, 0.0), push_force_range=(0.0, 0.0),
                             friction_range=(0.0, 0.0), motor_torque_range=(5.0, 5.0),
                             push_duration_steps=1)
