@@ -627,12 +627,12 @@ class SlopedTerrainEnv:
         rel = (s.feet_body - self.com_offset_body).dot(s.rot.T)
         sdist = (s.com + rel).dot(self.plane_normal).tolist()
         a, b = sdist[i], sdist[j]
-        # ndarray.min's comparison: the first value unless the second is
-        # smaller, and NaN wins.
+        # The smaller of the two, or NaN if either is NaN, as ndarray.min
+        # gives it.
         lowest = a if a <= b or a != a else b
         return clearance - lowest
 
-    def _update_contact_memory(self) -> list:
+    def _update_contact_memory(self) -> np.ndarray:
         """Remember each foot's latest world contact point (the kinematic
         foot projected back onto the surface: the physical contact point
         lies on the terrain even though the penalty model lets it sink).
