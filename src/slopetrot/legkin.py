@@ -95,7 +95,6 @@ class LegGeometry:
             raise ValueError("workspace vertex beyond total leg length")
         if np.any(radii < inner - 1e-12):
             raise ValueError("workspace vertex inside the unreachable core")
-        object.__setattr__(self, "_poly_cache", poly)
         # The same vertices as float tuples, and the edges as the
         # membership test reads them: the per-step workspace test and
         # projection then run on Python floats.
@@ -106,9 +105,6 @@ class LegGeometry:
     @property
     def total_leg_length(self) -> float:
         return self.upper_link_len + self.lower_link_len
-
-    def polygon_array(self) -> np.ndarray:
-        return self._poly_cache
 
 
 def _check_convex(poly: np.ndarray) -> None:

@@ -324,7 +324,6 @@ class SlopedTerrainEnv:
         )
         self._done = False
         self.fall = False
-        self.max_friction_ratio = 0.0
 
         self._estimator.reset()
         self._theta_hist.clear()
@@ -449,7 +448,6 @@ class SlopedTerrainEnv:
         com_x_before = cx
         vx, vy, vz = s.vel.tolist()
         wx, wy, wz = omega.tolist()
-        max_ratio = self.max_friction_ratio
         # Inertia in world coordinates is hoisted out of the substep loop:
         # the torso rotates well under a degree per control step.
         i_world = (rot * self.inertia_body).dot(rot.T)
@@ -502,9 +500,6 @@ class SlopedTerrainEnv:
                 tx += ry * ffz - rz * ffy
                 ty += rz * ffx - rx * ffz
                 tz += rx * ffy - ry * ffx
-                ratio = limit if limit < tan_mag else tan_mag
-                ratio /= 1e-30 if 1e-30 > limit else limit
-                max_ratio = ratio if ratio > max_ratio else max_ratio
 
             # The zero push terms stay: adding 0.0 turns -0.0 into 0.0, as
             # the sum of the force, weight and push vectors does.
@@ -538,7 +533,6 @@ class SlopedTerrainEnv:
                 (xz - ky, yz + kx, 1.0 - xx - yy),
             )).dot(rot)
 
-        self.max_friction_ratio = max_ratio
         s.vel = np.array((vx, vy, vz))
         s.com = com
         s.omega = omega
@@ -594,7 +588,6 @@ class SlopedTerrainEnv:
             "standing": standing,
             "fall": self.fall,
             "exchange": exchange,
-            "max_friction_ratio": self.max_friction_ratio,
         }
         return self._obs, reward_val, done, info
 

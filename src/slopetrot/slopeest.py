@@ -71,32 +71,6 @@ def angles_from_normal(n) -> tuple:
     return roll, pitch
 
 
-def capture_contact_pair(
-    outgoing: dict,
-    incoming: dict,
-    torso_rotation: np.ndarray,
-) -> ContactSnapshot:
-    """Merge the lift-off pair and the touch-down pair into one snapshot.
-
-    outgoing/incoming map leg ids ('FL', 'FR', 'BL', 'BR') to body-frame
-    positions; together they must cover all four legs. Both captures are
-    treated as simultaneous and share the touch-down torso rotation.
-    """
-    feet = {}
-    feet.update(outgoing)
-    feet.update(incoming)
-    missing = {"FL", "FR", "BL", "BR"} - set(feet)
-    if missing:
-        raise ValueError(f"snapshot missing feet: {sorted(missing)}")
-    return ContactSnapshot(
-        p_fl=np.asarray(feet["FL"], dtype=float),
-        p_fr=np.asarray(feet["FR"], dtype=float),
-        p_bl=np.asarray(feet["BL"], dtype=float),
-        p_br=np.asarray(feet["BR"], dtype=float),
-        torso_rotation=np.asarray(torso_rotation, dtype=float),
-    )
-
-
 def plane_from_contacts(snapshot: ContactSnapshot) -> PlaneEstimate:
     """Fit the support plane through the snapshot's feet.
 

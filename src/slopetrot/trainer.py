@@ -451,6 +451,11 @@ class TrainParams:
             raise ValueError("eval_every must be >= 1")
         if not self.eval_friction >= 0.0:
             raise ValueError("eval_friction must be >= 0")
+        if not self.demo_seeds_per_combo >= 1:
+            raise ValueError("demo_seeds_per_combo must be >= 1")
+        for name in ("guided_step_len", "guided_yaw_gain"):
+            if not abs(getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite")
 
 
 def generate_strut_demos(

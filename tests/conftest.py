@@ -30,7 +30,7 @@ def no_push():
 
 def sample_workspace_points(geometry, n, seed=0):
     """Uniform rejection sampling inside the workspace polygon (planar)."""
-    poly = geometry.polygon_array()
+    poly = np.asarray(geometry.workspace_polygon, dtype=float)
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
     rng = np.random.default_rng(seed)

@@ -30,7 +30,7 @@ from slopetrot.simenv import (
     stage_combos,
     terrain_grid,
 )
-from slopetrot.slopeest import DegenerateContacts, plane_from_contacts
+from slopetrot.slopeest import ContactSnapshot, DegenerateContacts, plane_from_contacts
 from slopetrot.trainer import (
     ArsHyperparams,
     ArsIterationState,
@@ -156,15 +156,8 @@ class TestCriterion03SlopeEstimator:
             assert abs(recovered - math.radians(inc)) < 1e-6
 
     def test_c03_degenerate_contacts_flagged(self):
-        from slopetrot.slopeest import capture_contact_pair
-
-        feet = {k: np.array([i * 0.1, i * 0.02, -0.2]) for i, k in
-                enumerate(("FL", "FR", "BL", "BR"))}
-        snap = capture_contact_pair(
-            {k: feet[k] for k in ("FL", "BR")},
-            {k: feet[k] for k in ("FR", "BL")},
-            np.eye(3),
-        )
+        feet = [np.array([i * 0.1, i * 0.02, -0.2]) for i in range(4)]
+        snap = ContactSnapshot(*feet, np.eye(3))
         with pytest.raises(DegenerateContacts):
             plane_from_contacts(snap)
 

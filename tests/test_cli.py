@@ -164,6 +164,9 @@ class TestFlagsAreSettings:
         "reward.roll_width=nan",
         "reward.forward_weight=nan",
         "geometry.upper_link_len=nan",
+        "train.demo_seeds_per_combo=0",
+        "train.guided_step_len=nan",
+        "train.guided_yaw_gain=nan",
     ])
     def test_non_finite_setting_is_config_error(self, tmp_path, setting):
         out = str(tmp_path / "out")

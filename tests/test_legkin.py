@@ -136,7 +136,7 @@ class TestInverseKinematics:
 
 class TestWorkspace:
     def test_centroid_inside(self, geometry):
-        poly = geometry.polygon_array()
+        poly = np.asarray(geometry.workspace_polygon, dtype=float)
         cx, cz = poly.mean(axis=0)
         assert in_workspace(FootPosition(cx, 0.0, cz), geometry)
 

@@ -13,7 +13,6 @@ from slopetrot.slopeest import (
     PlaneEstimate,
     SlopeEstimator,
     angles_from_normal,
-    capture_contact_pair,
     plane_from_contacts,
 )
 
@@ -25,22 +24,12 @@ SQUARE_STANCE = {
 }
 
 
-def snapshot_on_plane(terrain: TerrainPlane, torso_rot: np.ndarray,
-                      xy_offsets=None) -> ContactSnapshot:
+def snapshot_on_plane(terrain: TerrainPlane, torso_rot: np.ndarray) -> ContactSnapshot:
     """Place the four feet analytically on the terrain plane and express
     them in the body frame of the given torso rotation."""
-    feet = {}
-    offs = xy_offsets or {
-        "FL": (0.25, 0.14), "FR": (0.27, -0.13), "BL": (-0.23, 0.15), "BR": (-0.26, -0.16)
-    }
-    for leg, (x, y) in offs.items():
-        world = np.array([x, y, terrain.surface_height(x, y)])
-        feet[leg] = torso_rot.T @ world
-    return capture_contact_pair(
-        outgoing={k: feet[k] for k in ("FL", "BR")},
-        incoming={k: feet[k] for k in ("FR", "BL")},
-        torso_rotation=torso_rot,
-    )
+    offs = ((0.25, 0.14), (0.27, -0.13), (-0.23, 0.15), (-0.26, -0.16))  # FL, FR, BL, BR
+    feet = [torso_rot.T @ np.array([x, y, terrain.surface_height(x, y)]) for x, y in offs]
+    return ContactSnapshot(*feet, torso_rot)
 
 
 class TestAngleConvention:
@@ -94,13 +83,8 @@ class TestPlaneFromContacts:
             assert np.asarray(est.normal) == pytest.approx(terrain.normal(), abs=1e-6)
 
     def test_collinear_contacts_degenerate(self):
-        feet = {k: np.array([i * 0.1, i * 0.05, -0.2]) for i, k in
-                enumerate(("FL", "FR", "BL", "BR"))}
-        snap = capture_contact_pair(
-            outgoing={k: feet[k] for k in ("FL", "BR")},
-            incoming={k: feet[k] for k in ("FR", "BL")},
-            torso_rotation=np.eye(3),
-        )
+        feet = [np.array([i * 0.1, i * 0.05, -0.2]) for i in range(4)]
+        snap = ContactSnapshot(*feet, np.eye(3))
         with pytest.raises(DegenerateContacts):
             plane_from_contacts(snap)
 
@@ -133,10 +117,6 @@ class TestSnapshotValidation:
                 torso_rotation=np.eye(3) * 2.0,
             )
 
-    def test_capture_requires_all_feet(self):
-        with pytest.raises(ValueError):
-            capture_contact_pair({"FL": np.zeros(3)}, {"FR": np.zeros(3)}, np.eye(3))
-
 
 class TestSlopeEstimator:
     def test_starts_flat(self):
@@ -147,13 +127,8 @@ class TestSlopeEstimator:
         est = SlopeEstimator()
         good = snapshot_on_plane(TerrainPlane(9.0, 0.0), np.eye(3))
         first = est.update(good)
-        feet = {k: np.array([i * 0.1, 0.0, 0.0]) for i, k in
-                enumerate(("FL", "FR", "BL", "BR"))}
-        bad = capture_contact_pair(
-            {k: feet[k] for k in ("FL", "BR")},
-            {k: feet[k] for k in ("FR", "BL")},
-            np.eye(3),
-        )
+        feet = [np.array([i * 0.1, 0.0, 0.0]) for i in range(4)]
+        bad = ContactSnapshot(*feet, np.eye(3))
         out = est.update(bad)
         assert est.last_degenerate
         assert est.degenerate_count == 1
