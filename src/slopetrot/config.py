@@ -33,6 +33,10 @@ class RunParams:
     out_dir: str = "runs"
     master_seed: int = 0
 
+    def __post_init__(self):
+        if not self.master_seed >= 0:
+            raise ValueError("master_seed must be >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -65,7 +69,7 @@ class RunConfig:
         return replace(self.ars, master_seed=self.run.master_seed)
 
 
-SECTIONS = ("geometry", "gait", "scaling", "reward", "sim", "rand", "ars", "train", "run")
+SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _parse_value(text: str, default):

@@ -77,8 +77,12 @@ class LegGeometry:
         # Written as "not (within bounds)" so NaN is rejected too.
         if not (self.upper_link_len > 0.0 and self.lower_link_len > 0.0):
             raise ValueError("link lengths must be positive")
+        if not abs(self.abduction_offset) < math.inf:
+            raise ValueError("abduction_offset must be finite")
         if len(self.hip_positions_body) != 4:
             raise ValueError("expected four hip mount points")
+        if not all(abs(v) < math.inf for hip in self.hip_positions_body for v in hip):
+            raise ValueError("hip mount points must be finite")
         if len(self.joint_limits) != 3:
             raise ValueError("expected limits for abd, hip, knee")
         for lo, hi in self.joint_limits:
@@ -87,7 +91,6 @@ class LegGeometry:
         poly = np.asarray(self.workspace_polygon, dtype=float)
         if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
             raise ValueError("workspace polygon needs at least 3 planar vertices")
-        _check_convex(poly)
         reach = self.upper_link_len + self.lower_link_len
         inner = abs(self.upper_link_len - self.lower_link_len)
         radii = np.hypot(poly[:, 0], poly[:, 1])
@@ -97,30 +100,18 @@ class LegGeometry:
             raise ValueError("workspace vertex inside the unreachable core")
         # The same vertices as float tuples, and the edges as the
         # membership test reads them: the per-step workspace test and
-        # projection then run on Python floats.
+        # projection then run on Python floats. The polygon is convex when
+        # every vertex lies inside every edge.
         vertices = tuple(map(tuple, poly.tolist()))
+        edges = _oriented_edges(vertices)
+        if not all(_point_in_polygon(x, z, edges) for x, z in vertices):
+            raise ValueError("workspace polygon must be convex")
         object.__setattr__(self, "_vertices", vertices)
-        object.__setattr__(self, "_edges", _oriented_edges(vertices))
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def total_leg_length(self) -> float:
         return self.upper_link_len + self.lower_link_len
-
-
-def _check_convex(poly: np.ndarray) -> None:
-    n = len(poly)
-    signs = []
-    for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
-        c = poly[(i + 2) % n]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if abs(cross) > 1e-12:
-            signs.append(math.copysign(1.0, cross))
-    if not signs:
-        raise ValueError("degenerate workspace polygon")
-    if any(s != signs[0] for s in signs):
-        raise ValueError("workspace polygon must be convex")
 
 
 def forward_kinematics(q, geometry: LegGeometry) -> FootPosition:
@@ -190,13 +181,18 @@ def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
 def _oriented_edges(poly) -> tuple:
     """(x1, z1, ex, ez) per edge of a convex polygon: its start vertex and
     its direction, negated for a clockwise polygon so that inside points
-    lie on the non-negative side of every edge in either vertex order."""
+    lie on the non-negative side of every edge in either vertex order.
+
+    Raises ValueError when the polygon encloses no area."""
     n = len(poly)
     area2 = 0.0
     for i in range(n):
         x1, z1 = poly[i]
         x2, z2 = poly[(i + 1) % n]
         area2 += x1 * z2 - x2 * z1
+    # Written as "not (within bounds)" so NaN is rejected too.
+    if not abs(area2) > 1e-12:
+        raise ValueError("degenerate workspace polygon")
     orient = 1.0 if area2 >= 0.0 else -1.0
     edges = []
     for i in range(n):

@@ -10,6 +10,7 @@ raw zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ class ActionScaling:
     shift_z: tuple = (-0.06, 0.06)
 
     def __post_init__(self):
+        # Written as "not (within bounds)" so NaN is rejected too.
+        for ch in CHANNELS:
+            lo, hi = getattr(self, ch)
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValueError(f"{ch} needs finite lo <= hi")
         bounds = self.bounds()
         object.__setattr__(self, "_mid", 0.5 * (bounds[:, 0] + bounds[:, 1]))
         object.__setattr__(self, "_half", 0.5 * (bounds[:, 1] - bounds[:, 0]))
@@ -68,15 +74,15 @@ def validate_policy_matrix(matrix: np.ndarray) -> np.ndarray:
 def build_observation(history, plane: PlaneEstimate) -> np.ndarray:
     """Assemble the 11-vector [theta(t-2), theta(t-1), theta(t), roll, pitch].
 
-    history is a sequence of 3-vectors ordered oldest first; the newest
-    three are used, and a shorter history is left-padded by duplicating its
-    oldest sample.
+    history is a sequence of (roll, pitch, yaw) samples ordered oldest
+    first; the newest three are used, and a shorter history is left-padded
+    by duplicating its oldest sample.
     """
-    samples = [np.asarray(h, dtype=float) for h in history][-3:]
+    samples = list(history)[-3:]
     if not samples:
         raise ValueError("need at least one orientation sample")
     samples = [samples[0]] * (3 - len(samples)) + samples
-    obs = np.concatenate(samples + [np.array([plane.roll, plane.pitch])])
+    obs = np.array([v for h in samples for v in h] + [plane.roll, plane.pitch], dtype=float)
     if obs.shape != (OBS_DIM,):
         raise ValueError("orientation samples must be 3-vectors")
     return obs

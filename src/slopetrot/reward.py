@@ -45,6 +45,9 @@ class RewardWeights:
             raise ValueError("forward_weight must be > 0")
         if not self.standing_penalty >= 0.0:
             raise ValueError("standing_penalty must be >= 0")
+        for name in ("desired_yaw", "desired_height"):
+            if not abs(getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite")
 
 
 class RewardInputs(NamedTuple):

@@ -39,6 +39,14 @@ TRAIN_INCLINATIONS = (0, 5, 7, 9, 11)
 TRAIN_ORIENTATIONS = (0, 15, 30, 45, 60, 75, 90)
 STAGE1_INCLINATIONS = (0, 5, 7)
 
+# Legs in stance during even and odd half cycles: a leg with phase offset
+# 0.0 stands in the first half of every cycle, one with offset 0.5 in the
+# second.
+STANCE_PAIRS = tuple(
+    tuple(i for i, leg in enumerate(LEG_ORDER) if gaitgen.PHASE_OFFSETS[leg] == offset)
+    for offset in (0.0, 0.5)
+)
+
 # Stage-2 sampling weights per combo: steep inclines twice as likely as the
 # moderate ones, flat halved.
 STAGE2_COMBO_WEIGHT = {0: 0.5, 5: 1.0, 7: 1.0, 9: 2.0, 11: 2.0}
@@ -58,10 +66,6 @@ class TerrainPlane:
         inc = math.radians(self.inclination_deg)
         base = np.array([-math.sin(inc), 0.0, math.cos(inc)])
         return rot_z(math.radians(self.yaw_deg)) @ base
-
-    def angles(self):
-        """(roll, pitch) of the plane under the shared convention."""
-        return angles_from_normal(self.normal())
 
     def surface_height(self, x: float, y: float) -> float:
         t = math.tan(math.radians(self.inclination_deg))
@@ -180,6 +184,8 @@ class SimParams:
         # Written as "not (within bounds)" so NaN is rejected too.
         if not (self.dt > 0.0 and self.substeps >= 1):
             raise ConfigError("dt must be positive and substeps >= 1")
+        if not self.episode_len >= 1:
+            raise ConfigError("episode_len must be >= 1")
         for name in ("torso_mass", "motor_moment_arm", "track_time_const", "fall_angle"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -274,15 +280,14 @@ class SlopedTerrainEnv:
         order, so the whole episode is a function of (terrain, rand, seed).
         """
         self.terrain = terrain or TerrainPlane()
-        self.rand = rand or RandomizationConfig()
+        rand = rand or RandomizationConfig()
         rng = np.random.default_rng(seed)
 
-        m_front = float(rng.uniform(*self.rand.added_mass_range))
-        m_back = float(rng.uniform(*self.rand.added_mass_range))
-        motor = float(rng.uniform(*self.rand.motor_torque_range))
-        self.push = schedule_push(self.rand, self.sim.episode_len, rng)
+        m_front = float(rng.uniform(*rand.added_mass_range))
+        m_back = float(rng.uniform(*rand.added_mass_range))
+        motor = float(rng.uniform(*rand.motor_torque_range))
+        self.push = schedule_push(rand, self.sim.episode_len, rng)
         self.foot_force_cap = motor / self.sim.motor_moment_arm
-        self.motor_torque = motor
 
         # Mass properties: torso box plus the two randomization point
         # masses at the front/back edges.
@@ -328,7 +333,7 @@ class SlopedTerrainEnv:
         self._estimator.reset()
         self._theta_hist.clear()
         self._last_theta = self._torso_theta(rot)
-        self._theta_hist.append(np.array(self._last_theta))
+        self._theta_hist.append(self._last_theta)
         self._standing.reset(float(self.state.com[0]))
         # The touch-down pair the pending contact capture waits for; empty
         # when no capture is pending.
@@ -374,10 +379,6 @@ class SlopedTerrainEnv:
             x, y, z = legkin.forward_kinematics(q, self.geometry)
             feet.append((hx + x, hy + y, hz + z))
         return feet
-
-    def _stance_pair(self, half_index: int):
-        """Leg indices in stance during the given half-cycle."""
-        return (0, 3) if half_index % 2 == 0 else (1, 2)  # FL+BR vs FR+BL
 
     def mechanical_energy(self) -> float:
         s = self.state
@@ -546,8 +547,8 @@ class SlopedTerrainEnv:
         exchange = s.step_index % self.steps_per_half == 0
         if exchange:
             # Wait for the touch-down pair to land before snapshotting.
-            self._incoming = self._stance_pair(s.step_index // self.steps_per_half)
-            self._theta_hist.append(np.array(theta))
+            self._incoming = STANCE_PAIRS[s.step_index // self.steps_per_half % 2]
+            self._theta_hist.append(theta)
         if self._capture(feet_w) or exchange:
             self._obs = build_observation(self._theta_hist, self._estimator.estimate)
 
@@ -614,7 +615,7 @@ class SlopedTerrainEnv:
         stance foot (so it tracks posture, not absolute terrain position).
         clearance is the torso's own height above the plane, com @ n."""
         s = self.state
-        i, j = self._stance_pair(s.step_index // self.steps_per_half)
+        i, j = STANCE_PAIRS[s.step_index // self.steps_per_half % 2]
         # The stance rows of products over all four feet: a row of a
         # matrix product does not depend on the other rows.
         rel = (s.feet_body - self.com_offset_body).dot(s.rot.T)
@@ -691,7 +692,6 @@ class SlopedTerrainEnv:
             "dx": self._last_dx,
             "reward": self._last_reward,
         }
-        for leg, act in zip(LEG_ORDER, self.latched):
-            for ch, value in zip(CHANNELS, act):
-                row[f"{leg.lower()}_{ch}"] = value
+        # The latched actions fill the remaining columns, leg by leg.
+        row.update(zip(self.LOG_COLUMNS[len(row):], (v for act in self.latched for v in act)))
         return row

@@ -105,33 +105,25 @@ class SlopeEstimator:
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must lie in (0, 1]")
         self.smoothing = smoothing
-        self._estimate = PlaneEstimate.flat()
-        self.last_degenerate = False
-        self.degenerate_count = 0
-
-    @property
-    def estimate(self) -> PlaneEstimate:
-        return self._estimate
+        self.reset()
 
     def reset(self) -> None:
-        self._estimate = PlaneEstimate.flat()
+        self.estimate = PlaneEstimate.flat()
         self.last_degenerate = False
-        self.degenerate_count = 0
 
     def update(self, snapshot: ContactSnapshot) -> PlaneEstimate:
         try:
             fresh = plane_from_contacts(snapshot)
         except DegenerateContacts:
             self.last_degenerate = True
-            self.degenerate_count += 1
-            return self._estimate
+            return self.estimate
         self.last_degenerate = False
         if self.smoothing < 1.0:
             a = self.smoothing
-            prev = np.asarray(self._estimate.normal)
+            prev = np.asarray(self.estimate.normal)
             blended = a * np.asarray(fresh.normal) + (1.0 - a) * prev
             blended = blended / np.linalg.norm(blended)
             roll, pitch = angles_from_normal(blended)
             fresh = PlaneEstimate(normal=tuple(float(v) for v in blended), roll=roll, pitch=pitch)
-        self._estimate = fresh
+        self.estimate = fresh
         return fresh

@@ -76,8 +76,10 @@ class ArsHyperparams:
     sigma_returns: str = "kept"
 
     def __post_init__(self):
-        if self.step_size <= 0.0 or self.noise <= 0.0:
-            raise ValueError("step_size and noise must be positive")
+        # Written as "not (within bounds)" so NaN is rejected too.
+        for name in ("step_size", "noise"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.num_directions < 2 or self.num_directions % 2 != 0:
             raise ValueError("num_directions must be even and >= 2")
         b = self.top()
@@ -136,19 +138,15 @@ def ars_update(state: ArsIterationState, hp: ArsHyperparams) -> np.ndarray:
 def ars_step(theta: np.ndarray, hp: ArsHyperparams, iteration: int, batch_returns):
     """One full iteration against an arbitrary return oracle.
 
-    batch_returns receives the list of perturbed parameter vectors and the
-    matching (direction, sign) metadata, and must return one float per
-    entry, in order. Returns (new_theta, state).
+    batch_returns receives the list of perturbed parameter vectors
+    [+d0, -d0, +d1, -d1, ...], so entry i perturbs along direction i // 2,
+    and must return one float per entry, in order. Returns
+    (new_theta, state).
     """
     rng = np.random.default_rng(derive_seed(hp.master_seed, _DELTA_STREAM, iteration))
     deltas = rng.standard_normal((hp.num_directions, theta.size))
-    thetas = []
-    meta = []
-    for k in range(hp.num_directions):
-        for sign in (1, -1):
-            thetas.append(theta + sign * hp.noise * deltas[k])
-            meta.append((k, sign))
-    returns = np.asarray(batch_returns(thetas, meta), dtype=float)
+    thetas = [theta + sign * hp.noise * delta for delta in deltas for sign in (1, -1)]
+    returns = np.asarray(batch_returns(thetas), dtype=float)
     state = ArsIterationState(
         theta=theta,
         iteration=iteration,
@@ -164,7 +162,7 @@ def ars_minimize(objective, theta0: np.ndarray, hp: ArsHyperparams, iterations: 
     theta = np.asarray(theta0, dtype=float).copy()
     for it in range(iterations):
         theta, _ = ars_step(
-            theta, hp, it, lambda thetas, meta: [objective(t) for t in thetas]
+            theta, hp, it, lambda thetas: [objective(t) for t in thetas]
         )
     return theta
 
@@ -221,8 +219,6 @@ def rollout_stats(
     Returns (total reward, forward displacement, steps survived). Fully
     determined by the arguments.
     """
-    if bundle.sim.episode_len <= 0:
-        return 0.0, 0.0, 0
     env = bundle.make_env()
     obs = env.reset(terrain=terrain, rand=rand, seed=seed)
     x0 = float(env.state.com[0])
@@ -297,10 +293,10 @@ def run_iteration(
         for k in range(hp.num_directions)
     ]
 
-    def batch(thetas, meta):
+    def batch(thetas):
         tasks = [
-            (t.reshape(ACT_DIM, OBS_DIM), bundle, terrains[k], rand, seeds[k])
-            for t, (k, _) in zip(thetas, meta)
+            (t.reshape(ACT_DIM, OBS_DIM), bundle, terrains[i // 2], rand, seeds[i // 2])
+            for i, t in enumerate(thetas)
         ]
         return pool.map(tasks)
 

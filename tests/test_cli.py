@@ -167,6 +167,15 @@ class TestFlagsAreSettings:
         "train.demo_seeds_per_combo=0",
         "train.guided_step_len=nan",
         "train.guided_yaw_gain=nan",
+        "ars.noise=nan",
+        "ars.step_size=nan",
+        "run.master_seed=-1",
+        "reward.desired_height=nan",
+        "reward.desired_yaw=nan",
+        "geometry.abduction_offset=nan",
+        "geometry.hip_positions_body=0.25,0.2,0.0; 0.25,-0.2,nan; -0.25,0.2,0.0; -0.25,-0.2,0.0",
+        "scaling.step_len=nan,0.136",
+        "scaling.step_len=0.2,0.0",
     ])
     def test_non_finite_setting_is_config_error(self, tmp_path, setting):
         out = str(tmp_path / "out")

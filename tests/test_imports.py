@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every top-level
-function and class is used somewhere in the program, and no module
-reaches into numpy's private modules or names.
+function and class, every method and every stored attribute is used
+somewhere in the program, and no module reaches into numpy's private
+modules or names.
 
 No linter ships with the project, so this parses each module with ast. A
 package __init__ imports names to re-export them, so it is skipped by the
@@ -48,11 +49,13 @@ def test_check_flags_an_unused_name():
 TEST_ONLY_HELPERS = {"ars_minimize", "read_csv", "rot_x", "rot_y", "zero_policy"}
 
 
-def uncalled_definitions(module_sources: dict, program_sources) -> list:
-    """(module, line, name) for each top-level def or class of a module
-    that no program source names, as a variable or as an attribute, other
-    than in its own definition. Re-exports and __all__ entries do not count
-    as a use."""
+# Methods kept on purpose although only the tests call them: physics
+# oracles that the tests compare the environment against.
+TEST_ONLY_METHODS = {"TerrainPlane.surface_height", "SlopedTerrainEnv.mechanical_energy"}
+
+
+def _named(program_sources) -> set:
+    """Every name the sources use, as a variable or as an attribute."""
     named = set()
     for source in program_sources:
         for node in ast.walk(ast.parse(source)):
@@ -60,6 +63,15 @@ def uncalled_definitions(module_sources: dict, program_sources) -> list:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+    return named
+
+
+def uncalled_definitions(module_sources: dict, program_sources) -> list:
+    """(module, line, name) for each top-level def or class of a module
+    that no program source names, as a variable or as an attribute, other
+    than in its own definition. Re-exports and __all__ entries do not count
+    as a use."""
+    named = _named(program_sources)
     return sorted(
         (module, node.lineno, node.name)
         for module, source in module_sources.items()
@@ -69,12 +81,52 @@ def uncalled_definitions(module_sources: dict, program_sources) -> list:
     )
 
 
+def uncalled_methods(module_sources: dict, program_sources) -> list:
+    """(module, line, "Class.method") for each method of a class that no
+    program source names other than in its own definition. Dunder methods
+    are called by Python itself and do not count."""
+    named = _named(program_sources)
+    return sorted(
+        (module, node.lineno, f"{cls.name}.{node.name}")
+        for module, source in module_sources.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    )
+
+
+def unread_attributes(module_sources: dict, program_sources) -> list:
+    """(module, line, name) for each store to self.name in a module whose
+    attribute no program source reads. An augmented assignment stores."""
+    read = {
+        node.attr
+        for source in program_sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (module, node.lineno, node.attr)
+        for module, source in module_sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in read
+    )
+
+
 def test_every_definition_is_used():
     program = ALL_MODULES + sorted((ROOT / "perfbench").glob("*.py"))
-    found = uncalled_definitions({p.name: p.read_text() for p in ALL_MODULES},
-                                 [p.read_text() for p in program])
+    modules = {p.name: p.read_text() for p in ALL_MODULES}
+    sources = [p.read_text() for p in program]
     # Equality also flags an allowlist entry that the program came to use.
+    found = uncalled_definitions(modules, sources)
     assert {name for _, _, name in found} == TEST_ONLY_HELPERS, found
+    found = uncalled_methods(modules, sources)
+    assert {name for _, _, name in found} == TEST_ONLY_METHODS, found
+    assert unread_attributes(modules, sources) == []
 
 
 def test_check_flags_an_uncalled_definition():
@@ -85,6 +137,26 @@ def test_check_flags_an_uncalled_definition():
     )
     caller = "import m\nm.Shape().area()\n"
     assert uncalled_definitions({"m.py": module}, [module, caller]) == [("m.py", 4, "unused")]
+
+
+def test_check_flags_uncalled_methods_and_unread_attributes():
+    module = (
+        "class Counter:\n"
+        "    def __init__(self):\n"
+        "        self.total = 0\n"
+        "        self.calls = 0\n"
+        "    def add(self, x):\n"
+        "        self.total += x\n"
+        "        self.calls += 1\n"
+        "        return self.total\n"
+        "    def clear(self):\n"
+        "        self.total = 0\n"
+    )
+    sources = [module, "import m\nm.Counter().add(1)\n"]
+    assert uncalled_methods({"m.py": module}, sources) == [("m.py", 9, "Counter.clear")]
+    assert unread_attributes({"m.py": module}, sources) == [
+        ("m.py", 4, "calls"), ("m.py", 7, "calls"),
+    ]
 
 
 def _private(segment: str) -> bool:

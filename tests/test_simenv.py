@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slopetrot import gaitgen
 from slopetrot.gaitgen import ZERO_ACTION, LegAction
 from slopetrot.policy import (
     act,
@@ -13,6 +14,7 @@ from slopetrot.policy import (
     zero_policy,
 )
 from slopetrot.simenv import (
+    STANCE_PAIRS,
     NotReset,
     PushEvent,
     RandomizationConfig,
@@ -24,7 +26,7 @@ from slopetrot.simenv import (
     stage_combos,
     terrain_grid,
 )
-from slopetrot.slopeest import PlaneEstimate
+from slopetrot.slopeest import PlaneEstimate, angles_from_normal
 
 NO_PUSH = RandomizationConfig(push_enabled=False)
 ZEROS = (ZERO_ACTION,) * 4
@@ -126,13 +128,13 @@ class TestReset:
         for key in ("com", "rot", "vel", "omega", "joints", "feet"):
             assert np.array_equal(s1[key], s2[key]), key
         assert env1.mass == env2.mass
-        assert env1.motor_torque == env2.motor_torque
+        assert env1.foot_force_cap == env2.foot_force_cap
         assert env1.push == env2.push
 
     def test_spawn_aligned_on_sidehill(self):
         env = SlopedTerrainEnv()
         env.reset(TerrainPlane(11, 90), NO_PUSH, seed=0)
-        terrain_roll, terrain_pitch = TerrainPlane(11, 90).angles()
+        terrain_roll, terrain_pitch = angles_from_normal(TerrainPlane(11, 90).normal())
         theta = env._torso_theta(env.state.rot)
         assert theta[0] == pytest.approx(terrain_roll, abs=1e-9)
         assert theta[1] == pytest.approx(terrain_pitch, abs=1e-9)
@@ -173,6 +175,7 @@ class TestParamValidation:
         {"gravity": math.inf},
         {"fall_height_frac": NAN},
         {"estimator_smoothing": 1.5},
+        {"episode_len": 0},
     ])
     def test_sim_params_rejected(self, kwargs):
         from slopetrot.simenv import ConfigError
@@ -473,6 +476,23 @@ class TestExchangeAndLogging:
         env.step(b)
         assert env.latched == b
 
+    def test_stance_legs_follow_the_phase_clock(self):
+        # Each step is checked at its midpoint: step boundaries fall on
+        # half-cycle boundaries, where the phase is 0.5 only up to rounding
+        # (0.6 / 0.4 gives 1.4999999999999998).
+        env = SlopedTerrainEnv()
+        obs = env.reset(TerrainPlane(), NO_PUSH, seed=1)
+        steps = 0
+        for _ in env.run(obs, lambda obs: ZEROS):
+            k = env.state.step_index
+            stance = STANCE_PAIRS[k // env.steps_per_half % 2]
+            t = (k + 0.5) * env.sim.dt
+            for i, leg in enumerate(gaitgen.LEG_ORDER):
+                tau = gaitgen.trot_phase(t, env.gait.cycle_period, leg)
+                assert (tau < 0.5) == (i in stance), (k, leg)
+            steps += 1
+        assert steps == 400
+
     def test_no_capture_before_touch_down(self):
         # Lifted a metre, no foot lands before step 80, so the pairs of the
         # exchanges at steps 40 and 80 never touch down: neither exchange
@@ -528,7 +548,7 @@ class TestExchangeAndLogging:
 def _assert_spawn_row(row, terrain):
     """A row logged right after reset: step 0, the plane-aligned spawn
     torso, the desired height and no motion or reward yet."""
-    roll, pitch = terrain.angles()
+    roll, pitch = angles_from_normal(terrain.normal())
     assert row["step"] == 0 and row["time"] == 0.0
     assert row["torso_roll"] == pytest.approx(roll, abs=1e-9)
     assert row["torso_pitch"] == pytest.approx(pitch, abs=1e-9)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from slopetrot import policy
 from slopetrot.policy import ACT_DIM, OBS_DIM, zero_policy
-from slopetrot.simenv import RandomizationConfig, TerrainPlane
+from slopetrot.simenv import ConfigError, RandomizationConfig, TerrainPlane
 from slopetrot.trainer import (
     ArsHyperparams,
     ArsIterationState,
@@ -190,8 +190,8 @@ class TestRollouts:
         assert r1 == r2
 
     def test_zero_episode_len(self, bundle):
-        r = rollout_return(zero_policy(), bundle, TerrainPlane(), NO_PUSH, 1, episode_len=0)
-        assert r == 0.0
+        with pytest.raises(ConfigError):
+            rollout_return(zero_policy(), bundle, TerrainPlane(), NO_PUSH, 1, episode_len=0)
 
     def test_stats_report_displacement(self, bundle):
         ret, disp, steps = rollout_stats(
