@@ -9,6 +9,7 @@ reproduces each file byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -28,11 +29,15 @@ class _UsageError(SystemExit):
     pass
 
 
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise _UsageError(EXIT_USAGE)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise _UsageError(EXIT_USAGE)
+        _usage_error(message)
 
 
 def _build_parser() -> _Parser:
@@ -201,8 +206,24 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _push_window(args, cfg):
+    """The push's control steps [start, stop): a usage error unless the
+    rounded window is non-empty and starts before the episode ends."""
+    episode_len = cfg.train.episode_len
+    at = args.push_at / cfg.sim.dt
+    end = (args.push_at + args.push_dur) / cfg.sim.dt
+    # Compared as floats first, so round() never meets an infinity.
+    if at < episode_len and end < math.inf:
+        start, stop = round(at), round(end)
+        if start < stop and start < episode_len:
+            return start, stop
+    _usage_error(f"--push-at {args.push_at} s and --push-dur {args.push_dur} s must round to"
+                 f" a finite, non-empty step window that starts before step {episode_len}")
+
+
 def cmd_rollout(args) -> int:
     cfg = _load_run_config(args)
+    window = _push_window(args, cfg) if args.push is not None else None
     bundle = cfg.bundle()
     policy_note = args.policy or "guided-init (default)"
     if args.policy:
@@ -216,9 +237,8 @@ def cmd_rollout(args) -> int:
     seed = derive_seed(cfg.run.master_seed, trainer._ROLLOUT_CLI_STREAM)
     obs = env.reset(terrain=terrain, rand=cfg.rand_without_pushes(), seed=seed)
     push_note = "none"
-    if args.push is not None:
-        start = round(args.push_at / cfg.sim.dt)
-        stop = round((args.push_at + args.push_dur) / cfg.sim.dt)
+    if window is not None:
+        start, stop = window
         env.set_push(start, stop, args.push)
         push_note = f"{args.push}N steps [{start},{stop})"
 
@@ -250,14 +270,13 @@ def main(argv=None) -> int:
             parser.error("--friction must be >= 0")
         if args.command == "rollout" and not (args.push_at >= 0.0 and args.push_dur > 0.0):
             parser.error("--push-at must be >= 0 and --push-dur > 0")
-    except _UsageError as exc:
-        return int(exc.code)
-    try:
         if args.command == "train":
             return cmd_train(args)
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_rollout(args)
+    except _UsageError as exc:
+        return int(exc.code)
     except (config_mod.ConfigFileError, ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, replace
 
+from .bounds import bounded, check_bounds
 from .gaitgen import GaitParams
 from .legkin import LegGeometry
 from .policy import ActionScaling
@@ -31,11 +32,10 @@ class RunParams:
     """Run-level knobs that belong to no single module."""
 
     out_dir: str = "runs"
-    master_seed: int = 0
+    master_seed: int = bounded(0, 0)
 
     def __post_init__(self):
-        if not self.master_seed >= 0:
-            raise ValueError("master_seed must be >= 0")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import legkin
+from .bounds import bounded, check_bounds
 
 LEG_ORDER = ("FL", "FR", "BL", "BR")
 
@@ -26,16 +27,13 @@ class GaitParams:
     """Trot parameters: max step length, stance height, swing clearance and
     the full cycle period (seconds)."""
 
-    max_step_len: float = 0.136
-    desired_height: float = 0.243
-    foot_clearance: float = 0.06
-    cycle_period: float = 0.4
+    max_step_len: float = bounded(0.136, 0.0, open_lo=True)
+    desired_height: float = bounded(0.243, 0.0, open_lo=True)
+    foot_clearance: float = bounded(0.06, 0.0, open_lo=True)
+    cycle_period: float = bounded(0.4, 0.0, open_lo=True)
 
     def __post_init__(self):
-        # Written as "not (within bounds)" so NaN is rejected too.
-        for name in ("max_step_len", "desired_height", "foot_clearance", "cycle_period"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_bounds(self)
 
 
 class LegAction(NamedTuple):

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
+
 
 class Unreachable(ValueError):
     """Target lies outside the reachable annulus of the planar pair."""
@@ -66,23 +68,17 @@ class LegGeometry:
     four leg mount points in the body frame in the order FL, FR, BL, BR.
     """
 
-    upper_link_len: float = 0.15
-    lower_link_len: float = 0.175
-    abduction_offset: float = 0.0
-    hip_positions_body: tuple = DEFAULT_HIP_POSITIONS
-    joint_limits: tuple = DEFAULT_JOINT_LIMITS
-    workspace_polygon: tuple = DEFAULT_WORKSPACE
+    upper_link_len: float = bounded(0.15, 0.0, open_lo=True)
+    lower_link_len: float = bounded(0.175, 0.0, open_lo=True)
+    abduction_offset: float = bounded(0.0)
+    hip_positions_body: tuple = bounded(DEFAULT_HIP_POSITIONS)
+    joint_limits: tuple = bounded(DEFAULT_JOINT_LIMITS)
+    workspace_polygon: tuple = bounded(DEFAULT_WORKSPACE)
 
     def __post_init__(self):
-        # Written as "not (within bounds)" so NaN is rejected too.
-        if not (self.upper_link_len > 0.0 and self.lower_link_len > 0.0):
-            raise ValueError("link lengths must be positive")
-        if not abs(self.abduction_offset) < math.inf:
-            raise ValueError("abduction_offset must be finite")
+        check_bounds(self)
         if len(self.hip_positions_body) != 4:
             raise ValueError("expected four hip mount points")
-        if not all(abs(v) < math.inf for hip in self.hip_positions_body for v in hip):
-            raise ValueError("hip mount points must be finite")
         if len(self.joint_limits) != 3:
             raise ValueError("expected limits for abd, hip, knee")
         for lo, hi in self.joint_limits:

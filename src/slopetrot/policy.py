@@ -10,11 +10,11 @@ raw zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .gaitgen import LegAction
 from .slopeest import PlaneEstimate
 
@@ -33,18 +33,14 @@ class PolicyFormatError(ValueError):
 class ActionScaling:
     """Physical (lo, hi) range per channel; raw 0 maps to the midpoint."""
 
-    step_len: tuple = (0.0, 0.136)
-    steer: tuple = (-0.35, 0.35)
-    shift_x: tuple = (-0.06, 0.06)
-    shift_y: tuple = (-0.035, 0.035)
-    shift_z: tuple = (-0.06, 0.06)
+    step_len: tuple = bounded((0.0, 0.136), ordered=True)
+    steer: tuple = bounded((-0.35, 0.35), ordered=True)
+    shift_x: tuple = bounded((-0.06, 0.06), ordered=True)
+    shift_y: tuple = bounded((-0.035, 0.035), ordered=True)
+    shift_z: tuple = bounded((-0.06, 0.06), ordered=True)
 
     def __post_init__(self):
-        # Written as "not (within bounds)" so NaN is rejected too.
-        for ch in CHANNELS:
-            lo, hi = getattr(self, ch)
-            if not -math.inf < lo <= hi < math.inf:
-                raise ValueError(f"{ch} needs finite lo <= hi")
+        check_bounds(self)
         bounds = self.bounds()
         object.__setattr__(self, "_mid", 0.5 * (bounds[:, 0] + bounds[:, 1]))
         object.__setattr__(self, "_half", 0.5 * (bounds[:, 1] - bounds[:, 0]))
@@ -119,9 +115,12 @@ def linear_controller(matrix: np.ndarray, scaling: ActionScaling = DEFAULT_SCALI
 
 def raw_from_action(action, scaling: ActionScaling = DEFAULT_SCALING) -> np.ndarray:
     """Inverse of scale_clip_action for in-range physical actions (used to
-    turn scripted demonstrations into regression targets)."""
+    turn scripted demonstrations into regression targets). A zero-width
+    channel maps every raw value to its one action, so it maps back to raw 0."""
     flat = np.array(action, dtype=float).ravel()
-    return np.clip((flat - scaling._mid) / scaling._half, -1.0, 1.0)
+    half = scaling._half
+    raw = np.divide(flat - scaling._mid, half, out=np.zeros_like(flat), where=half > 0.0)
+    return np.clip(raw, -1.0, 1.0)
 
 
 def save_policy(matrix: np.ndarray, path, metadata: dict | None = None) -> None:

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .bounds import bounded, check_bounds
+
 
 class InvalidWidth(ValueError):
     """Gaussian kernel width must be strictly positive."""
@@ -27,27 +29,17 @@ class RewardWeights:
     [0, forward_weight] at physically reachable speeds.
     """
 
-    roll_width: float = 40.0
-    pitch_width: float = 40.0
-    yaw_width: float = 20.0
-    height_width: float = 800.0
-    forward_weight: float = 4.0
-    standing_penalty: float = 1.0
-    desired_yaw: float = 0.0
-    desired_height: float = 0.243
+    roll_width: float = bounded(40.0, 0.0, open_lo=True)
+    pitch_width: float = bounded(40.0, 0.0, open_lo=True)
+    yaw_width: float = bounded(20.0, 0.0, open_lo=True)
+    height_width: float = bounded(800.0, 0.0, open_lo=True)
+    forward_weight: float = bounded(4.0, 0.0, open_lo=True)
+    standing_penalty: float = bounded(1.0, 0.0)
+    desired_yaw: float = bounded(0.0)
+    desired_height: float = bounded(0.243)
 
     def __post_init__(self):
-        # Written as "not (within bounds)" so NaN is rejected too.
-        for name in ("roll_width", "pitch_width", "yaw_width", "height_width"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidWidth(f"{name} must be > 0")
-        if not self.forward_weight > 0.0:
-            raise ValueError("forward_weight must be > 0")
-        if not self.standing_penalty >= 0.0:
-            raise ValueError("standing_penalty must be >= 0")
-        for name in ("desired_yaw", "desired_height"):
-            if not abs(getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be finite")
+        check_bounds(self)
 
 
 class RewardInputs(NamedTuple):

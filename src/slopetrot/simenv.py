@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaitgen, legkin
+from .bounds import ConfigError, bounded, check_bounds
 from .gaitgen import LEG_ORDER, GaitParams
 from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
@@ -29,10 +30,6 @@ from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
 
 class NotReset(RuntimeError):
     """step() called before reset() or after the episode finished."""
-
-
-class ConfigError(ValueError):
-    """Incompatible environment configuration."""
 
 
 TRAIN_INCLINATIONS = (0, 5, 7, 9, 11)
@@ -115,24 +112,15 @@ def sample_terrain(stage: int, rng: np.random.Generator,
 class RandomizationConfig:
     """Per-episode domain randomization ranges."""
 
-    added_mass_range: tuple = (0.0, 0.2)      # kg, front and back
-    motor_torque_range: tuple = (5.0, 8.0)    # N*m
-    push_force_range: tuple = (60.0, 120.0)   # N, lateral
-    push_duration_steps: int = 10
+    added_mass_range: tuple = bounded((0.0, 0.2), 0.0, ordered=True)  # kg, front and back
+    motor_torque_range: tuple = bounded((5.0, 8.0), 0.0, open_lo=True, ordered=True)  # N*m
+    push_force_range: tuple = bounded((60.0, 120.0), 0.0, ordered=True)  # N, lateral
+    push_duration_steps: int = bounded(10, 1)
     push_enabled: bool = True
-    friction_range: tuple = (0.5, 0.8)        # consumed by sample_terrain
+    friction_range: tuple = bounded((0.5, 0.8), 0.0, ordered=True)  # consumed by sample_terrain
 
     def __post_init__(self):
-        # Written as "not (within bounds)" so NaN is rejected too.
-        for name in ("added_mass_range", "push_force_range", "friction_range"):
-            lo, hi = getattr(self, name)
-            if not 0.0 <= lo <= hi:
-                raise ConfigError(f"{name} needs 0 <= lo <= hi")
-        lo, hi = self.motor_torque_range
-        if not 0.0 < lo <= hi:
-            raise ConfigError("motor_torque_range needs 0 < lo <= hi")
-        if not self.push_duration_steps >= 1:
-            raise ConfigError("push_duration_steps must be >= 1")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -165,41 +153,25 @@ class SimParams:
     sized so a stance pair penetrates under 5% of the foot clearance.
     """
 
-    dt: float = 0.005
-    substeps: int = 5
-    episode_len: int = 400
-    gravity: float = 9.81
-    torso_mass: float = 10.0
-    torso_dims: tuple = (0.55, 0.3, 0.1)
-    contact_kp: float = 20000.0
-    contact_kd: float = 300.0
-    tangential_damping: float = 300.0
-    motor_moment_arm: float = 0.05
-    track_time_const: float = 0.02
-    fall_height_frac: float = 0.5
-    fall_angle: float = math.radians(45.0)
-    estimator_smoothing: float = 1.0
+    dt: float = bounded(0.005, 0.0, open_lo=True)
+    substeps: int = bounded(5, 1)
+    episode_len: int = bounded(400, 1)
+    gravity: float = bounded(9.81, 0.0)
+    torso_mass: float = bounded(10.0, 0.0, open_lo=True)
+    torso_dims: tuple = bounded((0.55, 0.3, 0.1), 0.0, open_lo=True)
+    contact_kp: float = bounded(20000.0, 0.0)
+    contact_kd: float = bounded(300.0, 0.0)
+    tangential_damping: float = bounded(300.0, 0.0)
+    motor_moment_arm: float = bounded(0.05, 0.0, open_lo=True)
+    track_time_const: float = bounded(0.02, 0.0, open_lo=True)
+    fall_height_frac: float = bounded(0.5, 0.0)
+    fall_angle: float = bounded(math.radians(45.0), 0.0, open_lo=True)
+    estimator_smoothing: float = bounded(1.0, 0.0, 1.0, open_lo=True)
 
     def __post_init__(self):
-        # Written as "not (within bounds)" so NaN is rejected too.
-        if not (self.dt > 0.0 and self.substeps >= 1):
-            raise ConfigError("dt must be positive and substeps >= 1")
-        if not self.episode_len >= 1:
-            raise ConfigError("episode_len must be >= 1")
-        for name in ("torso_mass", "motor_moment_arm", "track_time_const", "fall_angle"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.gravity < math.inf:
-            raise ConfigError("gravity must be finite and >= 0")
-        if not self.fall_height_frac >= 0.0:
-            raise ConfigError("fall_height_frac must be >= 0")
-        if not 0.0 < self.estimator_smoothing <= 1.0:
-            raise ConfigError("estimator_smoothing must lie in (0, 1]")
-        if len(self.torso_dims) != 3 or not all(d > 0.0 for d in self.torso_dims):
-            raise ConfigError("torso_dims must be three positive lengths")
-        for name in ("contact_kp", "contact_kd", "tangential_damping"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} must be >= 0")
+        check_bounds(self)
+        if len(self.torso_dims) != 3:
+            raise ConfigError("torso_dims must be three lengths")
 
 
 @dataclass

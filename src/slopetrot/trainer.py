@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import policy as policy_mod
+from .bounds import bounded, check_bounds
 from .gaitgen import GaitParams, LegAction
 from .legkin import LegGeometry
 from .policy import ACT_DIM, OBS_DIM, ActionScaling
@@ -67,26 +68,21 @@ class ArsHyperparams:
     denominator and converges.
     """
 
-    step_size: float = 0.05
-    noise: float = 0.04
-    num_directions: int = 16
+    step_size: float = bounded(0.05, 0.0, open_lo=True)
+    noise: float = bounded(0.04, 0.0, open_lo=True)
+    num_directions: int = bounded(16, 2)
     top_directions: int | None = None
-    workers: int = 1
+    workers: int = bounded(1, 1)
     master_seed: int = 0
     sigma_returns: str = "kept"
 
     def __post_init__(self):
-        # Written as "not (within bounds)" so NaN is rejected too.
-        for name in ("step_size", "noise"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if self.num_directions < 2 or self.num_directions % 2 != 0:
-            raise ValueError("num_directions must be even and >= 2")
+        check_bounds(self)
+        if self.num_directions % 2 != 0:
+            raise ValueError("num_directions must be even")
         b = self.top()
         if not 1 <= b <= self.num_directions:
             raise ValueError("top_directions must lie in [1, num_directions]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.sigma_returns not in ("kept", "all"):
             raise ValueError("sigma_returns must be 'kept' or 'all'")
 
@@ -428,30 +424,18 @@ class TrainParams:
     """Loop settings: episode length, curriculum switch point, evaluation
     cadence and the guided warm start."""
 
-    iterations: int = 30
-    episode_len: int = 400
+    iterations: int = bounded(30, 0)
+    episode_len: int = bounded(400, 1)
     curriculum_switch: int = 30
-    eval_every: int = 3
+    eval_every: int = bounded(3, 1)
     guided: bool = True
-    guided_step_len: float = 0.068
-    guided_yaw_gain: float = STRUT_YAW_GAIN
-    demo_seeds_per_combo: int = 1
-    eval_friction: float = 0.65
+    guided_step_len: float = bounded(0.068)
+    guided_yaw_gain: float = bounded(STRUT_YAW_GAIN)
+    demo_seeds_per_combo: int = bounded(1, 1)
+    eval_friction: float = bounded(0.65, 0.0)
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.episode_len < 1:
-            raise ValueError("episode_len must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if not self.eval_friction >= 0.0:
-            raise ValueError("eval_friction must be >= 0")
-        if not self.demo_seeds_per_combo >= 1:
-            raise ValueError("demo_seeds_per_combo must be >= 1")
-        for name in ("guided_step_len", "guided_yaw_gain"):
-            if not abs(getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be finite")
+        check_bounds(self)
 
 
 def generate_strut_demos(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slopetrot.cli import _build_parser, main
-from slopetrot.policy import save_policy, zero_policy
+from slopetrot.policy import load_policy, save_policy, zero_policy
 from slopetrot.runlog import format_value, read_csv
 
 FAST_TRAIN = [
@@ -176,6 +176,12 @@ class TestFlagsAreSettings:
         "geometry.hip_positions_body=0.25,0.2,0.0; 0.25,-0.2,nan; -0.25,0.2,0.0; -0.25,-0.2,0.0",
         "scaling.step_len=nan,0.136",
         "scaling.step_len=0.2,0.0",
+        "gait.cycle_period=inf",
+        "gait.foot_clearance=inf",
+        "rand.added_mass_range=0,inf",
+        "rand.friction_range=0.5,inf",
+        "reward.forward_weight=inf",
+        "sim.torso_mass=inf",
     ])
     def test_non_finite_setting_is_config_error(self, tmp_path, setting):
         out = str(tmp_path / "out")
@@ -215,6 +221,14 @@ class TestTrain:
             with open(os.path.join(out, "training.csv"), "rb") as fh:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
+
+    def test_zero_width_action_range_trains(self, tmp_path):
+        # The guided fit maps a zero-width channel's demonstrations to raw 0.
+        out = str(tmp_path / "run")
+        assert run_cli("train", "--iters", "1", "--set", "ars.num_directions=2",
+                       "--set", "train.episode_len=40", "--set", "scaling.shift_z=0,0",
+                       "--out", out) == 0
+        assert np.all(np.isfinite(load_policy(os.path.join(out, "policy_final.txt"))))
 
     def test_missing_config_names_path(self, tmp_path, capsys):
         code = run_cli("train", "--config", str(tmp_path / "nope.cfg"))
@@ -322,14 +336,18 @@ class TestRollout:
 
     @pytest.mark.parametrize("window", [
         ["--push-at", "-0.1"], ["--push-dur", "-0.2"], ["--push-dur", "0"],
+        ["--push-at", "0.3"], ["--push-dur", "0.001"],
+        ["--push-at", "0.1", "--push-dur", "0.001"], ["--push-at", "inf"],
     ])
     def test_malformed_push_window_usage_error(self, tmp_path, window):
+        # The 40-step episode ends at 0.2 s; a window that rounds to no
+        # control step before then would push nothing.
         policy = tmp_path / "zero.txt"
         save_policy(zero_policy(), policy)
         out = str(tmp_path / "roll")
         assert run_cli("rollout", "--policy", str(policy), "--push", "100", *window,
                        "--out", out, "--set", "train.episode_len=40") == 1
-        assert not os.path.exists(os.path.join(out, "rollout.csv"))
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command, terrain", [
         ("rollout", ["--friction", "-0.5"]),

@@ -1,6 +1,8 @@
 import pytest
 
+from slopetrot.bounds import ConfigError
 from slopetrot.config import (
+    SECTIONS,
     ConfigFileError,
     RunConfig,
     apply_setting,
@@ -88,3 +90,50 @@ class TestParsing:
         assert cfg.hyperparams().master_seed == 11
         assert cfg.hyperparams().step_size == 0.07
         assert cfg.bundle().gait.cycle_period == 0.4
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def non_finite_settings(config):
+    """(key, value text) for every number position of every numeric key in
+    the dump of config, with nan, inf and -inf put in its place in turn.
+    The cases come from the dump, so a numeric field that declares no bound
+    is swept too."""
+    cases = []
+    for line in dump_config(config).splitlines():
+        key, _, text = line.partition(" = ")
+        groups = [group.split(",") for group in text.split(";")]
+        if not all(_is_number(item) for group in groups for item in group):
+            continue
+        for g, group in enumerate(groups):
+            for i in range(len(group)):
+                for bad in ("nan", "inf", "-inf"):
+                    changed = [list(items) for items in groups]
+                    changed[g][i] = bad
+                    cases.append((key, ";".join(",".join(items) for items in changed)))
+    return cases
+
+
+class TestNonFiniteValues:
+    def test_every_numeric_key_rejects_non_finite_values(self):
+        base = RunConfig()
+        cases = non_finite_settings(base)
+        assert {key.partition(".")[0] for key, _ in cases} == set(SECTIONS)
+        accepted = []
+        for key, text in cases:
+            try:
+                cfg = apply_setting(base, key, text)
+            except ConfigFileError:
+                continue
+            try:
+                cfg.bundle().make_env()
+            except ConfigError:
+                continue
+            accepted.append(f"{key}={text}")
+        assert accepted == []

@@ -133,6 +133,14 @@ class TestScaling:
         av = scale_clip_action(raw)
         assert raw_from_action(av) == pytest.approx(raw, abs=1e-12)
 
+    def test_zero_width_channel_maps_to_raw_zero(self):
+        sc = ActionScaling(shift_z=(0.0, 0.0))
+        raw = np.random.default_rng(3).uniform(-1.0, 1.0, ACT_DIM)
+        back = raw_from_action(scale_clip_action(raw, sc), sc)
+        flat = [i for i in range(ACT_DIM) if CHANNELS[i % len(CHANNELS)] == "shift_z"]
+        assert np.all(back[flat] == 0.0)
+        assert np.delete(back, flat) == pytest.approx(np.delete(raw, flat), abs=1e-12)
+
     def test_custom_scaling(self):
         sc = ActionScaling(step_len=(0.0, 0.2))
         fl = scale_clip_action(np.zeros(ACT_DIM), sc)[0]

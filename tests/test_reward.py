@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopetrot.bounds import ConfigError
 from slopetrot.reward import (
     InvalidWidth,
     RewardInputs,
@@ -103,7 +104,7 @@ class TestComputeReward:
         assert reward_at(hi) <= reward_at(lo) + 1e-12
 
     def test_weight_validation(self):
-        with pytest.raises(InvalidWidth):
+        with pytest.raises(ConfigError):
             RewardWeights(pitch_width=0.0)
         with pytest.raises(ValueError):
             RewardWeights(standing_penalty=-1.0)
