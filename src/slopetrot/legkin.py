@@ -77,8 +77,8 @@ class LegGeometry:
 
     def __post_init__(self):
         check_bounds(self)
-        if len(self.hip_positions_body) != 4:
-            raise ValueError("expected four hip mount points")
+        if len(self.hip_positions_body) != 4 or any(len(h) != 3 for h in self.hip_positions_body):
+            raise ValueError("expected four hip mount points of three coordinates")
         if len(self.joint_limits) != 3:
             raise ValueError("expected limits for abd, hip, knee")
         for lo, hi in self.joint_limits:

@@ -137,6 +137,7 @@ class TestFlagsAreSettings:
         "rand.friction_range=-0.5,-0.4",
         "sim.contact_kp=-1",
         "rand.push_duration_steps=0",
+        "geometry.hip_positions_body=0.25,0.2; 0.25,-0.2; -0.25,0.2; -0.25,-0.2",
     ]
 
     @pytest.mark.parametrize("source", ["set", "file"])
