@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slopetrot import gaitgen
+from slopetrot import gaitgen, legkin
 from slopetrot.gaitgen import ZERO_ACTION, LegAction
 from slopetrot.policy import (
     act,
@@ -295,6 +295,43 @@ class TestGoldenTrajectory:
             "0x1.3779b536c22fcp+9",
             ["-0x1.8a1ced5abed78p-3", "-0x1.81ee87421f6b1p-2", "0x1.8f8165eb309b3p-3"],
             240,
+        )
+
+
+class TestGoldenWithAbductionOffset:
+    """An exact episode on legs with a 2 cm abduction offset, where most
+    foot targets are projected back into the workspace.
+
+    The other goldens use offset 0, which multiplies the offset terms of
+    forward kinematics and of the projection by zero. Here those terms
+    count, and some targets fall inside the offset cylinder, where the
+    projection falls back to a straight-down posture. The episode length
+    is not a whole number of half cycles, and the push is on.
+    """
+
+    # Three scripted actions, latched in turn: full step and steer at the
+    # shift limits, steered strides shifted the other way, and a front pair
+    # lifted to the hip height.
+    ACTIONS = (
+        (LegAction(0.136, 0.35, 0.06, 0.035, 0.06),) * 4,
+        tuple(LegAction(0.12, s, -0.06, -0.03, 0.05) for s in (0.3, -0.3, 0.2, -0.2)),
+        (LegAction(0.05, 0.0, 0.0, 0.0, 0.24),) * 2 + (LegAction(0.1, 0.1, 0.02, 0.02, 0.0),) * 2,
+    )
+
+    def test_scripted_actions_projected_targets(self):
+        env = SlopedTerrainEnv(geometry=legkin.LegGeometry(abduction_offset=0.02),
+                               sim=SimParams(episode_len=230))
+        obs = env.reset(TerrainPlane(7, 45), RandomizationConfig(), seed=4)
+
+        def controller(o):
+            return self.ACTIONS[env.state.step_index // env.steps_per_half % 3]
+
+        # 614 of the 920 targets are projected, 86 of them from inside the
+        # offset cylinder.
+        assert _pinned_episode(env, obs, controller) == (
+            "0x1.b3cb830cdd0d3p+8",
+            ["0x1.6f4b49e566dc2p-8", "0x1.38bb647383504p-8", "0x1.47c3541bd8c08p-2"],
+            230,
         )
 
 
