@@ -17,11 +17,14 @@ class ConfigError(ValueError):
     """Incompatible environment configuration."""
 
 
-def bounded(default, lo=-math.inf, hi=math.inf, *, open_lo=False, ordered=False):
+def bounded(default=dataclasses.MISSING, lo=-math.inf, hi=math.inf, *, open_lo=False,
+            open_hi=False, ordered=False):
     """A dataclass field whose numbers must be finite and lie in [lo, hi],
-    or in (lo, hi] with open_lo. With ordered the value is a (lo, hi) range
-    pair that also needs lo <= hi."""
-    return dataclasses.field(default=default, metadata={"bounds": (lo, hi, open_lo, ordered)})
+    with lo excluded under open_lo and hi under open_hi. With ordered the
+    value is a (lo, hi) range pair that also needs lo <= hi. Without a
+    default the field is required."""
+    return dataclasses.field(default=default,
+                             metadata={"bounds": (lo, hi, open_lo, open_hi, ordered)})
 
 
 def _numbers(value):
@@ -38,12 +41,13 @@ def check_bounds(obj) -> None:
     for field in dataclasses.fields(obj):
         if "bounds" not in field.metadata:
             continue
-        lo, hi, open_lo, ordered = field.metadata["bounds"]
+        lo, hi, open_lo, open_hi, ordered = field.metadata["bounds"]
         value = getattr(obj, field.name)
         for x in _numbers(value):
-            if not (-math.inf < x < math.inf and (lo < x if open_lo else lo <= x) and x <= hi):
+            if not (-math.inf < x < math.inf and (lo < x if open_lo else lo <= x)
+                    and (x < hi if open_hi else x <= hi)):
                 low = f"{'>' if open_lo else '>='} {lo:g}" if lo > -math.inf else ""
-                high = f"<= {hi:g}" if hi < math.inf else ""
+                high = f"{'<' if open_hi else '<='} {hi:g}" if hi < math.inf else ""
                 rule = " and ".join(p for p in ("finite", low, high) if p)
                 raise ConfigError(f"{field.name} must be {rule}, got {value!r}")
         if ordered and not (len(value) == 2 and value[0] <= value[1]):

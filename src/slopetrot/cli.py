@@ -16,7 +16,7 @@ import sys
 from . import __version__, config as config_mod, policy as policy_mod, trainer
 from .policy import PolicyFormatError
 from .runlog import write_csv
-from .simenv import ConfigError, TerrainPlane, terrain_grid
+from .simenv import ConfigError, PushEvent, TerrainPlane, terrain_grid
 from .trainer import derive_seed, evaluate, make_eval_grid
 
 EXIT_OK = 0
@@ -32,6 +32,15 @@ class _UsageError(SystemExit):
 def _usage_error(message):
     print(f"error: {message}", file=sys.stderr)
     raise _UsageError(EXIT_USAGE)
+
+
+def _from_flags(build, *args):
+    """build(*args) on values given as command-line flags: a value out of
+    its bounds is a usage error, not a configuration error."""
+    try:
+        return build(*args)
+    except ConfigError as exc:
+        _usage_error(str(exc))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,7 +192,7 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     matrix = policy_mod.load_policy(args.policy)
     combos = _eval_combos(args)
-    grid = make_eval_grid(combos, cfg.run.master_seed, cfg.train.eval_friction)
+    grid = _from_flags(make_eval_grid, combos, cfg.run.master_seed, cfg.train.eval_friction)
     mean, per_terrain = evaluate(matrix, grid, cfg.bundle(), cfg.rand_without_pushes())
 
     rows = []
@@ -213,7 +222,7 @@ def _push_window(args, cfg):
     at = args.push_at / cfg.sim.dt
     end = (args.push_at + args.push_dur) / cfg.sim.dt
     # Compared as floats first, so round() never meets an infinity.
-    if at < episode_len and end < math.inf:
+    if -math.inf < at < episode_len and end < math.inf:
         start, stop = round(at), round(end)
         if start < stop and start < episode_len:
             return start, stop
@@ -223,7 +232,10 @@ def _push_window(args, cfg):
 
 def cmd_rollout(args) -> int:
     cfg = _load_run_config(args)
-    window = _push_window(args, cfg) if args.push is not None else None
+    terrain = _from_flags(TerrainPlane, args.incline, args.orientation, args.friction)
+    push = None
+    if args.push is not None:
+        push = _from_flags(PushEvent, *_push_window(args, cfg), args.push)
     bundle = cfg.bundle()
     policy_note = args.policy or "guided-init (default)"
     if args.policy:
@@ -231,16 +243,13 @@ def cmd_rollout(args) -> int:
     else:
         matrix = trainer.fit_guided(bundle, cfg.rand, cfg.run.master_seed, cfg.train).matrix
 
-    terrain = TerrainPlane(inclination_deg=args.incline, yaw_deg=args.orientation,
-                           friction=args.friction)
     env = bundle.make_env()
     seed = derive_seed(cfg.run.master_seed, trainer._ROLLOUT_CLI_STREAM)
     obs = env.reset(terrain=terrain, rand=cfg.rand_without_pushes(), seed=seed)
     push_note = "none"
-    if window is not None:
-        start, stop = window
-        env.set_push(start, stop, args.push)
-        push_note = f"{args.push}N steps [{start},{stop})"
+    if push is not None:
+        env.set_push(push.start_step, push.stop_step, push.force_y)
+        push_note = f"{args.push}N steps [{push.start_step},{push.stop_step})"
 
     controller = policy_mod.linear_controller(matrix, bundle.scaling)
     rows = [env.log_row() for _ in env.run(obs, controller)]
@@ -264,12 +273,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command != "train" and args.incline is not None and not abs(args.incline) < 90.0:
-            parser.error("--incline must be strictly between -90 and 90 deg")
-        if args.command == "rollout" and not args.friction >= 0.0:
-            parser.error("--friction must be >= 0")
-        if args.command == "rollout" and not (args.push_at >= 0.0 and args.push_dur > 0.0):
-            parser.error("--push-at must be >= 0 and --push-dur > 0")
         if args.command == "train":
             return cmd_train(args)
         if args.command == "eval":

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import bounded, check_bounds
+from .elementwise import ops
 
 
 class Unreachable(ValueError):
@@ -25,7 +26,8 @@ class Unreachable(ValueError):
 
 class FootPosition(NamedTuple):
     """Foot position (meters) in the leg frame: origin at the hip mount,
-    x forward, y lateral, z up (so a foot below the hip has z < 0)."""
+    x forward, y lateral, z up (so a foot below the hip has z < 0). The
+    coordinates are floats for one point, or same-shape arrays for many."""
 
     x: float
     y: float
@@ -112,64 +114,84 @@ class LegGeometry:
 
 def forward_kinematics(q, geometry: LegGeometry) -> FootPosition:
     """Closed-form foot position for the joint angles q = (abd, hip, knee),
-    in radians.
+    in radians: floats, or same-shape arrays for a foot position of arrays.
 
     Total on finite input; joint limits are not checked here.
     """
     abd, hip, knee = q
+    m = ops(hip)
     l1 = geometry.upper_link_len
     l2 = geometry.lower_link_len
-    px = l1 * math.sin(hip) + l2 * math.sin(hip + knee)
-    pz = -(l1 * math.cos(hip) + l2 * math.cos(hip + knee))
-    ca, sa = math.cos(abd), math.sin(abd)
+    px = l1 * m.sin(hip) + l2 * m.sin(hip + knee)
+    pz = -(l1 * m.cos(hip) + l2 * m.cos(hip + knee))
+    ca, sa = m.cos(abd), m.sin(abd)
     d = geometry.abduction_offset
     return FootPosition(px, d * ca - pz * sa, d * sa + pz * ca)
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
+def _clip(x, lo: float, hi: float):
     """min(max(x, lo), hi) by the same comparisons, so NaN and ties come
     out alike, without the cost of two builtin calls."""
-    x = lo if lo > x else x
-    return hi if hi < x else x
+    m = ops(x)
+    x = m.where(lo > x, lo, x)
+    return m.where(hi < x, hi, x)
+
+
+def _offset_radius2(p: FootPosition, geometry: LegGeometry):
+    """Squared distance of p from the abduction axis, minus the squared
+    lateral hip offset: below -1e-15 the point is inside the offset
+    cylinder, which no abduction angle reaches."""
+    d = geometry.abduction_offset
+    return p.y * p.y + p.z * p.z - d * d
+
+
+def _planar_z(rr):
+    """Planar z of a point whose _offset_radius2 is rr."""
+    m = ops(rr)
+    return -m.sqrt(m.where(0.0 > rr, 0.0, rr))
 
 
 def _abduction_split(p: FootPosition, geometry: LegGeometry):
     """Split a leg-frame point into (abduction angle, planar x, planar z).
 
-    Raises Unreachable when the point is closer to the abduction axis than
-    the lateral hip offset allows.
+    Raises Unreachable when the point, or any point of an array, is closer
+    to the abduction axis than the lateral hip offset allows.
     """
-    d = geometry.abduction_offset
-    rr = p.y * p.y + p.z * p.z - d * d
-    if rr < -1e-15:
+    rr = _offset_radius2(p, geometry)
+    m = ops(rr)
+    if m.any(rr < -1e-15):
         raise Unreachable("point inside the abduction offset cylinder")
-    pz = -math.sqrt(0.0 if 0.0 > rr else rr)
-    abd = math.atan2(p.z, p.y) - math.atan2(pz, d)
+    pz = _planar_z(rr)
+    abd = m.atan2(p.z, p.y) - m.atan2(pz, geometry.abduction_offset)
     # wrap to (-pi, pi]
-    abd = math.atan2(math.sin(abd), math.cos(abd))
+    abd = m.atan2(m.sin(abd), m.cos(abd))
     return abd, p.x, pz
 
 
 def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
     """Joint angles (abd, hip, knee), in radians, reaching the foot position
     on the backward-flexing knee branch, clamped into the joint limits.
+    A foot position of arrays gives a triple of arrays.
 
-    Raises Unreachable when the target is outside the annulus of the planar
-    pair. A clamped joint leaves a tracking error, which is how the
-    simulator treats saturated joints.
+    Raises Unreachable when the target, or any target of an array, is
+    outside the annulus of the planar pair. A clamped joint leaves a
+    tracking error, which is how the simulator treats saturated joints.
     """
     abd, px, pz = _abduction_split(p, geometry)
+    m = ops(pz)
     l1 = geometry.upper_link_len
     l2 = geometry.lower_link_len
     r2 = px * px + pz * pz
     lo = (l1 - l2) * (l1 - l2)
     hi = (l1 + l2) * (l1 + l2)
-    if r2 > hi + 1e-12 or r2 < lo - 1e-12:
-        raise Unreachable(f"planar target radius {math.sqrt(r2):.4f} m outside leg annulus")
+    outside = (r2 > hi + 1e-12) | (r2 < lo - 1e-12)
+    if m.any(outside):
+        radius = math.sqrt(np.extract(outside, r2)[0])
+        raise Unreachable(f"planar target radius {radius:.4f} m outside leg annulus")
     cos_knee = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-    cos_knee = cos_knee if cos_knee > -1.0 else -1.0
-    knee = math.acos(cos_knee if cos_knee < 1.0 else 1.0)
-    hip = math.atan2(px, -pz) - math.atan2(l2 * math.sin(knee), l1 + l2 * math.cos(knee))
+    cos_knee = m.where(cos_knee > -1.0, cos_knee, -1.0)
+    knee = m.acos(m.where(cos_knee < 1.0, cos_knee, 1.0))
+    hip = m.atan2(px, -pz) - m.atan2(l2 * m.sin(knee), l1 + l2 * m.cos(knee))
     (lo_a, hi_a), (lo_h, hi_h), (lo_k, hi_k) = geometry.joint_limits
     return _clip(abd, lo_a, hi_a), _clip(hip, lo_h, hi_h), _clip(knee, lo_k, hi_k)
 
@@ -198,24 +220,26 @@ def _oriented_edges(poly) -> tuple:
     return tuple(edges)
 
 
-def _point_in_polygon(px: float, pz: float, edges, tol: float = 1e-12) -> bool:
+def _point_in_polygon(px, pz, edges, tol: float = 1e-12):
     """Convex polygon membership, boundary inclusive, for the polygon's
-    _oriented_edges. Negating an edge negates each product and the
-    difference exactly, so the test gives the bits of orient * cross."""
+    _oriented_edges: a bool, or a bool array for arrays of points.
+    Negating an edge negates each product and the difference exactly, so
+    the test gives the bits of orient * cross."""
+    m = ops(pz)
+    inside = True
     for x1, z1, ex, ez in edges:
-        if ex * (pz - z1) - ez * (px - x1) < -tol:
-            return False
-    return True
+        inside = m.where(ex * (pz - z1) - ez * (px - x1) < -tol, False, inside)
+    return inside
 
 
-def in_workspace(p: FootPosition, geometry: LegGeometry) -> bool:
+def in_workspace(p: FootPosition, geometry: LegGeometry):
     """True when the planar projection of p (after the abduction split)
-    lies inside the safety polygon, boundary inclusive."""
-    try:
-        _, px, pz = _abduction_split(p, geometry)
-    except Unreachable:
-        return False
-    return _point_in_polygon(px, pz, geometry._edges)
+    lies inside the safety polygon, boundary inclusive; a bool array for a
+    foot position of arrays. A point inside the offset cylinder is
+    outside. The test needs only the planar coordinates, not the angle."""
+    rr = _offset_radius2(p, geometry)
+    inside = _point_in_polygon(p.x, _planar_z(rr), geometry._edges)
+    return ops(rr).where(rr < -1e-15, False, inside)
 
 
 def _closest_point_on_polygon(px: float, pz: float, poly):
@@ -238,13 +262,14 @@ def _closest_point_on_polygon(px: float, pz: float, poly):
 
 
 def clamp_to_workspace(p: FootPosition, geometry: LegGeometry) -> FootPosition:
-    """Project an out-of-workspace point onto the polygon boundary.
+    """Project an out-of-workspace point, of float coordinates, onto the
+    polygon boundary.
 
     The abduction angle of the original point is preserved; only the planar
     coordinates move. Points already inside are returned unchanged.
     """
     d = geometry.abduction_offset
-    rr = p.y * p.y + p.z * p.z - d * d
+    rr = _offset_radius2(p, geometry)
     if rr < 0.0:
         # Laterally inside the offset cylinder: fall back to a straight-down
         # posture at the same depth before projecting.

@@ -55,9 +55,12 @@ class TerrainPlane:
     and friction coefficient. At yaw 0 the plane rises along +x (pure
     uphill); at yaw 90 it rises along +y (pure sidehill)."""
 
-    inclination_deg: float = 0.0
-    yaw_deg: float = 0.0
-    friction: float = 0.65
+    inclination_deg: float = bounded(0.0, -90.0, 90.0, open_lo=True, open_hi=True)
+    yaw_deg: float = bounded(0.0)
+    friction: float = bounded(0.65, 0.0)
+
+    def __post_init__(self):
+        check_bounds(self)
 
     def normal(self) -> np.ndarray:
         inc = math.radians(self.inclination_deg)
@@ -127,9 +130,14 @@ class RandomizationConfig:
 class PushEvent:
     """Lateral force window: applied for control steps in [start, stop)."""
 
-    start_step: int
-    stop_step: int
-    force_y: float
+    start_step: int = bounded(lo=0)
+    stop_step: int = bounded()
+    force_y: float = bounded()
+
+    def __post_init__(self):
+        check_bounds(self)
+        if not self.start_step < self.stop_step:
+            raise ConfigError("a push window must start before it stops")
 
 
 def schedule_push(rand: RandomizationConfig, episode_len: int,
@@ -219,7 +227,7 @@ class SlopedTerrainEnv:
         if not legkin.in_workspace(nominal, self.geometry):
             raise ConfigError("nominal stance foot falls outside the workspace polygon")
 
-        self._hip_rows = np.asarray(self.geometry.hip_positions_body, dtype=float).tolist()
+        self._hips = np.asarray(self.geometry.hip_positions_body, dtype=float)
         self._track_alpha = 1.0 - math.exp(-self.sim.dt / self.sim.track_time_const)
         self._substep_fracs = np.array(
             [(j + 1) / self.sim.substeps for j in range(self.sim.substeps)]
@@ -289,14 +297,14 @@ class SlopedTerrainEnv:
 
         body_origin = self.gait.desired_height * n
         self.latched = (gaitgen.ZERO_ACTION,) * 4
-        joints = self._joint_targets(0.0)
+        (joints,) = self._ik_targets(np.zeros(1))
         self.state = SimState(
             com=body_origin + rot @ self.com_offset_body,
             rot=rot,
             vel=np.zeros(3),
             omega=np.zeros(3),
-            joints=np.array(joints),
-            feet_body=np.array(self._feet_body(joints)),
+            joints=joints,
+            feet_body=self._fk_feet(joints),
             step_index=0,
         )
         self._done = False
@@ -332,25 +340,46 @@ class SlopedTerrainEnv:
         roll, pitch = angles_from_normal(rot[:, 2])
         return roll, pitch, yaw_of(rot)
 
-    def _joint_targets(self, t: float) -> list:
-        """IK joint targets (abd, hip, knee) of the latched actions at
-        time t, one per leg."""
+    def _ik_targets(self, t: np.ndarray) -> np.ndarray:
+        """IK joint targets of the latched actions at the times t, as
+        (len(t), 4, 3): legs in LEG_ORDER, joints abd/hip/knee. One array
+        call per kinematics function covers every time and leg."""
         gait, geometry = self.gait, self.geometry
-        targets = []
-        for leg, latched in zip(LEG_ORDER, self.latched):
-            tau = gaitgen.trot_phase(t, gait.cycle_period, leg)
-            foot = gaitgen.checked_foot_target(tau, latched, gait, geometry)
-            targets.append(legkin.inverse_kinematics(foot, geometry))
-        return targets
+        tau = np.stack([gaitgen.trot_phase(t, gait.cycle_period, leg) for leg in LEG_ORDER],
+                       axis=-1)
+        action = gaitgen.LegAction(*np.array(self.latched, dtype=float).T)
+        foot = gaitgen.checked_foot_target(tau, action, gait, geometry)
+        return np.stack(legkin.inverse_kinematics(foot, geometry), axis=-1)
 
-    def _feet_body(self, joints) -> list:
-        """Body-frame feet (x, y, z) of the given joints, one per leg:
+    def _fk_feet(self, joints: np.ndarray) -> np.ndarray:
+        """Body-frame feet of joints (..., 4, 3), in the same shape:
         leg-frame FK plus the hip mounts."""
-        feet = []
-        for (hx, hy, hz), q in zip(self._hip_rows, joints):
-            x, y, z = legkin.forward_kinematics(q, self.geometry)
-            feet.append((hx + x, hy + y, hz + z))
-        return feet
+        foot = legkin.forward_kinematics(np.moveaxis(joints, -1, 0), self.geometry)
+        return self._hips + np.stack(foot, axis=-1)
+
+    def _plan_half_cycle(self) -> tuple:
+        """The kinematics of every control step from this one to the end of
+        its half cycle (or of the episode), which the latched actions fix:
+        joints and body-frame feet after the step, the feet's rate, and the
+        feet minus com at the end of each contact substep. Row k belongs to
+        the step k steps after this one.
+
+        Each element is computed as the step would compute it alone, so the
+        rows hold the same bits."""
+        s, sim = self.state, self.sim
+        first = s.step_index + 1
+        count = min(self.steps_per_half, sim.episode_len - s.step_index)
+        targets = self._ik_targets(np.arange(first, first + count) * sim.dt)
+        # The joints track their targets with a first-order lag.
+        joints = np.empty_like(targets)
+        q, alpha = s.joints, self._track_alpha
+        for k, target in enumerate(targets):
+            q = joints[k] = q + alpha * (target - q)
+        feet = self._fk_feet(joints)
+        before = np.concatenate((s.feet_body[None], feet[:-1]))
+        move = feet - before
+        substeps = (before - self.com_offset_body)[:, None] + self._substep_fracs * move[:, None]
+        return joints, feet, move / sim.dt, substeps
 
     def mechanical_energy(self) -> float:
         s = self.state
@@ -369,7 +398,9 @@ class SlopedTerrainEnv:
 
         action is one LegAction per leg, in LEG_ORDER. It is latched only on
         half-cycle boundary steps (including the first step), keeping the
-        foot references continuous.
+        foot references continuous. The latch step plans the legs'
+        kinematics for the whole half cycle, so a foot target that IK
+        cannot reach raises Unreachable there.
         The returned observation array is reused until its inputs change,
         so callers must not modify it in place.
         """
@@ -377,21 +408,11 @@ class SlopedTerrainEnv:
             raise NotReset("environment must be reset before stepping")
         s = self.state
         sim = self.sim
-        if s.step_index % self.steps_per_half == 0:
+        row = s.step_index % self.steps_per_half
+        if row == 0:
             self.latched = tuple(action)
-
-        # Joint tracking runs on Python floats, which round as the array
-        # form's elementwise operations do.
-        alpha = self._track_alpha
-        joints = []
-        for (a, b, c), (ta, tb, tc) in zip(
-            s.joints.tolist(), self._joint_targets((s.step_index + 1) * sim.dt)
-        ):
-            joints.append((a + alpha * (ta - a), b + alpha * (tb - b), c + alpha * (tc - c)))
-        feet_new = np.array(self._feet_body(joints))
-        feet_old = s.feet_body
-        feet_move = feet_new - feet_old
-        feet_rate = feet_move / sim.dt
+            self._plan = self._plan_half_cycle()
+        joints, feet_new, feet_rate, feet_sub = (a[row] for a in self._plan)
 
         # The contact substeps run on Python floats. Every matrix product
         # stays a numpy product on the same operands, called through
@@ -425,8 +446,6 @@ class SlopedTerrainEnv:
         # the torso rotates well under a degree per control step.
         i_world = (rot * self.inertia_body).dot(rot.T)
         i_world_inv = np.linalg.inv(i_world)
-        # Feet minus com in the body frame at the end of each substep.
-        feet_sub = (feet_old - self.com_offset_body) + self._substep_fracs * feet_move
         rate_world = feet_rate.dot(rot.T).tolist()
         for feet_off in feet_sub:
             rel = feet_off.dot(rot.T)  # feet minus com, world
@@ -510,7 +529,7 @@ class SlopedTerrainEnv:
         s.com = com
         s.omega = omega
         s.rot = orthonormalize(rot)
-        s.joints = np.array(joints)
+        s.joints = joints
         s.feet_body = feet_new
         s.step_index += 1
 

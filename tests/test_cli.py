@@ -339,6 +339,7 @@ class TestRollout:
         ["--push-at", "-0.1"], ["--push-dur", "-0.2"], ["--push-dur", "0"],
         ["--push-at", "0.3"], ["--push-dur", "0.001"],
         ["--push-at", "0.1", "--push-dur", "0.001"], ["--push-at", "inf"],
+        ["--push-at", "-inf"],
     ])
     def test_malformed_push_window_usage_error(self, tmp_path, window):
         # The 40-step episode ends at 0.2 s; a window that rounds to no
@@ -355,6 +356,11 @@ class TestRollout:
         ("rollout", ["--incline", "95"]),
         ("rollout", ["--incline", "-90"]),
         ("eval", ["--incline", "90"]),
+        ("rollout", ["--friction", "inf"]),
+        ("rollout", ["--orientation", "nan"]),
+        ("rollout", ["--push", "nan", "--push-at", "0.05"]),
+        ("eval", ["--orientation", "nan"]),
+        ("eval", ["--incline", "5", "--orientation", "inf"]),
     ])
     def test_impossible_terrain_usage_error(self, tmp_path, command, terrain):
         out = str(tmp_path / "out")

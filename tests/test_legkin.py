@@ -154,6 +154,17 @@ class TestWorkspace:
             assert in_workspace(p, geometry) == in_workspace(p, reversed_geo)
         assert not in_workspace(FootPosition(0.3, 0.0, -0.2), reversed_geo)
 
+    def test_point_inside_offset_cylinder_is_outside(self):
+        # The polygon reaches up to the hip, so it holds the planar point
+        # (0.1, 0) that the split would give; no abduction angle reaches
+        # the target all the same.
+        g = LegGeometry(abduction_offset=0.02,
+                        workspace_polygon=((0.03, 0.01), (0.2, 0.01), (0.2, -0.2), (0.03, -0.2)))
+        p = FootPosition(0.1, 0.005, -0.005)
+        assert in_workspace(FootPosition(0.1, 0.02, 0.0), g)
+        assert not in_workspace(p, g)
+        assert not in_workspace(FootPosition(*(np.array([c, c]) for c in p)), g).any()
+
     def test_clamp_projects_outside_points(self, geometry):
         p = clamp_to_workspace(FootPosition(0.3, 0.0, -0.2), geometry)
         assert in_workspace(FootPosition(p.x, p.y, p.z - 1e-12), geometry) or in_workspace(p, geometry)

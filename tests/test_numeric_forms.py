@@ -136,3 +136,34 @@ def test_math_functions_equal_numpy(name):
         return (getattr(math, name)(x),), (float(getattr(np, name)(x)),)
 
     _assert_forms_agree(f"math.{name}", forms)
+
+
+PLAN_RELIES = (
+    "np.{name} on a {shape} array differs from math.{name} elementwise: "
+    "SlopedTerrainEnv plans each half cycle's foot targets, IK and FK with "
+    "numpy's array form and relies on it giving math's bits. On this numpy "
+    "the plan no longer reproduces the goldens, so it must call math per "
+    "element instead."
+)
+
+
+@pytest.mark.parametrize("shape", [(40,), (1,), (40, 4), (1, 4), (40, 5, 4, 3)])
+@pytest.mark.parametrize("name", ["sin", "cos", "sqrt", "fmod"])
+def test_array_math_equals_math_elementwise(name, shape):
+    # The plan's shapes: the step times, steps by legs, the reset's single
+    # row, and the substep offsets. fmod takes the phase's form,
+    # t / period + offset. Compared as bit patterns, so -0.0 is not 0.0.
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        if name == "sqrt":
+            x = rng.uniform(0.0, 4.0, size=shape)
+            fast, reference = np.sqrt(x), [math.sqrt(v) for v in x.ravel().tolist()]
+        elif name == "fmod":
+            x = rng.uniform(0.0, 1000.0, size=shape) / 0.4 + 0.5
+            fast, reference = np.fmod(x, 1.0), [math.fmod(v, 1.0) for v in x.ravel().tolist()]
+        else:
+            x = rng.uniform(-10.0, 10.0, size=shape)
+            fast = getattr(np, name)(x)
+            reference = [getattr(math, name)(v) for v in x.ravel().tolist()]
+        assert fast.ravel().view(np.int64).tolist() == np.array(reference).view(np.int64).tolist(), (
+            PLAN_RELIES.format(name=name, shape=shape))

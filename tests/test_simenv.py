@@ -198,9 +198,30 @@ class TestParamValidation:
         with pytest.raises(ConfigError):
             RandomizationConfig(**kwargs)
 
+    @pytest.mark.parametrize("args", [
+        (90.0, 0.0), (-90.0, 0.0), (NAN, 0.0), (math.inf, 0.0),
+        (5.0, NAN), (5.0, -math.inf), (5.0, 0.0, -0.1), (5.0, 0.0, NAN), (5.0, 0.0, math.inf),
+    ])
+    def test_terrain_rejected(self, args):
+        from slopetrot.simenv import ConfigError
+
+        with pytest.raises(ConfigError):
+            TerrainPlane(*args)
+
+    @pytest.mark.parametrize("args", [
+        (-1, 5, 80.0), (5, 5, 80.0), (6, 5, 80.0), (0, 5, NAN), (0, 5, math.inf),
+    ])
+    def test_push_rejected(self, args):
+        from slopetrot.simenv import ConfigError
+
+        with pytest.raises(ConfigError):
+            PushEvent(*args)
+
     def test_boundary_values_accepted(self):
         SimParams(contact_kp=0.0, contact_kd=0.0, tangential_damping=0.0, gravity=0.0,
                   fall_height_frac=0.0, estimator_smoothing=1.0)
+        TerrainPlane(89.9, -720.0, 0.0)
+        PushEvent(0, 1, -80.0)
         RandomizationConfig(added_mass_range=(0.0, 0.0), push_force_range=(0.0, 0.0),
                             friction_range=(0.0, 0.0), motor_torque_range=(5.0, 5.0),
                             push_duration_steps=1)
