@@ -188,7 +188,8 @@ def main(argv=None) -> int:
                 {"seed": seed, "parent": p["digest"][0], "change": c["digest"][0],
                  "readme": readme.get((workload, seed)),
                  "change_equals_parent": p["digest"][0] == c["digest"][0],
-                 "change_equals_readme": c["digest"][0] == readme.get((workload, seed))}
+                 "change_equals_readme": (None if (workload, seed) not in readme
+                                          else c["digest"][0] == readme[(workload, seed)])}
                 for seed, p, c in zip(seeds, runs["parent"], runs["change"])]
             if args.trace_seed is not None:
                 traced = {s: run_once(trees[s], workload, args.trace_seed, args.seconds, True)
