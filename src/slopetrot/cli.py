@@ -217,12 +217,13 @@ def cmd_eval(args) -> int:
 
 def _push_window(args, cfg):
     """The push's control steps [start, stop): a usage error unless the
-    rounded window is non-empty and starts before the episode ends."""
+    push starts at or after 0 s and the rounded window is non-empty and
+    starts before the episode ends."""
     episode_len = cfg.train.episode_len
     at = args.push_at / cfg.sim.dt
     end = (args.push_at + args.push_dur) / cfg.sim.dt
     # Compared as floats first, so round() never meets an infinity.
-    if -math.inf < at < episode_len and end < math.inf:
+    if 0.0 <= at < episode_len and end < math.inf:
         start, stop = round(at), round(end)
         if start < stop and start < episode_len:
             return start, stop

@@ -339,7 +339,7 @@ class TestRollout:
         ["--push-at", "-0.1"], ["--push-dur", "-0.2"], ["--push-dur", "0"],
         ["--push-at", "0.3"], ["--push-dur", "0.001"],
         ["--push-at", "0.1", "--push-dur", "0.001"], ["--push-at", "inf"],
-        ["--push-at", "-inf"],
+        ["--push-at", "-inf"], ["--push-at", "-0.002"],
     ])
     def test_malformed_push_window_usage_error(self, tmp_path, window):
         # The 40-step episode ends at 0.2 s; a window that rounds to no

@@ -1,20 +1,19 @@
 """Compare two revisions on the benchmark in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pr N [--pairs 10]
-        [--workloads train_desk,eval_grid,rollout_log] [--seeds 1,2,...]
-        [--seconds 20] [--claim WORKLOAD:METRIC] [--trace-seed S]
-        [--note TEXT] [--seeds-note TEXT]
+    python3 tools/bench_pairs.py PARENT CHANGE --pr N
+        [--claim WORKLOAD:METRIC] [--trace-seed S] [--note TEXT] [--seeds-note TEXT]
 
 Run from the repository root. Each revision is exported with `git archive`
 into its own temporary directory, so both run the same way from committed
-files. Per workload, pair i runs `perfbench/run.py --workload W --seed
-SEEDS[i] --seconds S --trace 0` once in each tree, the parent first in even
-pairs and the change first in odd ones. With --trace-seed, each tree also
-runs one traced round per workload at that seed for the per-layer metrics.
+files. For each of the three workloads, pair i (seed i, i = 1..10) runs
+`perfbench/run.py --workload W --seed i --seconds 20 --trace 0` once in
+each tree, the parent first in odd pairs and the change first in even
+ones. With --trace-seed, each tree also runs one traced round per workload
+at that seed for the per-layer metrics.
 
 Prints each side's median, quartiles and the change's win count per
 end-to-end metric, and writes BENCH_<N>.json in the schema of
-BENCH_12.json. A claim is met when the change wins at least 90 % of the
+BENCH_12.json. A claim is met when the change wins at least 9 of the 10
 pairs and the medians differ, in the better direction, by more than the
 parent's interquartile range.
 """
@@ -39,12 +38,15 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train_desk", "eval_grid", "rollout_log")
+SECONDS = 20
+SEEDS = tuple(range(1, 11))  # one pair per seed
+MIN_WINS = 9
 DIGEST = re.compile(r"^digest ([0-9a-f]{64}) \((.*)\)$")
 README_DIGEST = re.compile(r"^\| (\w+) \| (\d+) \| ([0-9a-f]{64}) \|$")
-COMMAND = ("python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0,"
+COMMAND = (f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS} --trace 0,"
            " parent and change alternating, order swapped every pair")
-RULE = ("met when the change wins at least 9 of 10 pairs and the medians differ by more"
-        " than the parent's interquartile range")
+RULE = (f"met when the change wins at least {MIN_WINS} of {len(SEEDS)} pairs and the medians"
+        " differ by more than the parent's interquartile range")
 
 
 def _git(*args) -> bytes:
@@ -59,11 +61,11 @@ def export(rev: str, dest: Path) -> str:
     return short
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int, trace: bool) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: bool) -> dict:
     """One benchmark run in tree: its JSON result plus the digest line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(int(trace))],
+         "--seconds", str(SECONDS), "--trace", str(int(trace))],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -101,7 +103,7 @@ def compare(parent_runs, change_runs, better: str, bound: float) -> dict:
 
 
 def claim_entry(metric_cmp: dict, workload: str, metric: str, sides: dict, note: str) -> dict:
-    wins, n = map(int, metric_cmp["change_wins"].split("/"))
+    wins = int(metric_cmp["change_wins"].split("/")[0])
     sign = 1.0 if metric_cmp["better"] == "higher" else -1.0
     return {
         "metric": f"{metric} on {workload}",
@@ -112,7 +114,7 @@ def claim_entry(metric_cmp: dict, workload: str, metric: str, sides: dict, note:
         "change_wins": metric_cmp["change_wins"],
         "median_diff": metric_cmp["median_diff"],
         "parent_iqr": metric_cmp["parent_iqr"],
-        "met": wins >= math.ceil(0.9 * n) and sign * metric_cmp["median_diff"] > metric_cmp["parent_iqr"],
+        "met": wins >= MIN_WINS and sign * metric_cmp["median_diff"] > metric_cmp["parent_iqr"],
         "rule": RULE,
         "seeds_note": note,
     }
@@ -123,20 +125,11 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seeds", help="comma-separated seed per pair (default 1..pairs)")
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--trace-seed", type=int, help="seed of one traced run per side")
     parser.add_argument("--note", default="", help="machine note recorded in the output")
     parser.add_argument("--seeds-note", default="", help="which seeds the change was written on")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else list(range(1, args.pairs + 1)))
-    if len(seeds) != args.pairs or not set(workloads) <= set(WORKLOADS):
-        parser.error("need one seed per pair and known workload names")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -151,20 +144,20 @@ def main(argv=None) -> int:
             "machine": {"cpus": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": np.__version__,
                         "note": args.note},
-            "command": COMMAND.format(seconds=args.seconds),
+            "command": COMMAND,
             "workloads": {},
             "per_layer_traced": {},
             "results_checksum": {"digests": {}},
         }
-        for workload in workloads:
+        for workload in WORKLOADS:
             runs = {"parent": [], "change": []}
             first = []
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(SEEDS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 first.append(order[0])
                 for side in order:
-                    runs[side].append(run_once(trees[side], workload, seed, args.seconds, False))
-                print(f"{workload} pair {i + 1}/{len(seeds)} seed {seed}: " + ", ".join(
+                    runs[side].append(run_once(trees[side], workload, seed, False))
+                print(f"{workload} pair {i + 1}/{len(SEEDS)} seed {seed}: " + ", ".join(
                     f"{side} {runs[side][-1]['metrics']['env_steps_per_s']['value']:.0f}"
                     for side in ("parent", "change")) + " steps/s", flush=True)
             metrics = {}
@@ -175,7 +168,7 @@ def main(argv=None) -> int:
                     [r["metrics"][name]["value"] for r in runs["change"]],
                     m["better"], m["bound"])
             out["workloads"][workload] = {
-                "seeds": seeds,
+                "seeds": list(SEEDS),
                 "first_side": first,
                 "metrics": metrics,
                 "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
@@ -190,9 +183,9 @@ def main(argv=None) -> int:
                  "change_equals_parent": p["digest"][0] == c["digest"][0],
                  "change_equals_readme": (None if (workload, seed) not in readme
                                           else c["digest"][0] == readme[(workload, seed)])}
-                for seed, p, c in zip(seeds, runs["parent"], runs["change"])]
+                for seed, p, c in zip(SEEDS, runs["parent"], runs["change"])]
             if args.trace_seed is not None:
-                traced = {s: run_once(trees[s], workload, args.trace_seed, args.seconds, True)
+                traced = {s: run_once(trees[s], workload, args.trace_seed, True)
                           for s in ("parent", "change")}
                 out["per_layer_traced"][workload] = {
                     "seed": args.trace_seed,
