@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     p_roll.add_argument("--policy", help="policy file (default: freshly fitted guided init)")
     p_roll.add_argument("--incline", "--inclination", dest="incline", type=float, default=0.0)
     p_roll.add_argument("--orientation", type=float, default=0.0)
-    p_roll.add_argument("--friction", type=float, default=0.65)
+    p_roll.add_argument("--friction", type=float, default=TerrainPlane.friction)
     p_roll.add_argument("--push", type=float, help="lateral push force (N, signed)")
     p_roll.add_argument("--push-at", type=float, default=0.7, help="push start time (s)")
     p_roll.add_argument("--push-dur", type=float, default=0.2, help="push duration (s)")
@@ -217,18 +217,18 @@ def cmd_eval(args) -> int:
 
 def _push_window(args, cfg):
     """The push's control steps [start, stop): a usage error unless the
-    push starts at or after 0 s and the rounded window is non-empty and
-    starts before the episode ends."""
+    push starts at or after 0 s and the rounded window is finite and
+    starts before the episode ends. PushEvent rejects an empty window."""
     episode_len = cfg.train.episode_len
     at = args.push_at / cfg.sim.dt
     end = (args.push_at + args.push_dur) / cfg.sim.dt
     # Compared as floats first, so round() never meets an infinity.
     if 0.0 <= at < episode_len and end < math.inf:
-        start, stop = round(at), round(end)
-        if start < stop and start < episode_len:
-            return start, stop
+        start = round(at)
+        if start < episode_len:
+            return start, round(end)
     _usage_error(f"--push-at {args.push_at} s and --push-dur {args.push_dur} s must round to"
-                 f" a finite, non-empty step window that starts before step {episode_len}")
+                 f" a finite step window that starts before step {episode_len}")
 
 
 def cmd_rollout(args) -> int:

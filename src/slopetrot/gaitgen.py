@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import legkin
 from .bounds import bounded, check_bounds
 from .elementwise import ops
@@ -104,16 +102,5 @@ def foot_target(tau, action: LegAction, params: GaitParams) -> legkin.FootPositi
 def checked_foot_target(tau, action: LegAction, params: GaitParams,
                         geometry: legkin.LegGeometry) -> legkin.FootPosition:
     """Foot target kept inside the leg workspace: a target outside it is
-    projected back onto the polygon. Of an array of targets, the few
-    outside go through the projection one point at a time."""
-    p = foot_target(tau, action, params)
-    inside = legkin.in_workspace(p, geometry)
-    if not isinstance(inside, np.ndarray):
-        return p if inside else legkin.clamp_to_workspace(p, geometry)
-    if inside.all():
-        return p
-    x, y, z = (c.copy() for c in np.broadcast_arrays(*p))
-    for i in zip(*np.nonzero(~inside)):
-        x[i], y[i], z[i] = legkin.clamp_to_workspace(
-            legkin.FootPosition(x.item(i), y.item(i), z.item(i)), geometry)
-    return legkin.FootPosition(x, y, z)
+    projected back onto the polygon."""
+    return legkin.clamp_to_workspace(foot_target(tau, action, params), geometry)

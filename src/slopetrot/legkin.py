@@ -242,8 +242,11 @@ def in_workspace(p: FootPosition, geometry: LegGeometry):
     return ops(rr).where(rr < -1e-15, False, inside)
 
 
-def _closest_point_on_polygon(px: float, pz: float, poly):
-    best = None
+def _closest_point_on_polygon(px, pz, poly):
+    """The point of the polygon's boundary nearest (px, pz), floats or
+    arrays elementwise; the first nearest edge wins a tie."""
+    m = ops(pz)
+    best_x = best_z = math.nan
     best_d2 = math.inf
     n = len(poly)
     for i in range(n):
@@ -252,34 +255,43 @@ def _closest_point_on_polygon(px: float, pz: float, poly):
         ex, ez = bx - ax, bz - az
         denom = ex * ex + ez * ez
         t = 0.0 if denom == 0.0 else ((px - ax) * ex + (pz - az) * ez) / denom
-        t = min(1.0, max(0.0, t))
+        # The comparisons of min(1.0, max(0.0, t)): _clip's would keep a
+        # -0.0 or NaN t.
+        t = m.where(t > 0.0, t, 0.0)
+        t = m.where(t < 1.0, t, 1.0)
         cx, cz = ax + t * ex, az + t * ez
         d2 = (px - cx) ** 2 + (pz - cz) ** 2
-        if d2 < best_d2:
-            best_d2 = d2
-            best = (cx, cz)
-    return best
+        closer = d2 < best_d2
+        best_x = m.where(closer, cx, best_x)
+        best_z = m.where(closer, cz, best_z)
+        best_d2 = m.where(closer, d2, best_d2)
+    return best_x, best_z
 
 
 def clamp_to_workspace(p: FootPosition, geometry: LegGeometry) -> FootPosition:
-    """Project an out-of-workspace point, of float coordinates, onto the
-    polygon boundary.
+    """p where in_workspace(p) holds, else its projection onto the polygon
+    boundary; elementwise for a foot position of arrays, and p itself when
+    every point is inside.
 
-    The abduction angle of the original point is preserved; only the planar
-    coordinates move. Points already inside are returned unchanged.
+    The projection keeps the abduction angle of the original point and
+    moves only the planar coordinates. A point laterally inside the offset
+    cylinder falls back to a straight-down posture at the same depth.
     """
+    inside = in_workspace(p, geometry)
+    m = ops(inside)
+    if m.all(inside):
+        return p
     d = geometry.abduction_offset
-    rr = _offset_radius2(p, geometry)
-    if rr < 0.0:
-        # Laterally inside the offset cylinder: fall back to a straight-down
-        # posture at the same depth before projecting.
-        abd, px, pz = 0.0, p.x, -abs(p.z)
-    else:
-        abd, px, pz = _abduction_split(p, geometry)
-    if _point_in_polygon(px, pz, geometry._edges):
-        if rr >= 0.0:
-            return p
-    else:
-        px, pz = _closest_point_on_polygon(px, pz, geometry._vertices)
-    ca, sa = math.cos(abd), math.sin(abd)
-    return FootPosition(px, d * ca - pz * sa, d * sa + pz * ca)
+    cylinder = _offset_radius2(p, geometry) < 0.0
+    # A cylinder point is split as the stand-in (x, d, 0), which lies on
+    # the cylinder, so the split never raises.
+    abd, px, pz = _abduction_split(
+        FootPosition(p.x, m.where(cylinder, d, p.y), m.where(cylinder, 0.0, p.z)), geometry)
+    abd = m.where(cylinder, 0.0, abd)
+    pz = m.where(cylinder, -abs(p.z), pz)
+    planar_inside = _point_in_polygon(px, pz, geometry._edges)
+    cx, cz = _closest_point_on_polygon(px, pz, geometry._vertices)
+    px, pz = m.where(planar_inside, px, cx), m.where(planar_inside, pz, cz)
+    ca, sa = m.cos(abd), m.sin(abd)
+    projected = (px, d * ca - pz * sa, d * sa + pz * ca)
+    return FootPosition(*(m.where(inside, a, b) for a, b in zip(p, projected)))

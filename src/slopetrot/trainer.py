@@ -224,10 +224,6 @@ def rollout_stats(
     return total, float(env.state.com[0]) - x0, env.state.step_index
 
 
-def _rollout_task(args):
-    return rollout_return(*args)
-
-
 class RolloutPool:
     """Maps rollout tasks over a worker pool, preserving submission order.
 
@@ -243,8 +239,8 @@ class RolloutPool:
 
     def map(self, tasks):
         if self._executor is None:
-            return [_rollout_task(t) for t in tasks]
-        return list(self._executor.map(_rollout_task, tasks, chunksize=1))
+            return [rollout_return(*t) for t in tasks]
+        return list(self._executor.map(rollout_return, *zip(*tasks), chunksize=1))
 
     def close(self):
         if self._executor is not None:
@@ -304,7 +300,7 @@ def run_iteration(
 # evaluation
 
 
-def make_eval_grid(combos, master_seed: int, friction: float = 0.65):
+def make_eval_grid(combos, master_seed: int, friction: float = TerrainPlane.friction):
     """Fixed, seed-pinned evaluation episodes spanning the given combos."""
     grid = []
     for idx, (inc, ori) in enumerate(combos):
@@ -432,7 +428,7 @@ class TrainParams:
     guided_step_len: float = bounded(0.068)
     guided_yaw_gain: float = bounded(STRUT_YAW_GAIN)
     demo_seeds_per_combo: int = bounded(1, 1)
-    eval_friction: float = bounded(0.65, 0.0)
+    eval_friction: float = bounded(TerrainPlane.friction, 0.0)
 
     def __post_init__(self):
         check_bounds(self)
@@ -464,7 +460,7 @@ def generate_strut_demos(
     for idx, (inc, ori) in enumerate(combos):
         for rep in range(params.demo_seeds_per_combo):
             seed = derive_seed(master_seed, _DEMO_STREAM, idx, rep)
-            terrain = TerrainPlane(inclination_deg=inc, yaw_deg=ori, friction=0.65)
+            terrain = TerrainPlane(inclination_deg=inc, yaw_deg=ori)
             for _ in env.run(env.reset(terrain=terrain, rand=rand, seed=seed), scripted):
                 pass
     return demos

@@ -1,0 +1,46 @@
+"""The pair comparison's verdict fields on synthetic runs: a metric whose
+parent runs spread wider than the bound is unresolved unless every change
+run reads better than every parent run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+NARROW = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
+WIDE = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_narrow_spread_is_resolved(better):
+    change = [v + 2.0 for v in NARROW] if better == "lower" else [v - 2.0 for v in NARROW]
+    got = bench_pairs.compare(NARROW, change, better, 0.25)
+    assert got["parent_spread_rel"] < 0.25
+    assert not got["change_better_every_run"]
+    assert not got["unresolved"]
+    assert got["within_bound"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_wide_spread_is_unresolved(better):
+    change = list(reversed(WIDE))
+    got = bench_pairs.compare(WIDE, change, better, 0.25)
+    assert got["parent_spread_rel"] == pytest.approx(0.35)
+    assert got["within_bound"]
+    assert not got["change_better_every_run"]
+    assert got["unresolved"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_wide_spread_with_every_change_run_better_is_resolved(better):
+    factor = 2.5 if better == "higher" else 0.4
+    change = [v * factor for v in WIDE]
+    got = bench_pairs.compare(WIDE, change, better, 0.25)
+    assert got["parent_spread_rel"] > 0.25
+    assert got["change_better_every_run"]
+    assert not got["unresolved"]

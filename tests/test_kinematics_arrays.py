@@ -141,6 +141,31 @@ def test_inverse_kinematics_raises_on_any_unreachable_position(geometry):
                 legkin.inverse_kinematics(_arrays(batch), geometry)
 
 
+def test_clamp_to_workspace_elementwise(geometry):
+    rng = np.random.default_rng(9)
+    points = _points(geometry, 480, rng)
+    expected = [legkin.clamp_to_workspace(FootPosition(*p), geometry) for p in points]
+    for idx in _orders(len(points), rng):
+        got = legkin.clamp_to_workspace(_arrays([points[i] for i in idx]), geometry)
+        for axis in range(3):
+            assert bits(got[axis]) == bits([expected[i][axis] for i in idx])
+
+
+def test_clamp_to_workspace_keeps_inside_points(geometry):
+    # One rule decides "inside" for the test and the projection: a point
+    # in_workspace accepts comes back with its own bits, also just inside
+    # the offset cylinder's 1e-15 tolerance.
+    d = geometry.abduction_offset
+    points = _points(geometry, 240, np.random.default_rng(10))
+    points.append((0.1, math.nextafter(d, 0.0), 1e-12))
+    inside = [p for p in points if legkin.in_workspace(FootPosition(*p), geometry)]
+    assert len(inside) > 50
+    for p in inside:
+        assert bits(legkin.clamp_to_workspace(FootPosition(*p), geometry)) == bits(p)
+    got = legkin.clamp_to_workspace(_arrays(inside), geometry)
+    assert [bits(c) for c in got] == [bits(c) for c in zip(*inside)]
+
+
 def test_forward_kinematics_elementwise(geometry):
     rng = np.random.default_rng(4)
     joints = rng.uniform(-2.0, 3.0, size=(480, 3))
@@ -230,5 +255,6 @@ def test_float_calls_return_python_floats(geometry):
     q = legkin.inverse_kinematics(FootPosition(0.02, 0.01, -0.24), geometry)
     values += q
     values += legkin.forward_kinematics(q, geometry)
+    values += legkin.clamp_to_workspace(FootPosition(0.0, 0.0, -0.4), geometry)
     assert all(type(v) is float for v in values)
     assert type(legkin.in_workspace(FootPosition(0.0, 0.0, -0.24), geometry)) is bool

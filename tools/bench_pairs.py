@@ -15,7 +15,12 @@ Prints each side's median, quartiles and the change's win count per
 end-to-end metric, and writes BENCH_<N>.json in the schema of
 BENCH_12.json. A claim is met when the change wins at least 9 of the 10
 pairs and the medians differ, in the better direction, by more than the
-parent's interquartile range.
+parent's interquartile range. A metric is marked OUTSIDE BOUND when the
+change's median is worse than the parent's by more than the bound
+BENCHMARK.json sets, and UNRESOLVED when the parent's interquartile range
+exceeds that bound (relative to its median) and not every change run reads
+better than every parent run: such a spread cannot show the change is no
+worse.
 """
 
 from __future__ import annotations
@@ -87,6 +92,9 @@ def compare(parent_runs, change_runs, better: str, bound: float) -> dict:
     parent, change = summary(parent_runs), summary(change_runs)
     diff = change["median"] - parent["median"]
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
+    iqr = parent["q3"] - parent["q1"]
+    spread = iqr / abs(parent["median"]) if parent["median"] else math.nan
+    better_every_run = all(sign * (c - p) > 0 for p in parent_runs for c in change_runs)
     return {
         "better": better,
         "bound": bound,
@@ -97,8 +105,11 @@ def compare(parent_runs, change_runs, better: str, bound: float) -> dict:
         "change_wins": f"{wins}/{len(parent_runs)}",
         "median_change_rel": diff / parent["median"] if parent["median"] else math.nan,
         "median_diff": diff,
-        "parent_iqr": parent["q3"] - parent["q1"],
+        "parent_iqr": iqr,
         "within_bound": sign * diff >= -bound * abs(parent["median"]),
+        "parent_spread_rel": spread,
+        "change_better_every_run": better_every_run,
+        "unresolved": spread > bound and not better_every_run,
     }
 
 
@@ -198,7 +209,8 @@ def main(argv=None) -> int:
                 print(f"  {name:16s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                       f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
                       f"  change wins {cmp_['change_wins']}  {100 * cmp_['median_change_rel']:+.1f} %"
-                      f"{'' if cmp_['within_bound'] else '  OUTSIDE BOUND'}")
+                      f"{'' if cmp_['within_bound'] else '  OUTSIDE BOUND'}"
+                      f"{'  UNRESOLVED' if cmp_['unresolved'] else ''}")
         if args.claim:
             workload, metric = args.claim.split(":")
             out["claim"] = claim_entry(out["workloads"][workload]["metrics"][metric],
