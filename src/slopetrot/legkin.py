@@ -174,8 +174,9 @@ def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
     A foot position of arrays gives a triple of arrays.
 
     Raises Unreachable when the target, or any target of an array, is
-    outside the annulus of the planar pair. A clamped joint leaves a
-    tracking error, which is how the simulator treats saturated joints.
+    outside the annulus of the planar pair; a NaN target is outside. A
+    clamped joint leaves a tracking error, which is how the simulator
+    treats saturated joints.
     """
     abd, px, pz = _abduction_split(p, geometry)
     m = ops(pz)
@@ -184,7 +185,8 @@ def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
     r2 = px * px + pz * pz
     lo = (l1 - l2) * (l1 - l2)
     hi = (l1 + l2) * (l1 + l2)
-    outside = (r2 > hi + 1e-12) | (r2 < lo - 1e-12)
+    # Written as "not (within bounds)" so NaN is outside too.
+    outside = m.where((r2 <= hi + 1e-12) & (r2 >= lo - 1e-12), False, True)
     if m.any(outside):
         radius = math.sqrt(np.extract(outside, r2)[0])
         raise Unreachable(f"planar target radius {radius:.4f} m outside leg annulus")
@@ -222,13 +224,14 @@ def _oriented_edges(poly) -> tuple:
 
 def _point_in_polygon(px, pz, edges, tol: float = 1e-12):
     """Convex polygon membership, boundary inclusive, for the polygon's
-    _oriented_edges: a bool, or a bool array for arrays of points.
-    Negating an edge negates each product and the difference exactly, so
-    the test gives the bits of orient * cross."""
+    _oriented_edges: a bool, or a bool array for arrays of points; a NaN
+    point is outside. Negating an edge negates each product and the
+    difference exactly, so the test gives the bits of orient * cross."""
     m = ops(pz)
     inside = True
     for x1, z1, ex, ez in edges:
-        inside = m.where(ex * (pz - z1) - ez * (px - x1) < -tol, False, inside)
+        # "Not (within bounds)", so a NaN cross product is outside.
+        inside = m.where(ex * (pz - z1) - ez * (px - x1) >= -tol, inside, False)
     return inside
 
 
@@ -236,7 +239,8 @@ def in_workspace(p: FootPosition, geometry: LegGeometry):
     """True when the planar projection of p (after the abduction split)
     lies inside the safety polygon, boundary inclusive; a bool array for a
     foot position of arrays. A point inside the offset cylinder is
-    outside. The test needs only the planar coordinates, not the angle."""
+    outside, and so is a NaN point. The test needs only the planar
+    coordinates, not the angle."""
     rr = _offset_radius2(p, geometry)
     inside = _point_in_polygon(p.x, _planar_z(rr), geometry._edges)
     return ops(rr).where(rr < -1e-15, False, inside)

@@ -26,6 +26,7 @@ from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import orthonormalize, rot_z, yaw_of
 from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
+from .substeps import run_substeps
 
 
 class NotReset(RuntimeError):
@@ -229,6 +230,12 @@ class SlopedTerrainEnv:
 
         self._hips = np.asarray(self.geometry.hip_positions_body, dtype=float)
         self._track_alpha = 1.0 - math.exp(-self.sim.dt / self.sim.track_time_const)
+        # The substep kernel's step buffer (see substeps.c): the state in
+        # and out, then the world inertia and its inverse.
+        kernel_buf = np.zeros(36)
+        self._kernel_state = kernel_buf[:18]
+        self._i_world, self._i_world_inv = kernel_buf[18:].reshape(2, 3, 3)
+        self._kernel_address = kernel_buf.ctypes.data
         self._substep_fracs = np.array(
             [(j + 1) / self.sim.substeps for j in range(self.sim.substeps)]
         )[:, None, None]
@@ -291,6 +298,16 @@ class SlopedTerrainEnv:
         self.plane_normal = n
         self._normal = tuple(n.tolist())
         self.plane_roll, self.plane_pitch = angles_from_normal(n)
+        # The episode's constants, in the order the substep kernel reads
+        # them (see substeps.c).
+        sim = self.sim
+        h = sim.dt / sim.substeps
+        self._episode = np.array((
+            *self._normal, self.terrain.friction, sim.contact_kp, sim.contact_kd,
+            self.foot_force_cap, -sim.tangential_damping,
+            *(self.mass * g for g in (0.0, 0.0, -sim.gravity)), h, h / self.mass,
+        ))
+        self._episode_address = self._episode.ctypes.data
         bx = np.array([1.0, 0.0, 0.0]) - n[0] * n
         bx = bx / np.linalg.norm(bx)
         rot = np.column_stack((bx, np.cross(n, bx), n))
@@ -360,9 +377,11 @@ class SlopedTerrainEnv:
     def _plan_half_cycle(self) -> tuple:
         """The kinematics of every control step from this one to the end of
         its half cycle (or of the episode), which the latched actions fix:
-        joints and body-frame feet after the step, the feet's rate, and the
-        feet minus com at the end of each contact substep. Row k belongs to
-        the step k steps after this one.
+        joints and body-frame feet after the step, and the feet's motion
+        that the substep kernel reads, one C-ordered (substeps + 1, 4, 3)
+        block per step: the feet's rate, then the feet minus com at the end
+        of each contact substep. Row k belongs to the step k steps after
+        this one.
 
         Each element is computed as the step would compute it alone, so the
         rows hold the same bits."""
@@ -379,7 +398,31 @@ class SlopedTerrainEnv:
         before = np.concatenate((s.feet_body[None], feet[:-1]))
         move = feet - before
         substeps = (before - self.com_offset_body)[:, None] + self._substep_fracs * move[:, None]
-        return joints, feet, move / sim.dt, substeps
+        return joints, feet, np.concatenate(((move / sim.dt)[:, None], substeps), axis=1)
+
+    def _integrate(self, motion: int, push_y: float) -> np.ndarray:
+        """Advance com, vel and omega through the contact substeps of one
+        control step, as fresh arrays, and return the rotation they end on,
+        not yet re-orthonormalized. motion is the address of the step's
+        block of feet motion (see _plan_half_cycle), push_y the lateral
+        push force.
+
+        The substeps run in substeps.c, which keeps the bits of numpy's
+        products and Python's float arithmetic: it calls the cblas routine
+        ndarray.dot calls, with its arguments, and compiles its scalar code
+        without FMA contraction in Python's operand order."""
+        s = self.state
+        rot = s.rot
+        np.concatenate((s.com, s.vel, s.omega, rot), axis=None, out=self._kernel_state)
+        # Inertia in world coordinates is hoisted out of the substep loop:
+        # the torso rotates well under a degree per control step.
+        np.dot(rot * self.inertia_body, rot.T, out=self._i_world)
+        self._i_world_inv[...] = np.linalg.inv(self._i_world)
+        run_substeps(self._episode_address, self._kernel_address, motion, self.sim.substeps,
+                     push_y)
+        out = self._kernel_state.copy()
+        s.com, s.vel, s.omega = out[:3], out[3:6], out[6:9]
+        return out[9:].reshape(3, 3)
 
     def mechanical_energy(self) -> float:
         s = self.state
@@ -412,125 +455,17 @@ class SlopedTerrainEnv:
         if row == 0:
             self.latched = tuple(action)
             self._plan = self._plan_half_cycle()
-        joints, feet_new, feet_rate, feet_sub = (a[row] for a in self._plan)
+            self._motion_address = self._plan[2].ctypes.data
+        joints, feet_new, motion = self._plan
 
-        # The contact substeps run on Python floats. Every matrix product
-        # stays a numpy product on the same operands, called through
-        # ndarray.dot, which runs the same BLAS kernel as @ at less cost:
-        # BLAS rounds differently from a scalar sum. The elementwise terms
-        # give the same bits as in array form, and so do the sums over
-        # feet: numpy sums a few rows in order, starting from 0.0. The
-        # conditional expressions make the comparisons of np.clip,
-        # np.maximum and np.minimum. A foot above the plane adds exact
-        # zeros to the sums, so it is skipped.
-        n = self.plane_normal
-        nx, ny, nz = self._normal
-        mu = self.terrain.friction
-        kp, kd, cap = sim.contact_kp, sim.contact_kd, self.foot_force_cap
-        neg_damping = -sim.tangential_damping
-        gx, gy, gz = [self.mass * g for g in (0.0, 0.0, -sim.gravity)]
         push_y = 0.0
         if self.push is not None and self.push.start_step <= s.step_index < self.push.stop_step:
             push_y = self.push.force_y
-
-        h = sim.dt / sim.substeps
-        h_m = h / self.mass
-        rot = s.rot
-        com = s.com
-        omega = s.omega
-        cx, cy, cz = com.tolist()
-        com_x_before = cx
-        vx, vy, vz = s.vel.tolist()
-        wx, wy, wz = omega.tolist()
-        # Inertia in world coordinates is hoisted out of the substep loop:
-        # the torso rotates well under a degree per control step.
-        i_world = (rot * self.inertia_body).dot(rot.T)
-        i_world_inv = np.linalg.inv(i_world)
-        rate_world = feet_rate.dot(rot.T).tolist()
-        for feet_off in feet_sub:
-            rel = feet_off.dot(rot.T)  # feet minus com, world
-            com_n = float(com.dot(n))
-            # The feet below the plane, with their signed distances and
-            # world velocities. The velocities' normal parts are one
-            # matrix-vector product over those rows, since a row of it does
-            # not depend on the other rows. A single row is repeated: numpy
-            # would take it alone as a vector dot product, which rounds
-            # differently.
-            touching = []
-            v_feet = []
-            for (rx, ry, rz), (ux, uy, uz), rel_n in zip(
-                rel.tolist(), rate_world, rel.dot(n).tolist()
-            ):
-                sdist = rel_n + com_n
-                if sdist >= 0.0:
-                    continue
-                touching.append((rx, ry, rz, sdist))
-                v_feet.append((vx + (wy * rz - wz * ry) + ux,
-                               vy + (wz * rx - wx * rz) + uy,
-                               vz + (wx * ry - wy * rx) + uz))
-            fx = fy = fz = tx = ty = tz = 0.0
-            if len(v_feet) == 1:
-                v_feet.append(v_feet[0])
-            v_normal = np.array(v_feet).dot(n).tolist() if v_feet else ()
-            for (rx, ry, rz, sdist), (vfx, vfy, vfz), v_n in zip(touching, v_feet, v_normal):
-                normal_f = kp * -sdist + kd * -v_n
-                normal_f = 0.0 if 0.0 > normal_f else normal_f
-                normal_f = cap if cap < normal_f else normal_f
-                ftx = neg_damping * (vfx - v_n * nx)
-                fty = neg_damping * (vfy - v_n * ny)
-                ftz = neg_damping * (vfz - v_n * nz)
-                tan_mag = math.sqrt(0.0 + ftx * ftx + fty * fty + ftz * ftz)
-                limit = mu * normal_f
-                scale = limit / (1e-30 if 1e-30 > tan_mag else tan_mag)
-                scale = 1.0 if 1.0 < scale else scale
-                ffx = normal_f * nx + ftx * scale
-                ffy = normal_f * ny + fty * scale
-                ffz = normal_f * nz + ftz * scale
-                fx += ffx
-                fy += ffy
-                fz += ffz
-                tx += ry * ffz - rz * ffy
-                ty += rz * ffx - rx * ffz
-                tz += rx * ffy - ry * ffx
-
-            # The zero push terms stay: adding 0.0 turns -0.0 into 0.0, as
-            # the sum of the force, weight and push vectors does.
-            vx += h_m * (fx + gx + 0.0)
-            vy += h_m * (fy + gy + push_y)
-            vz += h_m * (fz + gz + 0.0)
-            cx, cy, cz = cx + h * vx, cy + h * vy, cz + h * vz
-            com = np.array((cx, cy, cz))
-            lx, ly, lz = i_world.dot(omega).tolist()
-            ax, ay, az = i_world_inv.dot(np.array((
-                tx - (wy * lz - wz * ly), ty - (wz * lx - wx * lz), tz - (wx * ly - wy * lx)
-            ))).tolist()
-            wx, wy, wz = wx + h * ax, wy + h * ay, wz + h * az
-            omega = np.array((wx, wy, wz))
-            # Rotation by the vector omega * h (Rodrigues), with the
-            # second-order small-angle expansion near zero so the
-            # integrator stays smooth through a still torso.
-            rx, ry, rz = wx * h, wy * h, wz * h
-            angle = math.sqrt(rx * rx + ry * ry + rz * rz)
-            if angle < 1e-12:
-                sinc, cosc = 1.0, 0.5
-            else:
-                sinc = math.sin(angle) / angle
-                cosc = (1.0 - math.cos(angle)) / (angle * angle)
-            kx, ky, kz = sinc * rx, sinc * ry, sinc * rz
-            xx, yy, zz = cosc * rx * rx, cosc * ry * ry, cosc * rz * rz
-            xy, xz, yz = cosc * rx * ry, cosc * rx * rz, cosc * ry * rz
-            rot = np.array((
-                (1.0 - yy - zz, xy - kz, xz + ky),
-                (xy + kz, 1.0 - xx - zz, yz - kx),
-                (xz - ky, yz + kx, 1.0 - xx - yy),
-            )).dot(rot)
-
-        s.vel = np.array((vx, vy, vz))
-        s.com = com
-        s.omega = omega
+        com_x_before = s.com.item(0)
+        rot = self._integrate(self._motion_address + row * motion.strides[0], push_y)
         s.rot = orthonormalize(rot)
-        s.joints = joints
-        s.feet_body = feet_new
+        s.joints = joints[row]
+        s.feet_body = feet_new[row]
         s.step_index += 1
 
         feet_w = self._update_contact_memory()
@@ -543,9 +478,10 @@ class SlopedTerrainEnv:
         if self._capture(feet_w) or exchange:
             self._obs = build_observation(self._theta_hist, self._estimator.estimate)
 
+        cx = s.com.item(0)
         dx = cx - com_x_before
         standing = self._standing.push(cx)
-        clearance = float(s.com.dot(n))  # torso height straight above the terrain
+        clearance = float(s.com.dot(self.plane_normal))  # torso height straight above the terrain
         height = self._height_above_feet(clearance)
         reward_val = compute_reward(
             RewardInputs(

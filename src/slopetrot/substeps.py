@@ -1,0 +1,99 @@
+"""The compiled contact substeps of one environment control step.
+
+substeps.c runs every substep of a control step in one call. Its matrix
+products call the cblas routines of the OpenBLAS that numpy has loaded,
+with ndarray.dot's arguments, and its scalar code rounds as Python's
+does, so it computes the bits of the same loop written in numpy and
+Python floats.
+
+The first import compiles substeps.c with the C compiler Python was built
+with into this package's __pycache__/, under a name that hashes the
+source and the compile command; later imports load that file. Without a
+compiler, or without numpy's OpenBLAS, the import raises ImportError
+naming the cause.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("substeps.c")
+# No FMA contraction, so each product and sum rounds on its own as in
+# Python; sin and cos stay two libm calls, as math's are, not one sincos.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
+         "-fno-builtin-sin", "-fno-builtin-cos")
+# The cblas routines ndarray.dot calls for a vector dot product, a
+# matrix-vector and a matrix-matrix product of doubles.
+BLAS_ROUTINES = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_")
+
+
+def build(source: Path, out_dir: Path) -> Path:
+    """The compiled library of source in out_dir, compiled now unless a
+    library of the same source and compile command is already there."""
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        raise ImportError(f"{source.name} needs a C compiler, and Python names none (CC)")
+    command = cc.split() + list(FLAGS)
+    key = hashlib.sha256(source.read_bytes() + "\0".join(command).encode()).hexdigest()
+    target = out_dir / f"{source.stem}-{key[:16]}{sysconfig.get_config_var('SHLIB_SUFFIX')}"
+    if target.exists():
+        return target
+    # Imported here: only an empty cache compiles, and importing
+    # subprocess would add to every start-up.
+    import subprocess
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fd, partial = tempfile.mkstemp(suffix=target.suffix, dir=out_dir)
+    os.close(fd)
+    try:
+        result = subprocess.run(command + ["-o", partial, str(source), "-lm"],
+                                capture_output=True, text=True)
+        if result.returncode != 0:
+            raise ImportError(f"compiling {source.name} failed:\n{result.stderr}")
+        os.replace(partial, target)
+    except OSError as err:
+        raise ImportError(f"compiling {source.name} with {command[0]} failed: {err}") from err
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    return target
+
+
+def _numpy_blas() -> ctypes.CDLL:
+    """The OpenBLAS library bundled with numpy, the one np.show_config()
+    names; numpy has loaded it already, so this opens the same copy."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*"))
+    if len(found) != 1:
+        raise ImportError(f"expected numpy's one scipy-openblas64 library in {libs}, "
+                          f"found {len(found)}")
+    return ctypes.CDLL(str(found[0]))
+
+
+def _load():
+    """The kernel's run_substeps, bound to numpy's cblas routines."""
+    kernel = ctypes.CDLL(str(build(SOURCE, SOURCE.parent / "__pycache__")))
+    blas = _numpy_blas()
+    try:
+        routines = [ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in BLAS_ROUTINES]
+    except AttributeError as err:
+        raise ImportError(f"numpy's OpenBLAS lacks a cblas routine: {err}") from err
+    kernel.bind_blas.argtypes = [ctypes.c_void_p] * 3
+    kernel.bind_blas.restype = None
+    kernel.bind_blas(*routines)
+    run = kernel.run_substeps
+    run.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_double]
+    run.restype = None
+    return run
+
+
+# run_substeps(episode, buf, motion, count, push_y) takes the addresses of
+# C-ordered float64 arrays; see substeps.c for their layouts.
+run_substeps = _load()

@@ -141,6 +141,27 @@ def test_inverse_kinematics_raises_on_any_unreachable_position(geometry):
                 legkin.inverse_kinematics(_arrays(batch), geometry)
 
 
+def test_nan_points_are_outside_and_unreachable(geometry):
+    # A NaN coordinate anywhere makes its point outside, elementwise, and
+    # makes IK raise as the float call does; the finite points keep their
+    # results.
+    rng = np.random.default_rng(11)
+    inside = [p for p in _points(geometry, 60, rng)
+              if legkin.in_workspace(FootPosition(*p), geometry)][:7]
+    for axis in range(3):
+        bad = list(inside[0])
+        bad[axis] = math.nan
+        assert legkin.in_workspace(FootPosition(*bad), geometry) is False
+        with pytest.raises(Unreachable):
+            legkin.inverse_kinematics(FootPosition(*bad), geometry)
+        for pos in (0, 3, 7):
+            batch = _arrays(inside[:pos] + [tuple(bad)] + inside[pos:])
+            assert legkin.in_workspace(batch, geometry).tolist() == [
+                i != pos for i in range(len(inside) + 1)]
+            with pytest.raises(Unreachable):
+                legkin.inverse_kinematics(batch, geometry)
+
+
 def test_clamp_to_workspace_elementwise(geometry):
     rng = np.random.default_rng(9)
     points = _points(geometry, 480, rng)

@@ -89,6 +89,12 @@ class TestInverseKinematics:
         with pytest.raises(Unreachable):
             inverse_kinematics(FootPosition(0.0, 0.0, -0.01), geometry)
 
+    @pytest.mark.parametrize("target", [(math.nan, 0.0, -0.2), (0.0, math.nan, -0.2),
+                                        (0.0, 0.0, math.nan)])
+    def test_nan_target_is_unreachable(self, geometry, target):
+        with pytest.raises(Unreachable):
+            inverse_kinematics(FootPosition(*target), geometry)
+
     def test_joint_limit_violation(self, geometry):
         # The target needs an abduction of atan2(-0.1, 0.3) + pi/2 = 1.25 rad,
         # beyond the 0.7 rad limit: IK returns the limit, not an error, and
@@ -142,6 +148,11 @@ class TestWorkspace:
 
     def test_far_below_outside(self, geometry):
         assert not in_workspace(FootPosition(0.0, 0.0, -1.0), geometry)
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0, -0.2), (0.0, math.nan, -0.2),
+                                       (0.0, 0.0, math.nan)])
+    def test_nan_point_outside(self, geometry, point):
+        assert in_workspace(FootPosition(*point), geometry) is False
 
     def test_vertices_inclusive(self, geometry):
         for x, z in geometry.workspace_polygon:

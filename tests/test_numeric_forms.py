@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from slopetrot.rotations import orthonormalize
+from slopetrot.simenv import SimParams, SlopedTerrainEnv, TerrainPlane
 from slopetrot.slopeest import angles_from_normal
 
 SAMPLES = 2000
@@ -167,3 +168,155 @@ def test_array_math_equals_math_elementwise(name, shape):
             reference = [getattr(math, name)(v) for v in x.ravel().tolist()]
         assert fast.ravel().view(np.int64).tolist() == np.array(reference).view(np.int64).tolist(), (
             PLAN_RELIES.format(name=name, shape=shape))
+
+
+def _parent_substeps(env, feet_rate, feet_sub, push_y):
+    """The contact substeps as SlopedTerrainEnv.step ran them on Python
+    floats and numpy products before they moved into substeps.c: the
+    loop verbatim, with the step's push and plan row as arguments. Returns
+    com, vel, omega and the rotation before re-orthonormalization."""
+    s = env.state
+    sim = env.sim
+    n = env.plane_normal
+    nx, ny, nz = env._normal
+    mu = env.terrain.friction
+    kp, kd, cap = sim.contact_kp, sim.contact_kd, env.foot_force_cap
+    neg_damping = -sim.tangential_damping
+    gx, gy, gz = [env.mass * g for g in (0.0, 0.0, -sim.gravity)]
+
+    h = sim.dt / sim.substeps
+    h_m = h / env.mass
+    rot = s.rot
+    com = s.com
+    omega = s.omega
+    cx, cy, cz = com.tolist()
+    vx, vy, vz = s.vel.tolist()
+    wx, wy, wz = omega.tolist()
+    i_world = (rot * env.inertia_body).dot(rot.T)
+    i_world_inv = np.linalg.inv(i_world)
+    rate_world = feet_rate.dot(rot.T).tolist()
+    for feet_off in feet_sub:
+        rel = feet_off.dot(rot.T)  # feet minus com, world
+        com_n = float(com.dot(n))
+        touching = []
+        v_feet = []
+        for (rx, ry, rz), (ux, uy, uz), rel_n in zip(
+            rel.tolist(), rate_world, rel.dot(n).tolist()
+        ):
+            sdist = rel_n + com_n
+            if sdist >= 0.0:
+                continue
+            touching.append((rx, ry, rz, sdist))
+            v_feet.append((vx + (wy * rz - wz * ry) + ux,
+                           vy + (wz * rx - wx * rz) + uy,
+                           vz + (wx * ry - wy * rx) + uz))
+        fx = fy = fz = tx = ty = tz = 0.0
+        if len(v_feet) == 1:
+            v_feet.append(v_feet[0])
+        v_normal = np.array(v_feet).dot(n).tolist() if v_feet else ()
+        for (rx, ry, rz, sdist), (vfx, vfy, vfz), v_n in zip(touching, v_feet, v_normal):
+            normal_f = kp * -sdist + kd * -v_n
+            normal_f = 0.0 if 0.0 > normal_f else normal_f
+            normal_f = cap if cap < normal_f else normal_f
+            ftx = neg_damping * (vfx - v_n * nx)
+            fty = neg_damping * (vfy - v_n * ny)
+            ftz = neg_damping * (vfz - v_n * nz)
+            tan_mag = math.sqrt(0.0 + ftx * ftx + fty * fty + ftz * ftz)
+            limit = mu * normal_f
+            scale = limit / (1e-30 if 1e-30 > tan_mag else tan_mag)
+            scale = 1.0 if 1.0 < scale else scale
+            ffx = normal_f * nx + ftx * scale
+            ffy = normal_f * ny + fty * scale
+            ffz = normal_f * nz + ftz * scale
+            fx += ffx
+            fy += ffy
+            fz += ffz
+            tx += ry * ffz - rz * ffy
+            ty += rz * ffx - rx * ffz
+            tz += rx * ffy - ry * ffx
+
+        vx += h_m * (fx + gx + 0.0)
+        vy += h_m * (fy + gy + push_y)
+        vz += h_m * (fz + gz + 0.0)
+        cx, cy, cz = cx + h * vx, cy + h * vy, cz + h * vz
+        com = np.array((cx, cy, cz))
+        lx, ly, lz = i_world.dot(omega).tolist()
+        ax, ay, az = i_world_inv.dot(np.array((
+            tx - (wy * lz - wz * ly), ty - (wz * lx - wx * lz), tz - (wx * ly - wy * lx)
+        ))).tolist()
+        wx, wy, wz = wx + h * ax, wy + h * ay, wz + h * az
+        omega = np.array((wx, wy, wz))
+        rx, ry, rz = wx * h, wy * h, wz * h
+        angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+        if angle < 1e-12:
+            sinc, cosc = 1.0, 0.5
+        else:
+            sinc = math.sin(angle) / angle
+            cosc = (1.0 - math.cos(angle)) / (angle * angle)
+        kx, ky, kz = sinc * rx, sinc * ry, sinc * rz
+        xx, yy, zz = cosc * rx * rx, cosc * ry * ry, cosc * rz * rz
+        xy, xz, yz = cosc * rx * ry, cosc * rx * rz, cosc * ry * rz
+        rot = np.array((
+            (1.0 - yy - zz, xy - kz, xz + ky),
+            (xy + kz, 1.0 - xx - zz, yz - kx),
+            (xz - ky, yz + kx, 1.0 - xx - yy),
+        )).dot(rot)
+
+    return com, np.array((vx, vy, vz)), omega, rot
+
+
+def _nan_canonical_bits(x):
+    """x's float64 bit patterns with every NaN the same NaN, so -0.0
+    differs from 0.0 and two results agree when their NaNs sit in the same
+    places."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+@pytest.mark.parametrize("substeps", [1, 5])
+def test_substep_kernel_equals_python_loop(substeps):
+    env = SlopedTerrainEnv(sim=SimParams(substeps=substeps))
+    seen = {"touching": set(), "push": set(), "still": 0, "nan": 0}
+
+    def forms(rng):
+        env.reset(TerrainPlane(rng.choice([0, 5, 11]), rng.uniform(0.0, 90.0),
+                               rng.uniform(0.0, 1.0)), seed=int(rng.integers(1000)))
+        s = env.state
+        n = env.plane_normal
+        s.rot = _rot(rng)
+        s.vel = rng.normal(scale=0.5, size=3)
+        s.omega = rng.normal(scale=2.0, size=3)
+        feet = rng.uniform((-0.3, -0.25, -0.35), (0.3, 0.25, -0.1), size=(4, 3))
+        feet_sub = feet + rng.normal(scale=1e-3, size=(substeps, 4, 3))
+        feet_rate = rng.normal(scale=0.5, size=(4, 3))
+        # The com height that puts `touching` feet below the plane at the
+        # first substep: the threshold sits halfway between two feet.
+        touching = int(rng.integers(5))
+        heights = np.sort(feet.dot(s.rot.T).dot(n))
+        edges = np.concatenate(([heights[0] - 0.05], heights, [heights[-1] + 0.05]))
+        com_n = -0.5 * (edges[touching] + edges[touching + 1])
+        s.com = rng.normal(scale=0.3, size=3)
+        s.com += (com_n - s.com.dot(n)) * n
+        if touching == 0 and rng.random() < 0.3:
+            # A still torso: the rotation angle stays below 1e-12.
+            s.omega = np.zeros(3)
+            seen["still"] += 1
+        push_y = float(rng.choice([0.0, rng.uniform(-120.0, 120.0)]))
+        if rng.random() < 0.03:
+            getattr(s, str(rng.choice(["com", "vel", "omega", "rot"]))).flat[
+                int(rng.integers(3))] = math.nan
+            seen["nan"] += 1
+        seen["touching"].add(touching)
+        seen["push"].add(push_y != 0.0)
+
+        reference = _parent_substeps(env, feet_rate, feet_sub, push_y)
+        motion = np.concatenate((feet_rate[None], feet_sub))
+        rot = env._integrate(motion.ctypes.data, push_y)
+        fast = (s.com, s.vel, s.omega, rot)
+        return (tuple(map(_nan_canonical_bits, fast)),
+                tuple(map(_nan_canonical_bits, reference)))
+
+    _assert_forms_agree(f"the substep kernel at {substeps} substeps", forms)
+    assert seen["touching"] == {0, 1, 2, 3, 4}
+    assert seen["push"] == {False, True}
+    assert seen["still"] > 50 and seen["nan"] > 20

@@ -417,11 +417,17 @@ class TestBehavior:
         assert done and info["fall"]
 
     def test_nonfinite_state_is_a_fall(self):
-        env = SlopedTerrainEnv()
-        env.reset(TerrainPlane(), NO_PUSH, seed=1)
-        env.state.vel[0] = math.nan
-        _, _, done, info = env.step(ZEROS)
-        assert done and info["fall"]
+        for field, value in [
+            ("vel", (math.nan, 0.0, 0.0)),
+            # Angular velocities whose rotation angle overflows to inf.
+            ("omega", (0.0, 0.0, 1e155)),
+            ("omega", (0.0, 0.0, 1e200)),
+        ]:
+            env = SlopedTerrainEnv()
+            env.reset(TerrainPlane(), NO_PUSH, seed=1)
+            getattr(env.state, field)[:] = value
+            _, _, done, info = env.step(ZEROS)
+            assert done and info["fall"], (field, value)
 
     def test_sunk_torso_terminates(self):
         env = SlopedTerrainEnv()
