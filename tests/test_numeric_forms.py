@@ -4,10 +4,11 @@ step uses.
 
 The step calls each small product through ndarray.dot instead of @, stacks
 per-foot products into one np.matmul, reads rows of one product as the
-product of those rows, and runs elementwise work on Python floats. Each is
-exact only because numpy and its BLAS make it so; the forms are not
-interchangeable in general (a scalar sum, or a vector dot product, rounds
-differently from a row of a matrix-vector product).
+product of those rows, runs elementwise work on Python floats, and runs
+the contact substeps in substeps.c, compiled code that calls numpy's own
+BLAS routines. Each is exact only because numpy and its BLAS make it so;
+the forms are not interchangeable in general (a scalar sum, or a vector
+dot product, rounds differently from a row of a matrix-vector product).
 """
 
 import math
@@ -171,10 +172,10 @@ def test_array_math_equals_math_elementwise(name, shape):
 
 
 def _parent_substeps(env, feet_rate, feet_sub, push_y):
-    """The contact substeps as SlopedTerrainEnv.step ran them on Python
-    floats and numpy products before they moved into substeps.c: the
-    loop verbatim, with the step's push and plan row as arguments. Returns
-    com, vel, omega and the rotation before re-orthonormalization."""
+    """The reference for substeps.c: the contact substeps of one control
+    step written with Python floats and numpy products, with the step's
+    push force and feet motion as arguments. Returns com, vel, omega and
+    the rotation before re-orthonormalization."""
     s = env.state
     sim = env.sim
     n = env.plane_normal
