@@ -73,7 +73,8 @@ void run_substeps(const double *episode, double *buf, const double *motion, long
 
     double rot[9], next[9], a[9];
     double com[3], omega[3], moment[3], torque[3], accel[3];
-    double rate_world[12], rel[12], rel_n[4], touching[4][4], v_feet[12], v_normal[4];
+    double rate_world[12], rel[12], rel_n[4], sdist[4], v_feet[12], v_normal[4];
+    int touching[4];
     memcpy(rot, buf + ROT, sizeof rot);
     memcpy(com, buf + COM, sizeof com);
     memcpy(omega, buf + OMEGA, sizeof omega);
@@ -92,13 +93,10 @@ void run_substeps(const double *episode, double *buf, const double *motion, long
         int k = 0;
         for (int i = 0; i < 4; i++) {
             const double rx = rel[3 * i], ry = rel[3 * i + 1], rz = rel[3 * i + 2];
-            const double sdist = rel_n[i] + com_n;
-            if (sdist >= 0.0)
+            sdist[k] = rel_n[i] + com_n;
+            if (sdist[k] >= 0.0)
                 continue;
-            touching[k][0] = rx;
-            touching[k][1] = ry;
-            touching[k][2] = rz;
-            touching[k][3] = sdist;
+            touching[k] = i;
             v_feet[3 * k] = (vx + (wy * rz - wz * ry)) + rate_world[3 * i];
             v_feet[3 * k + 1] = (vy + (wz * rx - wx * rz)) + rate_world[3 * i + 1];
             v_feet[3 * k + 2] = (vz + (wx * ry - wy * rx)) + rate_world[3 * i + 2];
@@ -111,9 +109,9 @@ void run_substeps(const double *episode, double *buf, const double *motion, long
 
         double fx = 0.0, fy = 0.0, fz = 0.0, tx = 0.0, ty = 0.0, tz = 0.0;
         for (int j = 0; j < k; j++) {
-            const double rx = touching[j][0], ry = touching[j][1], rz = touching[j][2];
-            const double sdist = touching[j][3], v_n = v_normal[j];
-            double normal_f = kp * -sdist + kd * -v_n;
+            const double *r = rel + 3 * touching[j];
+            const double rx = r[0], ry = r[1], rz = r[2], v_n = v_normal[j];
+            double normal_f = kp * -sdist[j] + kd * -v_n;
             normal_f = 0.0 > normal_f ? 0.0 : normal_f;
             normal_f = cap < normal_f ? cap : normal_f;
             const double ftx = neg_damping * (v_feet[3 * j] - v_n * nx);
