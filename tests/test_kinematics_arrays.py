@@ -142,9 +142,8 @@ def test_inverse_kinematics_raises_on_any_unreachable_position(geometry):
 
 
 def test_nan_points_are_outside_and_unreachable(geometry):
-    # A NaN coordinate anywhere makes its point outside, elementwise, and
-    # makes IK raise as the float call does; the finite points keep their
-    # results.
+    # A NaN coordinate makes its point outside, elementwise, while the
+    # other points stay inside, and makes IK raise as the float call does.
     rng = np.random.default_rng(11)
     inside = [p for p in _points(geometry, 60, rng)
               if legkin.in_workspace(FootPosition(*p), geometry)][:7]
