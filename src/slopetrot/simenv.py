@@ -24,9 +24,9 @@ from .bounds import ConfigError, bounded, check_bounds
 from .gaitgen import LEG_ORDER, GaitParams
 from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
-from .rotations import orthonormalize, rot_z, yaw_of
-from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
-from .substeps import run_substeps
+from .rotations import rot_z, yaw_of
+from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal, angles_from_unit_normal
+from .substeps import step_torso
 
 
 class NotReset(RuntimeError):
@@ -230,11 +230,16 @@ class SlopedTerrainEnv:
 
         self._hips = np.asarray(self.geometry.hip_positions_body, dtype=float)
         self._track_alpha = 1.0 - math.exp(-self.sim.dt / self.sim.track_time_const)
-        # The substep kernel's step buffer (see substeps.c): the state in
-        # and out, then the world inertia and its inverse.
-        kernel_buf = np.zeros(36)
+        # The compiled step's buffer (see substeps.c): the state in and
+        # out; the torso's unit up-axis, clearance and height; then per
+        # foot whether it is in contact, whether it has touched since
+        # reset, and the world point the slope estimator takes for it.
+        kernel_buf = np.zeros(43)
         self._kernel_state = kernel_buf[:18]
-        self._i_world, self._i_world_inv = kernel_buf[18:].reshape(2, 3, 3)
+        self._kernel_tail = kernel_buf[18:23]
+        self._in_contact = kernel_buf[23:27]
+        self._touched = kernel_buf[27:31]
+        self._contact_points = kernel_buf[31:].reshape(4, 3)
         self._kernel_address = kernel_buf.ctypes.data
         self._substep_fracs = np.array(
             [(j + 1) / self.sim.substeps for j in range(self.sim.substeps)]
@@ -295,17 +300,16 @@ class SlopedTerrainEnv:
         )
 
         n = self.terrain.normal()
-        self.plane_normal = n
-        self._normal = tuple(n.tolist())
         self.plane_roll, self.plane_pitch = angles_from_normal(n)
-        # The episode's constants, in the order the substep kernel reads
+        # The episode's constants, in the order the compiled step reads
         # them (see substeps.c).
         sim = self.sim
         h = sim.dt / sim.substeps
         self._episode = np.array((
-            *self._normal, self.terrain.friction, sim.contact_kp, sim.contact_kd,
+            *n.tolist(), self.terrain.friction, sim.contact_kp, sim.contact_kd,
             self.foot_force_cap, -sim.tangential_damping,
             *(self.mass * g for g in (0.0, 0.0, -sim.gravity)), h, h / self.mass,
+            *self.inertia_body,
         ))
         self._episode_address = self._episode.ctypes.data
         bx = np.array([1.0, 0.0, 0.0]) - n[0] * n
@@ -327,18 +331,20 @@ class SlopedTerrainEnv:
         self._done = False
         self.fall = False
 
+        # The spawn pose's contact memory, angles and height: the compiled
+        # step without substeps.
+        self._touched[:] = 0.0
+        offsets = self.state.feet_body - self.com_offset_body
+        self._last_theta, _, self._last_height = self._advance(
+            offsets.ctypes.data, 0, 0.0, STANCE_PAIRS[0])
+
         self._estimator.reset()
         self._theta_hist.clear()
-        self._last_theta = self._torso_theta(rot)
         self._theta_hist.append(self._last_theta)
         self._standing.reset(float(self.state.com[0]))
         # The touch-down pair the pending contact capture waits for; empty
         # when no capture is pending.
         self._incoming = ()
-        self._contact_world = [None, None, None, None]
-        self._in_contact = [False, False, False, False]
-        self._update_contact_memory()
-        self._last_height = self._height_above_feet(float(self.state.com @ n))
         self._last_reward = 0.0
         self._last_dx = 0.0
         # Rebuilt only when its inputs change: the orientation history at
@@ -353,18 +359,19 @@ class SlopedTerrainEnv:
     # ------------------------------------------------------------------
     # helpers
 
-    def _torso_theta(self, rot: np.ndarray) -> tuple:
-        roll, pitch = angles_from_normal(rot[:, 2])
-        return roll, pitch, yaw_of(rot)
-
     def _ik_targets(self, t: np.ndarray) -> np.ndarray:
         """IK joint targets of the latched actions at the times t, as
         (len(t), 4, 3): legs in LEG_ORDER, joints abd/hip/knee. One array
-        call per kinematics function covers every time and leg."""
+        call per kinematics function covers every time and leg. An action
+        with a non-finite entry has no foot target: its joint targets are
+        NaN, which makes the state NaN, and the step counts that as a fall."""
+        latched = np.array(self.latched, dtype=float)
+        if not np.isfinite(latched).all():
+            return np.full((len(t), 4, 3), math.nan)
         gait, geometry = self.gait, self.geometry
         tau = np.stack([gaitgen.trot_phase(t, gait.cycle_period, leg) for leg in LEG_ORDER],
                        axis=-1)
-        action = gaitgen.LegAction(*np.array(self.latched, dtype=float).T)
+        action = gaitgen.LegAction(*latched.T)
         foot = gaitgen.checked_foot_target(tau, action, gait, geometry)
         return np.stack(legkin.inverse_kinematics(foot, geometry), axis=-1)
 
@@ -378,10 +385,10 @@ class SlopedTerrainEnv:
         """The kinematics of every control step from this one to the end of
         its half cycle (or of the episode), which the latched actions fix:
         joints and body-frame feet after the step, and the feet's motion
-        that the substep kernel reads, one C-ordered (substeps + 1, 4, 3)
-        block per step: the feet's rate, then the feet minus com at the end
-        of each contact substep. Row k belongs to the step k steps after
-        this one.
+        that the compiled step reads, one C-ordered (substeps + 2, 4, 3)
+        block per step: the feet minus com after the step, the feet's rate,
+        then the feet minus com at the end of each contact substep, all in
+        the body frame. Row k belongs to the step k steps after this one.
 
         Each element is computed as the step would compute it alone, so the
         rows hold the same bits."""
@@ -397,32 +404,38 @@ class SlopedTerrainEnv:
         feet = self._fk_feet(joints)
         before = np.concatenate((s.feet_body[None], feet[:-1]))
         move = feet - before
-        substeps = (before - self.com_offset_body)[:, None] + self._substep_fracs * move[:, None]
-        return joints, feet, np.concatenate(((move / sim.dt)[:, None], substeps), axis=1)
+        off = self.com_offset_body
+        substeps = (before - off)[:, None] + self._substep_fracs * move[:, None]
+        return joints, feet, np.concatenate(
+            ((feet - off)[:, None], (move / sim.dt)[:, None], substeps), axis=1)
 
-    def _integrate(self, motion: int, push_y: float) -> np.ndarray:
-        """Advance com, vel and omega through the contact substeps of one
-        control step, as fresh arrays, and return the rotation they end on,
-        not yet re-orthonormalized. motion is the address of the step's
-        block of feet motion (see _plan_half_cycle), push_y the lateral
-        push force.
+    def _advance(self, motion: int, count: int, push_y: float, stance: tuple) -> tuple:
+        """Advance the torso through count contact substeps in one compiled
+        call, re-orthonormalize its rotation, update the feet's contact
+        memory, and return the torso's (roll, pitch, yaw), its clearance
+        above the plane (com @ n) and its height along the normal above
+        the lower of the two stance feet. com, vel, omega and rot become
+        fresh arrays.
 
-        The substeps run in substeps.c, which keeps the bits of numpy's
-        products and Python's float arithmetic: it calls the cblas routine
-        ndarray.dot calls, with its arguments, and compiles its scalar code
-        without FMA contraction in Python's operand order."""
+        motion is the address of the step's block of feet motion (see
+        _plan_half_cycle), push_y the lateral push force. With count 0 the
+        block holds only the feet minus com, and the state is measured
+        without moving it.
+
+        substeps.c keeps the bits of numpy's calls and Python's float
+        arithmetic: it calls the BLAS and LAPACK routines numpy calls,
+        with numpy's arguments, and compiles its scalar code without FMA
+        contraction in Python's operand order. The angles stay numpy's
+        arctan2 and arcsin, which may round differently from libm's."""
         s = self.state
-        rot = s.rot
-        np.concatenate((s.com, s.vel, s.omega, rot), axis=None, out=self._kernel_state)
-        # Inertia in world coordinates is hoisted out of the substep loop:
-        # the torso rotates well under a degree per control step.
-        np.dot(rot * self.inertia_body, rot.T, out=self._i_world)
-        self._i_world_inv[...] = np.linalg.inv(self._i_world)
-        run_substeps(self._episode_address, self._kernel_address, motion, self.sim.substeps,
-                     push_y)
+        np.concatenate((s.com, s.vel, s.omega, s.rot), axis=None, out=self._kernel_state)
+        if step_torso(self._episode_address, self._kernel_address, motion, count, push_y,
+                      *stance):
+            raise np.linalg.LinAlgError("Singular matrix")
         out = self._kernel_state.copy()
-        s.com, s.vel, s.omega = out[:3], out[3:6], out[6:9]
-        return out[9:].reshape(3, 3)
+        s.com, s.vel, s.omega, s.rot = out[:3], out[3:6], out[6:9], out[9:].reshape(3, 3)
+        ux, uy, uz, clearance, height = self._kernel_tail.tolist()
+        return (*angles_from_unit_normal(ux, uy, uz), yaw_of(s.rot)), clearance, height
 
     def mechanical_energy(self) -> float:
         s = self.state
@@ -462,27 +475,24 @@ class SlopedTerrainEnv:
         if self.push is not None and self.push.start_step <= s.step_index < self.push.stop_step:
             push_y = self.push.force_y
         com_x_before = s.com.item(0)
-        rot = self._integrate(self._motion_address + row * motion.strides[0], push_y)
-        s.rot = orthonormalize(rot)
+        stance = STANCE_PAIRS[(s.step_index + 1) // self.steps_per_half % 2]
+        theta, clearance, height = self._advance(
+            self._motion_address + row * motion.strides[0], sim.substeps, push_y, stance)
         s.joints = joints[row]
         s.feet_body = feet_new[row]
         s.step_index += 1
 
-        feet_w = self._update_contact_memory()
-        theta = self._torso_theta(s.rot)
         exchange = s.step_index % self.steps_per_half == 0
         if exchange:
             # Wait for the touch-down pair to land before snapshotting.
             self._incoming = STANCE_PAIRS[s.step_index // self.steps_per_half % 2]
             self._theta_hist.append(theta)
-        if self._capture(feet_w) or exchange:
+        if self._capture() or exchange:
             self._obs = build_observation(self._theta_hist, self._estimator.estimate)
 
         cx = s.com.item(0)
         dx = cx - com_x_before
         standing = self._standing.push(cx)
-        clearance = float(s.com.dot(self.plane_normal))  # torso height straight above the terrain
-        height = self._height_above_feet(clearance)
         reward_val = compute_reward(
             RewardInputs(
                 torso_roll=theta[0],
@@ -537,46 +547,12 @@ class SlopedTerrainEnv:
             if info["exchange"]:
                 action = controller(obs)
 
-    def _height_above_feet(self, clearance: float) -> float:
-        """Torso height along the terrain normal, measured from the lowest
-        stance foot (so it tracks posture, not absolute terrain position).
-        clearance is the torso's own height above the plane, com @ n."""
-        s = self.state
-        i, j = STANCE_PAIRS[s.step_index // self.steps_per_half % 2]
-        # The stance rows of products over all four feet: a row of a
-        # matrix product does not depend on the other rows.
-        rel = (s.feet_body - self.com_offset_body).dot(s.rot.T)
-        sdist = (s.com + rel).dot(self.plane_normal).tolist()
-        a, b = sdist[i], sdist[j]
-        # The smaller of the two, or NaN if either is NaN, as ndarray.min
-        # gives it.
-        lowest = a if a <= b or a != a else b
-        return clearance - lowest
-
-    def _update_contact_memory(self) -> np.ndarray:
-        """Remember each foot's latest world contact point (the kinematic
-        foot projected back onto the surface: the physical contact point
-        lies on the terrain even though the penalty model lets it sink).
-        Returns the (4, 3) world positions of the feet, in leg order."""
-        s = self.state
-        nx, ny, nz = self._normal
-        # Each foot's rot @ offset and f_world @ n, as one stacked matmul
-        # each: the stack items have the per-foot products' own shapes.
-        offsets = (s.feet_body - self.com_offset_body)[:, :, None]
-        feet_w = s.com + np.matmul(s.rot, offsets)[:, :, 0]
-        sdists = np.matmul(feet_w[:, None, :], self.plane_normal).tolist()
-        for i, ((fx, fy, fz), (sdist,)) in enumerate(zip(feet_w.tolist(), sdists)):
-            self._in_contact[i] = sdist <= 0.0
-            if sdist <= 0.0:
-                self._contact_world[i] = (fx - sdist * nx, fy - sdist * ny, fz - sdist * nz)
-        return feet_w
-
-    def _capture(self, feet_w: np.ndarray) -> bool:
+    def _capture(self) -> bool:
         """Finish the pending snapshot once the touch-down pair has made
         contact; True when an estimator update ran.
 
         Every foot contributes, in LEG_ORDER, its last world contact point
-        (a foot that never touched, its world position feet_w),
+        (a foot that never touched, its world position now),
         re-expressed in the body frame at this single instant: a stance
         foot does not move in the world (zero-slip leg odometry), so the
         lift-off pair's points stay valid even though they were touched
@@ -586,10 +562,7 @@ class SlopedTerrainEnv:
             return False
         s = self.state
         body_origin = s.com - s.rot @ self.com_offset_body
-        points = [
-            s.rot.T @ ((f_world if contact is None else np.array(contact)) - body_origin)
-            for contact, f_world in zip(self._contact_world, feet_w)
-        ]
+        points = [s.rot.T @ (point - body_origin) for point in self._contact_points]
         self._estimator.update(ContactSnapshot(*points, s.rot))
         self._incoming = ()
         return True

@@ -66,8 +66,15 @@ def angles_from_normal(n) -> tuple:
     n = np.asarray(n, dtype=float).ravel()
     norm = math.sqrt(n.dot(n))
     nx, ny, nz = n.tolist()
-    roll = float(np.arctan2(ny / norm, nz / norm))
-    pitch = float(-np.arcsin(min(max(nx / norm, -1.0), 1.0)))
+    return angles_from_unit_normal(nx / norm, ny / norm, nz / norm)
+
+
+def angles_from_unit_normal(nx: float, ny: float, nz: float) -> tuple:
+    """(roll, pitch) of a unit normal given as floats, under the pinned
+    convention. The angles are numpy's arctan2 and arcsin, whose bits the
+    goldens hold: on some hosts they round differently from math's."""
+    roll = float(np.arctan2(ny, nz))
+    pitch = float(-np.arcsin(min(max(nx, -1.0), 1.0)))
     return roll, pitch
 
 

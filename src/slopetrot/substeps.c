@@ -1,12 +1,16 @@
-/* The contact substeps of one SlopedTerrainEnv control step.
+/* The compiled part of one SlopedTerrainEnv control step.
 
-   Each substep finds the feet below the plane, sums their penalty contact
-   forces and torques, and advances the torso by semi-implicit Euler with
-   a Rodrigues rotation update. The results are bit for bit those of the
-   same loop written with Python floats and numpy products:
+   The contact substeps find the feet below the plane, sum their penalty
+   contact forces and torques, and advance the torso by semi-implicit
+   Euler with a Rodrigues rotation update, its inertia inverted once per
+   step. The step then re-orthonormalizes the rotation, updates the
+   feet's contact memory and measures the torso's height. The results are
+   bit for bit those of the same code written with Python floats and
+   numpy calls:
 
-   - every matrix product calls the cblas routine that ndarray.dot calls,
-     from the OpenBLAS numpy has loaded, with ndarray.dot's arguments;
+   - every matrix product calls the cblas routine that ndarray.dot (or
+     np.matmul) calls, from the OpenBLAS numpy has loaded, with numpy's
+     arguments, and the inverse calls LAPACK dgesv as np.linalg.inv does;
    - the scalar code keeps Python's operand order and rounding: it is
      compiled without FMA contraction, its sums are left to right, and its
      comparisons are those of the Python conditionals, so NaN takes the
@@ -26,24 +30,41 @@ typedef void (*dgemv_fn)(int, int, blasint, blasint, double, const double *, bla
                          const double *, blasint, double, double *, blasint);
 typedef void (*dgemm_fn)(int, int, int, blasint, blasint, blasint, double, const double *,
                          blasint, const double *, blasint, double, double *, blasint);
+typedef void (*dgesv_fn)(const blasint *, const blasint *, double *, const blasint *,
+                         blasint *, double *, const blasint *, blasint *);
 
 static ddot_fn ddot;
 static dgemv_fn dgemv;
 static dgemm_fn dgemm;
+static dgesv_fn dgesv;
 
-void bind_blas(ddot_fn dot, dgemv_fn gemv, dgemm_fn gemm)
+void bind_blas(ddot_fn dot, dgemv_fn gemv, dgemm_fn gemm, dgesv_fn gesv)
 {
     ddot = dot;
     dgemv = gemv;
     dgemm = gemm;
+    dgesv = gesv;
 }
 
 /* The episode's constants, packed once at reset. */
-enum { NX, NY, NZ, MU, KP, KD, CAP, NEG_DAMPING, GX, GY, GZ, H, H_M };
+enum { NX, NY, NZ, MU, KP, KD, CAP, NEG_DAMPING, GX, GY, GZ, H, H_M, INERTIA };
 
-/* The step buffer: the state in and out, then the world inertia and its
-   inverse, all row-major. */
-enum { COM = 0, VEL = 3, OMEGA = 6, ROT = 9, I_WORLD = 18, I_WORLD_INV = 27 };
+/* The step buffer: the state in and out, row-major; the unit up-axis of
+   the torso, its clearance above the plane and its height above the
+   stance feet; then per foot whether it touches the plane, whether it has
+   touched it since reset, and the world point the slope estimator takes
+   for it. */
+enum {
+    COM = 0, VEL = 3, OMEGA = 6, ROT = 9, UP = 18, CLEARANCE = 21, HEIGHT = 22,
+    IN_CONTACT = 23, TOUCHED = 27, POINTS = 31
+};
+
+/* ndarray.dot of two 3-vectors with strides inc_x and inc_y: numpy adds
+   the ddot to 0.0. */
+static double dot3(const double *x, blasint inc_x, const double *y, blasint inc_y)
+{
+    return 0.0 + ddot(3, x, inc_x, y, inc_y);
+}
 
 /* out = a.dot(rot.T) for a C-ordered (rows, 3) a and rot. */
 static void times_rot_t(const double *a, blasint rows, const double *rot, double *out)
@@ -57,11 +78,31 @@ static void times_vector(const double *a, blasint rows, const double *x, double 
     dgemv(ROW_MAJOR, NO_TRANS, rows, 3, 1.0, a, 3, x, 1, 0.0, y, 1);
 }
 
-/* Run count substeps. motion holds the (4, 3) feet's body-frame rate,
-   then for each substep the (4, 3) feet minus com in the body frame at
-   its end; push_y is the lateral push force of this step. */
-void run_substeps(const double *episode, double *buf, const double *motion, long count,
-                  double push_y)
+/* inv = np.linalg.inv(a) for a C-ordered 3x3 a: LAPACK dgesv on the
+   column-major copy of a with the identity on the right, as numpy calls
+   it. Returns dgesv's info, which is positive for a singular a. */
+static blasint invert(const double *a, double *inv)
+{
+    const blasint n = 3;
+    blasint pivots[3], info;
+    double lu[9], b[9] = {1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0};
+    for (int i = 0; i < 3; i++)
+        for (int j = 0; j < 3; j++)
+            lu[3 * j + i] = a[3 * i + j];
+    dgesv(&n, &n, lu, &n, pivots, b, &n, &info);
+    for (int i = 0; i < 3; i++)
+        for (int j = 0; j < 3; j++)
+            inv[3 * i + j] = b[3 * j + i];
+    return info;
+}
+
+/* Run count substeps on the state in buf. motion holds the (4, 3) feet's
+   body-frame rate, then for each substep the (4, 3) feet minus com in the
+   body frame at its end; push_y is the lateral push force of this step.
+   Leaves the rotation not yet re-orthonormalized. Returns dgesv's info for
+   the world inertia, and leaves buf as it was if that is not 0. */
+static blasint integrate(const double *episode, double *buf, const double *motion, long count,
+                         double push_y)
 {
     const double *n = episode + NX;
     const double nx = episode[NX], ny = episode[NY], nz = episode[NZ];
@@ -69,9 +110,8 @@ void run_substeps(const double *episode, double *buf, const double *motion, long
     const double neg_damping = episode[NEG_DAMPING];
     const double gx = episode[GX], gy = episode[GY], gz = episode[GZ];
     const double h = episode[H], h_m = episode[H_M];
-    const double *i_world = buf + I_WORLD, *i_world_inv = buf + I_WORLD_INV;
 
-    double rot[9], next[9], a[9];
+    double rot[9], next[9], a[9], i_world[9], i_world_inv[9];
     double com[3], omega[3], moment[3], torque[3], accel[3];
     double rate_world[12], rel[12], rel_n[4], sdist[4], v_feet[12], v_normal[4];
     int touching[4];
@@ -81,11 +121,20 @@ void run_substeps(const double *episode, double *buf, const double *motion, long
     double vx = buf[VEL], vy = buf[VEL + 1], vz = buf[VEL + 2];
     double wx = omega[0], wy = omega[1], wz = omega[2];
 
+    /* Inertia in world coordinates, (rot * inertia).dot(rot.T), is hoisted
+       out of the substep loop: the torso rotates well under a degree per
+       control step. */
+    for (int i = 0; i < 9; i++)
+        a[i] = rot[i] * episode[INERTIA + i % 3];
+    times_rot_t(a, 3, rot, i_world);
+    const blasint info = invert(i_world, i_world_inv);
+    if (info != 0)
+        return info;
+
     times_rot_t(motion, 4, rot, rate_world);
     for (long s = 0; s < count; s++) {
         times_rot_t(motion + 12 * (s + 1), 4, rot, rel); /* feet minus com, world */
-        /* ndarray.dot of two vectors adds the ddot to 0.0. */
-        const double com_n = 0.0 + ddot(3, com, 1, n, 1);
+        const double com_n = dot3(com, 1, n, 1);
         times_vector(rel, 4, n, rel_n);
         /* The feet below the plane, with their signed distances and world
            velocities. A single row is repeated: numpy would take it alone
@@ -189,4 +238,107 @@ void run_substeps(const double *episode, double *buf, const double *motion, long
     buf[VEL + 2] = vz;
     memcpy(buf + OMEGA, omega, sizeof omega);
     memcpy(buf + ROT, rot, sizeof rot);
+    return 0;
+}
+
+/* Re-orthonormalize a drifting rotation matrix in place, Gram-Schmidt on
+   its columns. The dot products are those of the column views. */
+static void orthonormalize(double *rot)
+{
+    const double a0 = rot[0], a1 = rot[3], a2 = rot[6];
+    const double b0 = rot[1], b1 = rot[4], b2 = rot[7];
+    double norm = sqrt(dot3(rot, 3, rot, 3));
+    double x[3] = {a0 / norm, a1 / norm, a2 / norm};
+    const double proj = dot3(rot + 1, 3, x, 1);
+    double y[3] = {b0 - proj * x[0], b1 - proj * x[1], b2 - proj * x[2]};
+    norm = sqrt(dot3(y, 1, y, 1));
+    y[0] = y[0] / norm;
+    y[1] = y[1] / norm;
+    y[2] = y[2] / norm;
+    const double next[9] = {
+        x[0], y[0], x[1] * y[2] - x[2] * y[1],
+        x[1], y[1], x[2] * y[0] - x[0] * y[2],
+        x[2], y[2], x[0] * y[1] - x[1] * y[0],
+    };
+    memcpy(rot, next, sizeof next);
+}
+
+/* Remember each foot's latest world contact point: the kinematic foot
+   projected back onto the surface, since the physical contact point lies
+   on the terrain even though the penalty model lets it sink. A foot that
+   has not touched since reset keeps its world position instead. offsets
+   are the (4, 3) feet minus com in the body frame. Each foot's rot @
+   offset and its world position @ n are separate products, as numpy's
+   stacked matmul makes them. */
+static void update_contact_memory(const double *n, double *buf, const double *offsets)
+{
+    const double *com = buf + COM, *rot = buf + ROT;
+    for (int i = 0; i < 4; i++) {
+        double r[3], foot[3];
+        double *point = buf + POINTS + 3 * i;
+        dgemv(ROW_MAJOR, NO_TRANS, 3, 3, 1.0, rot, 3, offsets + 3 * i, 1, 0.0, r, 1);
+        foot[0] = com[0] + r[0];
+        foot[1] = com[1] + r[1];
+        foot[2] = com[2] + r[2];
+        const double sdist = dot3(foot, 1, n, 1);
+        buf[IN_CONTACT + i] = sdist <= 0.0;
+        if (sdist <= 0.0) {
+            buf[TOUCHED + i] = 1.0;
+            point[0] = foot[0] - sdist * n[0];
+            point[1] = foot[1] - sdist * n[1];
+            point[2] = foot[2] - sdist * n[2];
+        } else if (buf[TOUCHED + i] == 0.0) {
+            memcpy(point, foot, sizeof foot);
+        }
+    }
+}
+
+/* The torso's clearance com @ n above the plane, and its height along n
+   above the lower of the stance feet a and b, so it tracks posture, not
+   the absolute terrain position. */
+static void measure_height(const double *n, double *buf, const double *offsets, long a, long b)
+{
+    const double *com = buf + COM;
+    double rel[12], sdist[4];
+    times_rot_t(offsets, 4, buf + ROT, rel);
+    for (int i = 0; i < 12; i++)
+        rel[i] = com[i % 3] + rel[i];
+    times_vector(rel, 4, n, sdist);
+    const double sa = sdist[a], sb = sdist[b];
+    /* The smaller of the two, or NaN if either is NaN, as ndarray.min
+       gives it. */
+    const double lowest = sa <= sb || sa != sa ? sa : sb;
+    const double clearance = dot3(com, 1, n, 1);
+    buf[CLEARANCE] = clearance;
+    buf[HEIGHT] = clearance - lowest;
+}
+
+/* Advance the state in buf by one control step: count contact substeps
+   (see integrate), then the rotation's re-orthonormalization, the contact
+   memory, the torso's unit up-axis and its height above the stance feet
+   stance_a and stance_b. motion holds the (4, 3) feet minus com in the
+   body frame after the step, then integrate's motion. With count 0 only
+   the state's contact memory, up-axis and height are measured. Returns
+   dgesv's info for the world inertia; when it is not 0 the state in buf
+   is left as it was. */
+long step_torso(const double *episode, double *buf, const double *motion, long count,
+                double push_y, long stance_a, long stance_b)
+{
+    const double *n = episode + NX;
+    if (count > 0) {
+        const blasint info = integrate(episode, buf, motion + 12, count, push_y);
+        if (info != 0)
+            return info;
+        orthonormalize(buf + ROT);
+    }
+    update_contact_memory(n, buf, motion);
+    measure_height(n, buf, motion, stance_a, stance_b);
+    /* The up-axis is normalized as np.linalg.norm does: the dot product
+       of the contiguous column with itself, then its square root. */
+    const double up[3] = {buf[ROT + 2], buf[ROT + 5], buf[ROT + 8]};
+    const double norm = sqrt(dot3(up, 1, up, 1));
+    buf[UP] = up[0] / norm;
+    buf[UP + 1] = up[1] / norm;
+    buf[UP + 2] = up[2] / norm;
+    return 0;
 }

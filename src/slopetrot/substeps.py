@@ -1,10 +1,14 @@
-"""The compiled contact substeps of one environment control step.
+"""The compiled torso update of one environment control step.
 
-substeps.c runs every substep of a control step in one call. Its matrix
-products call the cblas routines of the OpenBLAS that numpy has loaded,
-with ndarray.dot's arguments, and its scalar code rounds as Python's
-does, so it computes the bits of the same loop written in numpy and
-Python floats.
+substeps.c runs a control step's contact substeps, the inverse of the
+world inertia they use, the rotation's re-orthonormalization, the feet's
+contact memory and the torso's height in one call. Its matrix products
+call the cblas routines of the OpenBLAS that numpy has loaded, with
+numpy's arguments, its inverse calls that library's LAPACK dgesv as
+np.linalg.inv does, and its scalar code rounds as Python's does, so it
+computes the bits of the same code written in numpy and Python floats.
+The torso's angles stay numpy calls in the environment: numpy's arctan2
+and arcsin may round differently from libm's.
 
 The first import compiles substeps.c with the C compiler Python was built
 with into this package's __pycache__/, under a name that hashes the
@@ -30,8 +34,10 @@ SOURCE = Path(__file__).with_name("substeps.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
          "-fno-builtin-sin", "-fno-builtin-cos")
 # The cblas routines ndarray.dot calls for a vector dot product, a
-# matrix-vector and a matrix-matrix product of doubles.
-BLAS_ROUTINES = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_")
+# matrix-vector and a matrix-matrix product of doubles, and the LAPACK
+# routine np.linalg.inv calls, in the order bind_blas takes them.
+ROUTINES = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_",
+            "scipy_dgesv_64_")
 
 
 def build(source: Path, out_dir: Path) -> Path:
@@ -78,22 +84,24 @@ def _numpy_blas() -> ctypes.CDLL:
 
 
 def _load():
-    """The kernel's run_substeps, bound to numpy's cblas routines."""
+    """The kernel's step_torso, bound to numpy's BLAS and LAPACK routines."""
     kernel = ctypes.CDLL(str(build(SOURCE, SOURCE.parent / "__pycache__")))
     blas = _numpy_blas()
     try:
-        routines = [ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in BLAS_ROUTINES]
+        routines = [ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in ROUTINES]
     except AttributeError as err:
-        raise ImportError(f"numpy's OpenBLAS lacks a cblas routine: {err}") from err
-    kernel.bind_blas.argtypes = [ctypes.c_void_p] * 3
+        raise ImportError(f"numpy's OpenBLAS lacks a BLAS or LAPACK routine: {err}") from err
+    kernel.bind_blas.argtypes = [ctypes.c_void_p] * len(ROUTINES)
     kernel.bind_blas.restype = None
     kernel.bind_blas(*routines)
-    run = kernel.run_substeps
-    run.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_double]
-    run.restype = None
-    return run
+    step = kernel.step_torso
+    step.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_double] + [ctypes.c_long] * 2
+    step.restype = ctypes.c_long
+    return step
 
 
-# run_substeps(episode, buf, motion, count, push_y) takes the addresses of
-# C-ordered float64 arrays; see substeps.c for their layouts.
-run_substeps = _load()
+# step_torso(episode, buf, motion, count, push_y, stance_a, stance_b) takes
+# the addresses of C-ordered float64 arrays, see substeps.c for their
+# layouts, and returns LAPACK's info for the world inertia: not 0 when it
+# is singular.
+step_torso = _load()

@@ -5,10 +5,13 @@ step uses.
 The step calls each small product through ndarray.dot instead of @, stacks
 per-foot products into one np.matmul, reads rows of one product as the
 product of those rows, runs elementwise work on Python floats, and runs
-the contact substeps in substeps.c, compiled code that calls numpy's own
-BLAS routines. Each is exact only because numpy and its BLAS make it so;
-the forms are not interchangeable in general (a scalar sum, or a vector
-dot product, rounds differently from a row of a matrix-vector product).
+the torso update (contact substeps, inertia inverse, re-orthonormalization,
+contact memory and height) in substeps.c, compiled code that calls numpy's
+own BLAS and LAPACK routines. Each is exact only because numpy and its
+BLAS make it so; the forms are not interchangeable in general (a scalar
+sum, or a vector dot product, rounds differently from a row of a
+matrix-vector product). The oracles below are that torso update written
+with Python floats and numpy calls.
 """
 
 import math
@@ -16,8 +19,9 @@ import math
 import numpy as np
 import pytest
 
-from slopetrot.rotations import orthonormalize
-from slopetrot.simenv import SimParams, SlopedTerrainEnv, TerrainPlane
+from slopetrot.gaitgen import LegAction
+from slopetrot.rotations import rot_x, rot_y, rot_z, yaw_of
+from slopetrot.simenv import STANCE_PAIRS, SimParams, SlopedTerrainEnv, TerrainPlane
 from slopetrot.slopeest import angles_from_normal
 
 SAMPLES = 2000
@@ -97,6 +101,26 @@ def test_rows_of_one_product_equal_the_product_of_those_rows(rows):
     _assert_forms_agree(f"rows {rows} of one product", forms)
 
 
+def _orthonormalize(rot: np.ndarray) -> np.ndarray:
+    """The reference for substeps.c's re-orthonormalization of a drifting
+    rotation matrix (Gram-Schmidt on columns), on Python floats and numpy
+    dot products of the column views."""
+    (a0, b0, _), (a1, b1, _), (a2, b2, _) = rot.tolist()
+    c0, c1 = rot[:, 0], rot[:, 1]
+    norm = math.sqrt(c0.dot(c0))
+    x0, x1, x2 = a0 / norm, a1 / norm, a2 / norm
+    proj = float(c1.dot(np.array((x0, x1, x2))))
+    y0, y1, y2 = b0 - proj * x0, b1 - proj * x1, b2 - proj * x2
+    y = np.array((y0, y1, y2))
+    norm = math.sqrt(y.dot(y))
+    y0, y1, y2 = y0 / norm, y1 / norm, y2 / norm
+    return np.array((
+        (x0, y0, x1 * y2 - x2 * y1),
+        (x1, y1, x2 * y0 - x0 * y2),
+        (x2, y2, x0 * y1 - x1 * y0),
+    ))
+
+
 def test_orthonormalize_matches_array_form():
     def array_form(rot):
         x = rot[:, 0]
@@ -110,7 +134,7 @@ def test_orthonormalize_matches_array_form():
 
     def forms(rng):
         r = _rot(rng)
-        return (orthonormalize(r),), (array_form(r),)
+        return (_orthonormalize(r),), (array_form(r),)
 
     _assert_forms_agree("orthonormalize", forms)
 
@@ -178,8 +202,8 @@ def _parent_substeps(env, feet_rate, feet_sub, push_y):
     the rotation before re-orthonormalization."""
     s = env.state
     sim = env.sim
-    n = env.plane_normal
-    nx, ny, nz = env._normal
+    n = env.terrain.normal()
+    nx, ny, nz = n.tolist()
     mu = env.terrain.friction
     kp, kd, cap = sim.contact_kp, sim.contact_kd, env.foot_force_cap
     neg_damping = -sim.tangential_damping
@@ -274,46 +298,102 @@ def _nan_canonical_bits(x):
     return np.where(np.isnan(x), np.nan, x).view(np.int64)
 
 
+def _parent_tail(env, com, rot, feet_body, stance, contact_world):
+    """The reference for the rest of substeps.c's step, on the state after
+    the substeps and re-orthonormalization. contact_world holds each
+    foot's remembered world contact point, or None if it has not touched,
+    and is updated in place. Returns the feet in contact, the points the
+    slope estimator takes, the clearance com @ n, the height above the
+    lower stance foot, the unit up-axis and the torso's (roll, pitch, yaw)."""
+    n = env.terrain.normal()
+    nx, ny, nz = n.tolist()
+    # The contact memory: each foot's rot @ offset and f_world @ n, as one
+    # stacked matmul each.
+    offsets = (feet_body - env.com_offset_body)[:, :, None]
+    feet_w = com + np.matmul(rot, offsets)[:, :, 0]
+    sdists = np.matmul(feet_w[:, None, :], n).tolist()
+    in_contact = []
+    for i, ((fx, fy, fz), (sdist,)) in enumerate(zip(feet_w.tolist(), sdists)):
+        in_contact.append(sdist <= 0.0)
+        if sdist <= 0.0:
+            contact_world[i] = (fx - sdist * nx, fy - sdist * ny, fz - sdist * nz)
+    points = [f if c is None else np.array(c) for c, f in zip(contact_world, feet_w)]
+
+    clearance = float(com.dot(n))
+    # The stance rows of products over all four feet.
+    i, j = stance
+    rel = (feet_body - env.com_offset_body).dot(rot.T)
+    sdist = (com + rel).dot(n).tolist()
+    a, b = sdist[i], sdist[j]
+    lowest = a if a <= b or a != a else b
+
+    up = np.asarray(rot[:, 2], dtype=float).ravel()
+    norm = math.sqrt(up.dot(up))
+    unit = [v / norm for v in up.tolist()]
+    theta = (*angles_from_normal(rot[:, 2]), yaw_of(rot))
+    return in_contact, points, clearance, clearance - lowest, unit, theta
+
+
+def _nan_canonical_bits(x):
+    """x's float64 bit patterns with every NaN the same NaN, so -0.0
+    differs from 0.0 and two results agree when their NaNs sit in the same
+    places."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+def _draw_step(env, rng, substeps, seen):
+    """Reset env on a random terrain and give it a random state, and draw
+    one control step's feet motion and push. Returns the address-ready
+    motion block the compiled step reads, the feet's rate, their offsets
+    at each substep and their body-frame positions after the step, and
+    the push force."""
+    env.reset(TerrainPlane(rng.choice([0, 5, 11]), rng.uniform(0.0, 90.0),
+                           rng.uniform(0.0, 1.0)), seed=int(rng.integers(1000)))
+    s = env.state
+    n = env.terrain.normal()
+    s.rot = _rot(rng)
+    s.vel = rng.normal(scale=0.5, size=3)
+    s.omega = rng.normal(scale=2.0, size=3)
+    feet = rng.uniform((-0.3, -0.25, -0.35), (0.3, 0.25, -0.1), size=(4, 3))
+    feet_sub = feet + rng.normal(scale=1e-3, size=(substeps, 4, 3))
+    feet_end = feet_sub[-1] + rng.normal(scale=1e-9, size=(4, 3))
+    feet_rate = rng.normal(scale=0.5, size=(4, 3))
+    # The com height that puts `touching` feet below the plane at the
+    # first substep: the threshold sits halfway between two feet.
+    touching = int(rng.integers(5))
+    heights = np.sort(feet.dot(s.rot.T).dot(n))
+    edges = np.concatenate(([heights[0] - 0.05], heights, [heights[-1] + 0.05]))
+    com_n = -0.5 * (edges[touching] + edges[touching + 1])
+    s.com = rng.normal(scale=0.3, size=3)
+    s.com += (com_n - s.com.dot(n)) * n
+    if touching == 0 and rng.random() < 0.3:
+        # A still torso: the rotation angle stays below 1e-12.
+        s.omega = np.zeros(3)
+        seen["still"] += 1
+    push_y = float(rng.choice([0.0, rng.uniform(-120.0, 120.0)]))
+    if rng.random() < 0.03:
+        getattr(s, str(rng.choice(["com", "vel", "omega", "rot"]))).flat[
+            int(rng.integers(3))] = math.nan
+        seen["nan"] += 1
+    seen["touching"].add(touching)
+    seen["push"].add(push_y != 0.0)
+    motion = np.concatenate(((feet_end - env.com_offset_body)[None], feet_rate[None], feet_sub))
+    return motion, feet_rate, feet_sub, feet_end, push_y
+
+
 @pytest.mark.parametrize("substeps", [1, 5])
 def test_substep_kernel_equals_python_loop(substeps):
     env = SlopedTerrainEnv(sim=SimParams(substeps=substeps))
     seen = {"touching": set(), "push": set(), "still": 0, "nan": 0}
 
     def forms(rng):
-        env.reset(TerrainPlane(rng.choice([0, 5, 11]), rng.uniform(0.0, 90.0),
-                               rng.uniform(0.0, 1.0)), seed=int(rng.integers(1000)))
+        motion, feet_rate, feet_sub, _, push_y = _draw_step(env, rng, substeps, seen)
+        com, vel, omega, rot = _parent_substeps(env, feet_rate, feet_sub, push_y)
+        reference = (com, vel, omega, _orthonormalize(rot))
         s = env.state
-        n = env.plane_normal
-        s.rot = _rot(rng)
-        s.vel = rng.normal(scale=0.5, size=3)
-        s.omega = rng.normal(scale=2.0, size=3)
-        feet = rng.uniform((-0.3, -0.25, -0.35), (0.3, 0.25, -0.1), size=(4, 3))
-        feet_sub = feet + rng.normal(scale=1e-3, size=(substeps, 4, 3))
-        feet_rate = rng.normal(scale=0.5, size=(4, 3))
-        # The com height that puts `touching` feet below the plane at the
-        # first substep: the threshold sits halfway between two feet.
-        touching = int(rng.integers(5))
-        heights = np.sort(feet.dot(s.rot.T).dot(n))
-        edges = np.concatenate(([heights[0] - 0.05], heights, [heights[-1] + 0.05]))
-        com_n = -0.5 * (edges[touching] + edges[touching + 1])
-        s.com = rng.normal(scale=0.3, size=3)
-        s.com += (com_n - s.com.dot(n)) * n
-        if touching == 0 and rng.random() < 0.3:
-            # A still torso: the rotation angle stays below 1e-12.
-            s.omega = np.zeros(3)
-            seen["still"] += 1
-        push_y = float(rng.choice([0.0, rng.uniform(-120.0, 120.0)]))
-        if rng.random() < 0.03:
-            getattr(s, str(rng.choice(["com", "vel", "omega", "rot"]))).flat[
-                int(rng.integers(3))] = math.nan
-            seen["nan"] += 1
-        seen["touching"].add(touching)
-        seen["push"].add(push_y != 0.0)
-
-        reference = _parent_substeps(env, feet_rate, feet_sub, push_y)
-        motion = np.concatenate((feet_rate[None], feet_sub))
-        rot = env._integrate(motion.ctypes.data, push_y)
-        fast = (s.com, s.vel, s.omega, rot)
+        env._advance(motion.ctypes.data, substeps, push_y, STANCE_PAIRS[0])
+        fast = (s.com, s.vel, s.omega, s.rot)
         return (tuple(map(_nan_canonical_bits, fast)),
                 tuple(map(_nan_canonical_bits, reference)))
 
@@ -321,3 +401,105 @@ def test_substep_kernel_equals_python_loop(substeps):
     assert seen["touching"] == {0, 1, 2, 3, 4}
     assert seen["push"] == {False, True}
     assert seen["still"] > 50 and seen["nan"] > 20
+
+
+@pytest.mark.parametrize("substeps", [1, 5])
+def test_compiled_tail_equals_python_tail(substeps):
+    # The whole compiled step against the Python loop and tail, from a
+    # random contact memory; one draw in five is the reset's call, which
+    # measures the state without moving it.
+    env = SlopedTerrainEnv(sim=SimParams(substeps=substeps))
+    seen = {"touching": set(), "push": set(), "still": 0, "nan": 0,
+            "in_contact": set(), "remembered": 0, "reset_call": 0}
+
+    def forms(rng):
+        motion, feet_rate, feet_sub, feet_end, push_y = _draw_step(env, rng, substeps, seen)
+        s = env.state
+        touched = rng.random(4) < 0.5
+        env._touched[:] = touched
+        env._contact_points[:] = rng.normal(size=(4, 3))
+        contact_world = [tuple(p) if t else None
+                         for p, t in zip(env._contact_points.tolist(), touched)]
+        stance = STANCE_PAIRS[int(rng.integers(2))]
+        count = substeps
+        if rng.random() < 0.2:
+            count = 0
+            seen["reset_call"] += 1
+            state = (s.com.copy(), s.vel.copy(), s.omega.copy(), s.rot.copy())
+        else:
+            com, vel, omega, rot = _parent_substeps(env, feet_rate, feet_sub, push_y)
+            state = (com, vel, omega, _orthonormalize(rot))
+        in_contact, points, clearance, height, unit, theta = _parent_tail(
+            env, state[0], state[3], feet_end, stance, contact_world)
+        reference = (*state, in_contact, points, clearance, height, unit, theta)
+
+        theta_c, clearance_c, height_c = env._advance(motion.ctypes.data, count, push_y, stance)
+        fast = (s.com, s.vel, s.omega, s.rot, env._in_contact != 0.0, env._contact_points,
+                clearance_c, height_c, env._kernel_tail[:3], theta_c)
+        seen["in_contact"].add(sum(in_contact))
+        seen["remembered"] += sum(t and not c for t, c in zip(touched, in_contact))
+        return (tuple(map(_nan_canonical_bits, fast)),
+                tuple(map(_nan_canonical_bits, reference)))
+
+    _assert_forms_agree(f"the compiled step's tail at {substeps} substeps", forms)
+    assert seen["touching"] == {0, 1, 2, 3, 4} and seen["in_contact"] == {0, 1, 2, 3, 4}
+    assert seen["push"] == {False, True}
+    assert seen["still"] > 50 and seen["nan"] > 20
+    assert seen["reset_call"] > 300 and seen["remembered"] > 300
+
+
+@pytest.mark.parametrize("terrain", [TerrainPlane(), TerrainPlane(11, 90), TerrainPlane(7, 30)])
+def test_reset_measures_the_spawn_pose_as_python_did(terrain):
+    env = SlopedTerrainEnv()
+    for seed in range(20):
+        env.reset(terrain, seed=seed)
+        s = env.state
+        in_contact, points, _, height, _, theta = _parent_tail(
+            env, s.com, s.rot, s.feet_body, STANCE_PAIRS[0], [None] * 4)
+        assert env._in_contact.tolist() == in_contact
+        assert np.array_equal(env._contact_points, np.array(points))
+        assert env.log_row()["height"] == height
+        assert env._last_theta == theta
+
+
+def test_singular_inertia_raises_as_numpy_does():
+    # A zero rotation makes the world inertia zero: numpy's inv raises,
+    # and so does the step, which leaves the state as it was.
+    env = SlopedTerrainEnv()
+    env.reset(TerrainPlane(7, 30), seed=3)
+    env.state.rot = np.zeros((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(env.state.rot * env.inertia_body)
+    before = [np.copy(getattr(env.state, k)) for k in ("com", "vel", "omega", "rot")]
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        env.step((LegAction(0.0, 0.0, 0.0, 0.0, 0.0),) * 4)
+    after = [getattr(env.state, k) for k in ("com", "vel", "omega", "rot")]
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert env.state.step_index == 0
+
+
+def test_torso_angles_stay_numpy_calls():
+    # On hosts whose numpy vectorizes arctan2 (SVML), np.arctan2 and
+    # math.atan2 round some arguments differently. The goldens hold
+    # numpy's bits, so the step's roll must stay np.arctan2 of the unit
+    # up-axis. Search tilted torsos for a step where the two differ.
+    env = SlopedTerrainEnv()
+    rng = np.random.default_rng(5)
+    zero = (LegAction(0.0, 0.0, 0.0, 0.0, 0.0),) * 4
+    differing = 0
+    for trial in range(3000):
+        env.reset(TerrainPlane(), seed=trial)
+        roll, pitch, yaw = rng.uniform(-0.6, 0.6, size=3)
+        env.state.rot = rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
+        env.step(zero)
+        rot = env.state.rot
+        up = rot[:, 2].copy()
+        ux, uy, uz = (v / math.sqrt(up.dot(up)) for v in up.tolist())
+        roll = env.log_row()["torso_roll"]
+        assert roll == float(np.arctan2(uy, uz))
+        if math.atan2(uy, uz) != roll:
+            differing += 1
+            if differing == 3:
+                return
+    if differing == 0:
+        pytest.skip("np.arctan2 equals math.atan2 on every drawn up-axis on this host")

@@ -135,9 +135,9 @@ class TestReset:
         env = SlopedTerrainEnv()
         env.reset(TerrainPlane(11, 90), NO_PUSH, seed=0)
         terrain_roll, terrain_pitch = angles_from_normal(TerrainPlane(11, 90).normal())
-        theta = env._torso_theta(env.state.rot)
-        assert theta[0] == pytest.approx(terrain_roll, abs=1e-9)
-        assert theta[1] == pytest.approx(terrain_pitch, abs=1e-9)
+        row = env.log_row()
+        assert row["torso_roll"] == pytest.approx(terrain_roll, abs=1e-9)
+        assert row["torso_pitch"] == pytest.approx(terrain_pitch, abs=1e-9)
 
     def test_spawn_height(self):
         env = SlopedTerrainEnv()
@@ -416,6 +416,18 @@ class TestBehavior:
         _, _, done, info = env.step(ZEROS)
         assert done and info["fall"]
 
+    def test_state_arrays_are_fresh_each_step(self):
+        # The step hands out new com, vel, omega and rot arrays: arrays a
+        # caller kept from an earlier step do not change under it.
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(7, 30), NO_PUSH, seed=1)
+        held = [getattr(env.state, k) for k in ("com", "vel", "omega", "rot")]
+        kept = [a.copy() for a in held]
+        env.step(ZEROS)
+        env.step(ZEROS)
+        assert all(np.array_equal(a, b) for a, b in zip(held, kept))
+        assert not np.array_equal(env.state.com, kept[0])
+
     def test_nonfinite_state_is_a_fall(self):
         for field, value in [
             ("vel", (math.nan, 0.0, 0.0)),
@@ -428,6 +440,23 @@ class TestBehavior:
             getattr(env.state, field)[:] = value
             _, _, done, info = env.step(ZEROS)
             assert done and info["fall"], (field, value)
+
+    @pytest.mark.parametrize("latch_step", [0, 40])
+    @pytest.mark.parametrize("action", [
+        (LegAction(*[math.nan] * 5),) * 4,
+        (ZERO_ACTION, ZERO_ACTION._replace(steer=math.inf), ZERO_ACTION, ZERO_ACTION),
+    ], ids=["all-nan", "one-inf"])
+    def test_nonfinite_action_is_a_fall(self, action, latch_step):
+        # A non-finite action has no foot target. The step that latches it
+        # ends the episode as a fall with a non-finite reward, which the
+        # ARS update counts as a degenerate iteration, instead of raising.
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(7, 30), NO_PUSH, seed=1)
+        for _ in range(latch_step):
+            assert not env.step(ZEROS)[2]
+        _, reward, done, info = env.step(action)
+        assert done and info["fall"] and not math.isfinite(reward)
+        assert env.state.step_index == latch_step + 1
 
     def test_sunk_torso_terminates(self):
         env = SlopedTerrainEnv()

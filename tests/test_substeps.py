@@ -1,6 +1,7 @@
-"""The build of the compiled substep kernel: a library is named by its
-source and compile command, reused while both stay the same, and written
-whole or not at all."""
+"""The build and binding of the compiled step kernel: a library is named
+by its source and compile command, reused while both stay the same, and
+written whole or not at all; a routine numpy's OpenBLAS lacks is an
+ImportError that names it."""
 
 import sysconfig
 
@@ -45,3 +46,9 @@ def test_missing_compiler_raises_import_error(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match="no-such-cc"):
         substeps.build(substeps.SOURCE, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_routine_raises_import_error_naming_it(monkeypatch):
+    monkeypatch.setattr(substeps, "ROUTINES", substeps.ROUTINES + ("scipy_no_such_routine64_",))
+    with pytest.raises(ImportError, match="BLAS or LAPACK routine.*scipy_no_such_routine64_"):
+        substeps._load()

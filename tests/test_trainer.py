@@ -1,4 +1,6 @@
 import hashlib
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from slopetrot.trainer import (
 )
 
 NO_PUSH = RandomizationConfig(push_enabled=False)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def make_state(theta, deltas, r_pos, r_neg):
@@ -188,6 +191,18 @@ class TestRollouts:
         r1 = rollout_return(m, bundle, t, RandomizationConfig(), 123)
         r2 = rollout_return(m, bundle, t, RandomizationConfig(), 123)
         assert r1 == r2
+
+    def test_nonfinite_policy_entry_scores_a_nonfinite_return(self, bundle):
+        # One NaN entry makes every action NaN in its channel; the episode
+        # falls at the first step with a NaN return, which ars_update flags
+        # as degenerate, instead of raising out of a pooled rollout.
+        matrix = policy.load_policy(PERFBENCH / "policy_guided_seed7.txt")
+        matrix[3, 5] = math.nan
+        ret, _, steps = rollout_stats(matrix, bundle.with_episode_len(80), TerrainPlane(7, 30),
+                                      RandomizationConfig(), 1)
+        assert math.isnan(ret) and steps == 1
+        assert math.isnan(rollout_return(matrix, bundle, TerrainPlane(7, 30),
+                                         RandomizationConfig(), 1, episode_len=80))
 
     def test_zero_episode_len(self, bundle):
         with pytest.raises(ConfigError):
