@@ -38,7 +38,7 @@ static dgemv_fn dgemv;
 static dgemm_fn dgemm;
 static dgesv_fn dgesv;
 
-void bind_blas(ddot_fn dot, dgemv_fn gemv, dgemm_fn gemm, dgesv_fn gesv)
+void bind_routines(ddot_fn dot, dgemv_fn gemv, dgemm_fn gemm, dgesv_fn gesv)
 {
     ddot = dot;
     dgemv = gemv;

@@ -13,8 +13,8 @@ and arcsin may round differently from libm's.
 The first import compiles substeps.c with the C compiler Python was built
 with into this package's __pycache__/, under a name that hashes the
 source and the compile command; later imports load that file. Without a
-compiler, or without numpy's OpenBLAS, the import raises ImportError
-naming the cause.
+compiler, or without numpy's OpenBLAS or one of the routines named below,
+the import raises ImportError naming the cause.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
          "-fno-builtin-sin", "-fno-builtin-cos")
 # The cblas routines ndarray.dot calls for a vector dot product, a
 # matrix-vector and a matrix-matrix product of doubles, and the LAPACK
-# routine np.linalg.inv calls, in the order bind_blas takes them.
+# routine np.linalg.inv calls, in the order bind_routines takes them.
 ROUTINES = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_",
             "scipy_dgesv_64_")
 
@@ -91,9 +91,9 @@ def _load():
         routines = [ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in ROUTINES]
     except AttributeError as err:
         raise ImportError(f"numpy's OpenBLAS lacks a BLAS or LAPACK routine: {err}") from err
-    kernel.bind_blas.argtypes = [ctypes.c_void_p] * len(ROUTINES)
-    kernel.bind_blas.restype = None
-    kernel.bind_blas(*routines)
+    kernel.bind_routines.argtypes = [ctypes.c_void_p] * len(ROUTINES)
+    kernel.bind_routines.restype = None
+    kernel.bind_routines(*routines)
     step = kernel.step_torso
     step.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_double] + [ctypes.c_long] * 2
     step.restype = ctypes.c_long
