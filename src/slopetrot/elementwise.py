@@ -2,12 +2,12 @@
 with the same bits either way.
 
 `ops(x)` gives the float form when x is a number and the array form when
-it is an ndarray, so one function body serves a single point and a whole
-half cycle of points. numpy's sin, cos, sqrt and fmod round as math's do
-(tests/test_numeric_forms.py checks it); its arctan2 and arccos do not, so
-the array form maps math.atan2 and math.acos over the elements. A
-conditional `a if c else b` becomes np.where on the same comparison, which
-keeps its NaN and tie results.
+it is an ndarray, so one function body serves a single point and the four
+legs' spawn posture at once. numpy's sin, cos, sqrt and fmod round as
+math's do (tests/test_numeric_forms.py checks it); its arctan2 and arccos
+do not, so the array form maps math.atan2 and math.acos over the
+elements. A conditional `a if c else b` becomes np.where on the same
+comparison, which keeps its NaN and tie results.
 """
 
 from __future__ import annotations

@@ -24,6 +24,15 @@ class Unreachable(ValueError):
     """Target lies outside the reachable annulus of the planar pair."""
 
 
+CYLINDER_MESSAGE = "point inside the abduction offset cylinder"
+
+
+def outside_annulus(r2) -> Unreachable:
+    """The error for a target whose squared planar radius r2 lies outside
+    the annulus of the planar pair."""
+    return Unreachable(f"planar target radius {math.sqrt(r2):.4f} m outside leg annulus")
+
+
 class FootPosition(NamedTuple):
     """Foot position (meters) in the leg frame: origin at the hip mount,
     x forward, y lateral, z up (so a foot below the hip has z < 0). The
@@ -160,7 +169,7 @@ def _abduction_split(p: FootPosition, geometry: LegGeometry):
     rr = _offset_radius2(p, geometry)
     m = ops(rr)
     if m.any(rr < -1e-15):
-        raise Unreachable("point inside the abduction offset cylinder")
+        raise Unreachable(CYLINDER_MESSAGE)
     pz = _planar_z(rr)
     abd = m.atan2(p.z, p.y) - m.atan2(pz, geometry.abduction_offset)
     # wrap to (-pi, pi]
@@ -188,8 +197,7 @@ def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
     # Written as "not (within bounds)" so NaN is outside too.
     outside = m.where((r2 <= hi + 1e-12) & (r2 >= lo - 1e-12), False, True)
     if m.any(outside):
-        radius = math.sqrt(np.extract(outside, r2)[0])
-        raise Unreachable(f"planar target radius {radius:.4f} m outside leg annulus")
+        raise outside_annulus(np.extract(outside, r2)[0])
     cos_knee = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     cos_knee = m.where(cos_knee > -1.0, cos_knee, -1.0)
     knee = m.acos(m.where(cos_knee < 1.0, cos_knee, 1.0))
@@ -264,7 +272,10 @@ def _closest_point_on_polygon(px, pz, poly):
         t = m.where(t > 0.0, t, 0.0)
         t = m.where(t < 1.0, t, 1.0)
         cx, cz = ax + t * ex, az + t * ez
-        d2 = (px - cx) ** 2 + (pz - cz) ** 2
+        # Products, not ** 2: a float's ** calls libm's pow, which rounds
+        # differently from the product an array's ** 2 computes.
+        dx, dz = px - cx, pz - cz
+        d2 = dx * dx + dz * dz
         closer = d2 < best_d2
         best_x = m.where(closer, cx, best_x)
         best_z = m.where(closer, cz, best_z)

@@ -26,7 +26,7 @@ from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import rot_z, yaw_of
 from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal, angles_from_unit_normal
-from .substeps import step_torso
+from .substeps import INSIDE_CYLINDER, OUTSIDE_ANNULUS, plan_half_cycle, step_torso
 
 
 class NotReset(RuntimeError):
@@ -229,7 +229,29 @@ class SlopedTerrainEnv:
             raise ConfigError("nominal stance foot falls outside the workspace polygon")
 
         self._hips = np.asarray(self.geometry.hip_positions_body, dtype=float)
-        self._track_alpha = 1.0 - math.exp(-self.sim.dt / self.sim.track_time_const)
+        # The half-cycle plan's constants, in the order substeps.c reads
+        # them: the com offset (filled in at reset), the lag coefficient of
+        # the joints' tracking, the gait, the leg geometry, and the
+        # workspace polygon's vertices and oriented edges, as legkin's
+        # workspace test and projection read them.
+        geometry, gait, sim = self.geometry, self.gait, self.sim
+        self._kinematics = np.array((
+            0.0, 0.0, 0.0, sim.dt, gait.cycle_period,
+            1.0 - math.exp(-sim.dt / sim.track_time_const),
+            gait.desired_height, gait.foot_clearance, geometry.upper_link_len,
+            geometry.lower_link_len, geometry.abduction_offset,
+            *(v for limits in geometry.joint_limits for v in limits),
+            *(gaitgen.PHASE_OFFSETS[leg] for leg in LEG_ORDER), *self._hips.ravel().tolist(),
+            sim.substeps, len(geometry._vertices),
+            *(v for vertex in geometry._vertices for v in vertex),
+            *(v for edge in geometry._edges for v in edge),
+        ))
+        self._kinematics_address = self._kinematics.ctypes.data
+        # The plan's inputs: the latched actions, the joints and feet
+        # before the half cycle, and the squared planar radius of a target
+        # IK rejects.
+        self._plan_in = np.zeros(45)
+        self._plan_in_address = self._plan_in.ctypes.data
         # The compiled step's buffer (see substeps.c): the state in and
         # out; the torso's unit up-axis, clearance and height; then per
         # foot whether it is in contact, whether it has touched since
@@ -241,9 +263,6 @@ class SlopedTerrainEnv:
         self._touched = kernel_buf[27:31]
         self._contact_points = kernel_buf[31:].reshape(4, 3)
         self._kernel_address = kernel_buf.ctypes.data
-        self._substep_fracs = np.array(
-            [(j + 1) / self.sim.substeps for j in range(self.sim.substeps)]
-        )[:, None, None]
         # Largest possible forward displacement per control step, used to
         # normalize the progress reward: top speed is one max step per half
         # cycle.
@@ -312,20 +331,21 @@ class SlopedTerrainEnv:
             *self.inertia_body,
         ))
         self._episode_address = self._episode.ctypes.data
+        self._kinematics[:3] = self.com_offset_body  # the plan's com offset
         bx = np.array([1.0, 0.0, 0.0]) - n[0] * n
         bx = bx / np.linalg.norm(bx)
         rot = np.column_stack((bx, np.cross(n, bx), n))
 
         body_origin = self.gait.desired_height * n
         self.latched = (gaitgen.ZERO_ACTION,) * 4
-        (joints,) = self._ik_targets(np.zeros(1))
+        joints, feet_body = self._spawn_posture()
         self.state = SimState(
             com=body_origin + rot @ self.com_offset_body,
             rot=rot,
             vel=np.zeros(3),
             omega=np.zeros(3),
             joints=joints,
-            feet_body=self._fk_feet(joints),
+            feet_body=feet_body,
             step_index=0,
         )
         self._done = False
@@ -359,55 +379,53 @@ class SlopedTerrainEnv:
     # ------------------------------------------------------------------
     # helpers
 
-    def _ik_targets(self, t: np.ndarray) -> np.ndarray:
-        """IK joint targets of the latched actions at the times t, as
-        (len(t), 4, 3): legs in LEG_ORDER, joints abd/hip/knee. One array
-        call per kinematics function covers every time and leg. An action
-        with a non-finite entry has no foot target: its joint targets are
-        NaN, which makes the state NaN, and the step counts that as a fall."""
-        latched = np.array(self.latched, dtype=float)
-        if not np.isfinite(latched).all():
-            return np.full((len(t), 4, 3), math.nan)
+    def _spawn_posture(self) -> tuple:
+        """The legs' IK joints and body-frame feet (leg-frame FK plus the
+        hip mounts) at t = 0 under the zero action, each (4, 3): legs in
+        LEG_ORDER, joints abd/hip/knee. They come from the public
+        kinematics, called once on arrays of all four legs, which give
+        the bits of the compiled plan."""
         gait, geometry = self.gait, self.geometry
+        t = np.zeros(1)
         tau = np.stack([gaitgen.trot_phase(t, gait.cycle_period, leg) for leg in LEG_ORDER],
                        axis=-1)
-        action = gaitgen.LegAction(*latched.T)
+        action = gaitgen.LegAction(*np.zeros((5, 4)))
         foot = gaitgen.checked_foot_target(tau, action, gait, geometry)
-        return np.stack(legkin.inverse_kinematics(foot, geometry), axis=-1)
-
-    def _fk_feet(self, joints: np.ndarray) -> np.ndarray:
-        """Body-frame feet of joints (..., 4, 3), in the same shape:
-        leg-frame FK plus the hip mounts."""
-        foot = legkin.forward_kinematics(np.moveaxis(joints, -1, 0), self.geometry)
-        return self._hips + np.stack(foot, axis=-1)
+        (joints,) = np.stack(legkin.inverse_kinematics(foot, geometry), axis=-1)
+        feet = legkin.forward_kinematics(joints.T, geometry)
+        return joints, self._hips + np.stack(feet, axis=-1)
 
     def _plan_half_cycle(self) -> tuple:
         """The kinematics of every control step from this one to the end of
-        its half cycle (or of the episode), which the latched actions fix:
-        joints and body-frame feet after the step, and the feet's motion
-        that the compiled step reads, one C-ordered (substeps + 2, 4, 3)
-        block per step: the feet minus com after the step, the feet's rate,
-        then the feet minus com at the end of each contact substep, all in
-        the body frame. Row k belongs to the step k steps after this one.
+        its half cycle (or of the episode), which the latched actions fix,
+        in one compiled call (see substeps.c): joints and body-frame feet
+        after the step, and the feet's motion that the compiled step
+        reads, one C-ordered (substeps + 2, 4, 3) block per step: the feet
+        minus com after the step, the feet's rate, then the feet minus com
+        at the end of each contact substep, all in the body frame. Row k
+        belongs to the step k steps after this one.
 
-        Each element is computed as the step would compute it alone, so the
-        rows hold the same bits."""
+        Each element has the bits of the public kinematics' array calls on
+        the same targets: libm's atan2, acos, sin, cos, sqrt and fmod are
+        math's. An action with a non-finite entry has no foot target: its
+        joints are NaN, which makes the state NaN, and the step counts
+        that as a fall. A target IK cannot reach raises Unreachable as
+        legkin.inverse_kinematics does."""
         s, sim = self.state, self.sim
-        first = s.step_index + 1
         count = min(self.steps_per_half, sim.episode_len - s.step_index)
-        targets = self._ik_targets(np.arange(first, first + count) * sim.dt)
-        # The joints track their targets with a first-order lag.
-        joints = np.empty_like(targets)
-        q, alpha = s.joints, self._track_alpha
-        for k, target in enumerate(targets):
-            q = joints[k] = q + alpha * (target - q)
-        feet = self._fk_feet(joints)
-        before = np.concatenate((s.feet_body[None], feet[:-1]))
-        move = feet - before
-        off = self.com_offset_body
-        substeps = (before - off)[:, None] + self._substep_fracs * move[:, None]
-        return joints, feet, np.concatenate(
-            ((feet - off)[:, None], (move / sim.dt)[:, None], substeps), axis=1)
+        np.concatenate((self.latched, s.joints, s.feet_body), axis=None,
+                       out=self._plan_in[:44])
+        # Fresh arrays: the state's joints and feet are views into them.
+        out = np.empty(count * (sim.substeps + 4) * 12)
+        status = plan_half_cycle(self._kinematics_address, self._plan_in_address,
+                                 s.step_index + 1, count, out.ctypes.data)
+        if status == INSIDE_CYLINDER:
+            raise legkin.Unreachable(legkin.CYLINDER_MESSAGE)
+        if status == OUTSIDE_ANNULUS:
+            raise legkin.outside_annulus(self._plan_in.item(44))
+        rows = count * 12
+        return (out[:rows].reshape(count, 4, 3), out[rows:2 * rows].reshape(count, 4, 3),
+                out[2 * rows:].reshape(count, sim.substeps + 2, 4, 3))
 
     def _advance(self, motion: int, count: int, push_y: float, stance: tuple) -> tuple:
         """Advance the torso through count contact substeps in one compiled

@@ -1,12 +1,19 @@
-/* The compiled part of one SlopedTerrainEnv control step.
+/* The compiled parts of SlopedTerrainEnv's control steps.
 
-   The contact substeps find the feet below the plane, sum their penalty
-   contact forces and torques, and advance the torso by semi-implicit
-   Euler with a Rodrigues rotation update, its inertia inverted once per
-   step. The step then re-orthonormalizes the rotation, updates the
-   feet's contact memory and measures the torso's height. The results are
-   bit for bit those of the same code written with Python floats and
-   numpy calls:
+   step_torso runs one step's torso update. The contact substeps find the
+   feet below the plane, sum their penalty contact forces and torques, and
+   advance the torso by semi-implicit Euler with a Rodrigues rotation
+   update, its inertia inverted once per step. The step then
+   re-orthonormalizes the rotation, updates the feet's contact memory and
+   measures the torso's height.
+
+   plan_half_cycle runs once per half cycle, when an action latches: the
+   legs' foot targets, their projection onto the workspace, IK, the
+   joints' lag, FK and the feet's motion for every step of the half cycle.
+
+   The results are bit for bit those of the same code written with Python
+   floats and numpy calls (the kinematics in legkin's and gaitgen's array
+   form):
 
    - every matrix product calls the cblas routine that ndarray.dot (or
      np.matmul) calls, from the OpenBLAS numpy has loaded, with numpy's
@@ -15,7 +22,9 @@
      compiled without FMA contraction, its sums are left to right, and its
      comparisons are those of the Python conditionals, so NaN takes the
      same branches;
-   - sin, cos and sqrt are libm's, as math's are. */
+   - sin, cos, sqrt, fmod, atan2 and acos are libm's, as math's are, and
+     numpy's sin, cos, sqrt and fmod equal them; atan2 takes math.atan2's
+     special cases for NaN, infinities and zeros. */
 
 #include <math.h>
 #include <stdint.h>
@@ -341,4 +350,232 @@ long step_torso(const double *episode, double *buf, const double *motion, long c
     buf[UP + 1] = up[1] / norm;
     buf[UP + 2] = up[2] / norm;
     return 0;
+}
+
+/* The half cycle's kinematics: the constants, packed once by the
+   environment (the com offset at each reset), then the workspace
+   polygon's vertices and its oriented edges (legkin._oriented_edges). */
+enum {
+    COM_OFFSET = 0, DT = 3, PERIOD = 4, TRACK_ALPHA = 5, DESIRED_HEIGHT = 6, FOOT_CLEARANCE = 7,
+    UPPER = 8, LOWER = 9, ABD_OFFSET = 10, LIMITS = 11, PHASE = 17, HIPS = 21, SUBSTEPS = 33,
+    VERTEX_COUNT = 34, VERTICES = 35
+};
+
+/* The plan buffer: the latched actions (step_len, steer, shift_x,
+   shift_y, shift_z per leg), the joints and body-frame feet before the
+   half cycle, and the squared planar radius of a target IK rejects. */
+enum { ACTIONS = 0, JOINTS = 20, FEET = 32, REJECTED_R2 = 44 };
+
+enum { STEP_LEN, STEER, SHIFT_X, SHIFT_Y, SHIFT_Z };
+
+/* What plan_half_cycle returns: the plan, or the first of the errors
+   legkin.inverse_kinematics raises for an array of targets. */
+enum { PLANNED, INSIDE_CYLINDER, OUTSIDE_ANNULUS };
+
+/* math.atan2: CPython's special cases for NaN, infinities and zeros,
+   then libm's atan2. */
+static double py_atan2(double y, double x)
+{
+    if (isnan(x) || isnan(y))
+        return NAN;
+    if (isinf(y)) {
+        if (isinf(x))
+            return copysign(copysign(1.0, x) == 1.0 ? 0.25 * M_PI : 0.75 * M_PI, y);
+        return copysign(0.5 * M_PI, y);
+    }
+    if (isinf(x) || y == 0.0)
+        return copysign(copysign(1.0, x) == 1.0 ? 0.0 : M_PI, y);
+    return atan2(y, x);
+}
+
+/* legkin._point_in_polygon for the polygon's oriented edges. */
+static int in_polygon(const double *edges, long n, double px, double pz)
+{
+    int inside = 1;
+    for (long i = 0; i < n; i++) {
+        const double *e = edges + 4 * i;
+        if (!(e[2] * (pz - e[1]) - e[3] * (px - e[0]) >= -1e-12))
+            inside = 0;
+    }
+    return inside;
+}
+
+/* legkin._closest_point_on_polygon: the first nearest edge wins. */
+static void closest_on_polygon(const double *vertices, long n, double px, double pz, double *x,
+                               double *z)
+{
+    double best_x = NAN, best_z = NAN, best_d2 = INFINITY;
+    for (long i = 0; i < n; i++) {
+        const double ax = vertices[2 * i], az = vertices[2 * i + 1];
+        const double bx = vertices[2 * ((i + 1) % n)], bz = vertices[2 * ((i + 1) % n) + 1];
+        const double ex = bx - ax, ez = bz - az;
+        const double denom = ex * ex + ez * ez;
+        double t = denom == 0.0 ? 0.0 : ((px - ax) * ex + (pz - az) * ez) / denom;
+        t = t > 0.0 ? t : 0.0;
+        t = t < 1.0 ? t : 1.0;
+        const double cx = ax + t * ex, cz = az + t * ez;
+        const double dx = px - cx, dz = pz - cz;
+        const double d2 = dx * dx + dz * dz;
+        if (d2 < best_d2) {
+            best_x = cx;
+            best_z = cz;
+            best_d2 = d2;
+        }
+    }
+    *x = best_x;
+    *z = best_z;
+}
+
+/* gaitgen.checked_foot_target of one leg's action at phase tau: the
+   transformed semi-elliptic reference, projected onto the workspace
+   polygon by legkin.clamp_to_workspace's rule when it lies outside. */
+static void foot_target(const double *kin, const double *action, double tau, double *p)
+{
+    const double d = kin[ABD_OFFSET], height = kin[DESIRED_HEIGHT];
+    const long n = (long)kin[VERTEX_COUNT];
+    const double *vertices = kin + VERTICES, *edges = vertices + 2 * n;
+
+    const double ang = (2.0 * M_PI) * (1.0 - tau);
+    const double bx = (0.5 * action[STEP_LEN]) * cos(ang);
+    const double bz = tau < 0.5 ? -height : -height + kin[FOOT_CLEARANCE] * sin(ang);
+    const double x = action[SHIFT_X] + bx * cos(action[STEER]);
+    const double y = action[SHIFT_Y] + bx * sin(action[STEER]);
+    const double z = action[SHIFT_Z] + bz;
+    p[0] = x;
+    p[1] = y;
+    p[2] = z;
+
+    /* legkin.in_workspace */
+    const double rr = (y * y + z * z) - d * d;
+    if (!(rr < -1e-15) && in_polygon(edges, n, x, -sqrt(0.0 > rr ? 0.0 : rr)))
+        return;
+
+    /* A point inside the offset cylinder is split as the stand-in
+       (x, d, 0) and falls back to a straight-down posture. */
+    const int cylinder = rr < 0.0;
+    const double sy = cylinder ? d : y, sz = cylinder ? 0.0 : z;
+    const double split = (sy * sy + sz * sz) - d * d;
+    double pz = -sqrt(0.0 > split ? 0.0 : split);
+    double abd = py_atan2(sz, sy) - py_atan2(pz, d);
+    abd = py_atan2(sin(abd), cos(abd));
+    abd = cylinder ? 0.0 : abd;
+    pz = cylinder ? -fabs(z) : pz;
+    double px = x;
+    if (!in_polygon(edges, n, px, pz))
+        closest_on_polygon(vertices, n, x, pz, &px, &pz);
+    const double ca = cos(abd), sa = sin(abd);
+    p[1] = d * ca - pz * sa;
+    p[2] = d * sa + pz * ca;
+    p[0] = px;
+}
+
+/* legkin.inverse_kinematics of one target p into q = (abd, hip, knee),
+   clipped into the joint limits. Returns INSIDE_CYLINDER or
+   OUTSIDE_ANNULUS for a target it rejects, with the squared planar
+   radius in r2, and PLANNED otherwise. */
+static long inverse_kinematics(const double *kin, const double *p, double *q, double *r2)
+{
+    const double d = kin[ABD_OFFSET], l1 = kin[UPPER], l2 = kin[LOWER];
+    const double *limits = kin + LIMITS;
+    const double rr = (p[1] * p[1] + p[2] * p[2]) - d * d;
+    if (rr < -1e-15)
+        return INSIDE_CYLINDER;
+    const double pz = -sqrt(0.0 > rr ? 0.0 : rr);
+    double abd = py_atan2(p[2], p[1]) - py_atan2(pz, d);
+    abd = py_atan2(sin(abd), cos(abd));
+    *r2 = p[0] * p[0] + pz * pz;
+    const double lo = (l1 - l2) * (l1 - l2), hi = (l1 + l2) * (l1 + l2);
+    if (!(*r2 <= hi + 1e-12 && *r2 >= lo - 1e-12))
+        return OUTSIDE_ANNULUS;
+    double cos_knee = ((*r2 - l1 * l1) - l2 * l2) / ((2.0 * l1) * l2);
+    cos_knee = cos_knee > -1.0 ? cos_knee : -1.0;
+    const double knee = acos(cos_knee < 1.0 ? cos_knee : 1.0);
+    const double hip = py_atan2(p[0], -pz) - py_atan2(l2 * sin(knee), l1 + l2 * cos(knee));
+    const double angles[3] = {abd, hip, knee};
+    for (int j = 0; j < 3; j++) {
+        const double lo_j = limits[2 * j], hi_j = limits[2 * j + 1];
+        double a = lo_j > angles[j] ? lo_j : angles[j];
+        q[j] = hi_j < a ? hi_j : a;
+    }
+    return PLANNED;
+}
+
+/* Plan the legs for count control steps, the first of them step number
+   first (its time is first * dt): per step and leg in row-major order,
+   the joints after the step, the body-frame feet after it, and the
+   (substeps + 2, 4, 3) block of feet motion step_torso reads. out holds
+   the (count, 4, 3) joints, then the (count, 4, 3) feet, then the
+   (count, substeps + 2, 4, 3) motion. An action with a non-finite entry
+   has no foot target: its joint targets are NaN. Returns PLANNED, or the
+   error legkin.inverse_kinematics raises for the first target it rejects,
+   checking every target for the offset cylinder before any for the
+   annulus, with that target's squared planar radius in the plan buffer. */
+long plan_half_cycle(const double *kin, double *plan, long first, long count, double *out)
+{
+    const long substeps = (long)kin[SUBSTEPS];
+    const double dt = kin[DT], alpha = kin[TRACK_ALPHA];
+    const double l1 = kin[UPPER], l2 = kin[LOWER], d = kin[ABD_OFFSET];
+    double *joints = out, *feet = out + 12 * count, *motion = out + 24 * count;
+
+    /* The IK joint targets, into joints. */
+    int finite = 1;
+    for (int i = 0; i < 20; i++)
+        finite = finite && isfinite(plan[ACTIONS + i]);
+    long outside = -1;
+    for (long k = 0; k < count; k++) {
+        const double t = (double)(first + k) * dt;
+        for (int leg = 0; leg < 4; leg++) {
+            double *q = joints + 12 * k + 3 * leg;
+            double p[3], r2;
+            if (!finite) {
+                q[0] = q[1] = q[2] = NAN;
+                continue;
+            }
+            const double tau = fmod(t / kin[PERIOD] + kin[PHASE + leg], 1.0);
+            foot_target(kin, plan + ACTIONS + 5 * leg, tau, p);
+            const long status = inverse_kinematics(kin, p, q, &r2);
+            if (status == INSIDE_CYLINDER)
+                return INSIDE_CYLINDER;
+            if (status == OUTSIDE_ANNULUS && outside < 0) {
+                outside = 4 * k + leg;
+                plan[REJECTED_R2] = r2;
+            }
+        }
+    }
+    if (outside >= 0)
+        return OUTSIDE_ANNULUS;
+
+    /* The joints track their targets with a first-order lag, then FK plus
+       the hip mounts, then the motion rows: the feet minus com after the
+       step, their rate, and the feet minus com at the end of each
+       substep. */
+    const double *off = kin + COM_OFFSET;
+    const double *q_prev = plan + JOINTS, *before = plan + FEET;
+    for (long k = 0; k < count; k++) {
+        double *q = joints + 12 * k, *foot = feet + 12 * k;
+        double *block = motion + 12 * (substeps + 2) * k;
+        for (int i = 0; i < 12; i++)
+            q[i] = q_prev[i] + alpha * (q[i] - q_prev[i]);
+        for (int leg = 0; leg < 4; leg++) {
+            const double abd = q[3 * leg], hip = q[3 * leg + 1], knee = q[3 * leg + 2];
+            const double px = l1 * sin(hip) + l2 * sin(hip + knee);
+            const double pz = -(l1 * cos(hip) + l2 * cos(hip + knee));
+            const double ca = cos(abd), sa = sin(abd);
+            const double *hip_at = kin + HIPS + 3 * leg;
+            foot[3 * leg] = hip_at[0] + px;
+            foot[3 * leg + 1] = hip_at[1] + (d * ca - pz * sa);
+            foot[3 * leg + 2] = hip_at[2] + (d * sa + pz * ca);
+        }
+        for (int i = 0; i < 12; i++) {
+            const double move = foot[i] - before[i];
+            block[i] = foot[i] - off[i % 3];
+            block[12 + i] = move / dt;
+            for (long j = 0; j < substeps; j++)
+                block[24 + 12 * j + i] = (before[i] - off[i % 3])
+                                         + ((double)(j + 1) / (double)substeps) * move;
+        }
+        q_prev = q;
+        before = foot;
+    }
+    return PLANNED;
 }

@@ -1,14 +1,21 @@
-"""The compiled torso update of one environment control step.
+"""The compiled torso update of one environment control step, and the
+compiled plan of each half cycle's leg kinematics.
 
-substeps.c runs a control step's contact substeps, the inverse of the
-world inertia they use, the rotation's re-orthonormalization, the feet's
-contact memory and the torso's height in one call. Its matrix products
-call the cblas routines of the OpenBLAS that numpy has loaded, with
-numpy's arguments, its inverse calls that library's LAPACK dgesv as
-np.linalg.inv does, and its scalar code rounds as Python's does, so it
-computes the bits of the same code written in numpy and Python floats.
-The torso's angles stay numpy calls in the environment: numpy's arctan2
-and arcsin may round differently from libm's.
+substeps.c's step_torso runs a control step's contact substeps, the
+inverse of the world inertia they use, the rotation's
+re-orthonormalization, the feet's contact memory and the torso's height
+in one call. Its matrix products call the cblas routines of the OpenBLAS
+that numpy has loaded, with numpy's arguments, its inverse calls that
+library's LAPACK dgesv as np.linalg.inv does, and its scalar code rounds
+as Python's does, so it computes the bits of the same code written in
+numpy and Python floats. The torso's angles stay numpy calls in the
+environment: numpy's arctan2 and arcsin may round differently from
+libm's.
+
+Its plan_half_cycle computes, when an action latches, every step's foot
+targets, workspace projection, IK, joint lag, FK and feet motion up to
+the end of the half cycle, with libm's atan2, acos, sin, cos, sqrt and
+fmod, which are math's: the bits of legkin's and gaitgen's array form.
 
 The first import compiles substeps.c with the C compiler Python was built
 with into this package's __pycache__/, under a name that hashes the
@@ -84,7 +91,8 @@ def _numpy_blas() -> ctypes.CDLL:
 
 
 def _load():
-    """The kernel's step_torso, bound to numpy's BLAS and LAPACK routines."""
+    """The kernel's step_torso, bound to numpy's BLAS and LAPACK routines,
+    and its plan_half_cycle."""
     kernel = ctypes.CDLL(str(build(SOURCE, SOURCE.parent / "__pycache__")))
     blas = _numpy_blas()
     try:
@@ -97,11 +105,17 @@ def _load():
     step = kernel.step_torso
     step.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_double] + [ctypes.c_long] * 2
     step.restype = ctypes.c_long
-    return step
+    plan = kernel.plan_half_cycle
+    plan.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2 + [ctypes.c_void_p]
+    plan.restype = ctypes.c_long
+    return step, plan
 
 
-# step_torso(episode, buf, motion, count, push_y, stance_a, stance_b) takes
-# the addresses of C-ordered float64 arrays, see substeps.c for their
-# layouts, and returns LAPACK's info for the world inertia: not 0 when it
-# is singular.
-step_torso = _load()
+# Both take the addresses of C-ordered float64 arrays, see substeps.c for
+# their layouts. step_torso(episode, buf, motion, count, push_y, stance_a,
+# stance_b) returns LAPACK's info for the world inertia: not 0 when it is
+# singular. plan_half_cycle(kinematics, plan, first, count, out) returns 0
+# for a plan, or INSIDE_CYLINDER or OUTSIDE_ANNULUS for a target that IK
+# rejects.
+step_torso, plan_half_cycle = _load()
+INSIDE_CYLINDER, OUTSIDE_ANNULUS = 1, 2

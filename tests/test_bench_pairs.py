@@ -1,6 +1,8 @@
 """The pair comparison's verdict fields on synthetic runs: a metric whose
 parent runs spread wider than the bound is unresolved unless every change
-run reads better than every parent run."""
+run reads better than every parent run, and a claim is met only when the
+change wins at least 9 of 10 pairs and the medians differ by more than
+the parent's interquartile range."""
 
 import importlib.util
 from pathlib import Path
@@ -44,3 +46,37 @@ def test_wide_spread_with_every_change_run_better_is_resolved(better):
     assert got["parent_spread_rel"] > 0.25
     assert got["change_better_every_run"]
     assert not got["unresolved"]
+
+
+def _claim(parent, deltas, better):
+    """The claim entry for change runs that read each delta better (a
+    negative delta worse) than the paired parent run."""
+    sign = 1.0 if better == "higher" else -1.0
+    change = [p + sign * d for p, d in zip(parent, deltas)]
+    got = bench_pairs.compare(parent, change, better, 0.25)
+    return bench_pairs.claim_entry(got, "eval_grid", "env_steps_per_s",
+                                   {"parent": "p", "change": "c"}, "")
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_claim_needs_nine_wins_however_large_the_difference(better):
+    claim = _claim(NARROW, [50.0] * 8 + [-1.0] * 2, better)
+    assert claim["change_wins"] == "8/10"
+    assert abs(claim["median_diff"]) > 10 * claim["parent_iqr"]
+    assert not claim["met"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_claim_needs_a_difference_beyond_the_parent_iqr(better):
+    claim = _claim(WIDE, [-1.0] + [2.0] * 9, better)
+    assert claim["change_wins"] == "9/10"
+    assert 0.0 < abs(claim["median_diff"]) <= claim["parent_iqr"]
+    assert not claim["met"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_claim_met_at_nine_wins_beyond_the_parent_iqr(better):
+    claim = _claim(NARROW, [5.0] * 9 + [-1.0], better)
+    assert claim["change_wins"] == "9/10"
+    assert abs(claim["median_diff"]) > claim["parent_iqr"]
+    assert claim["met"]

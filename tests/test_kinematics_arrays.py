@@ -2,8 +2,9 @@
 call on every element, whatever the array's length and wherever the point
 sits in it.
 
-The environment plans a half cycle of foot targets, IK and FK in one array
-call per function, and lockstep lanes will rest on the same property: a
+The environment computes the four legs' spawn posture in one array call
+per function, the oracle of its compiled half-cycle plan runs a whole half
+cycle that way, and lockstep lanes will rest on the same property: a
 lane's result must not depend on the other lanes. Random points cover the
 three cases of the workspace test: inside the polygon, projected back into
 it (from inside the offset cylinder too), and out of the leg's reach,

@@ -6,12 +6,14 @@ The step calls each small product through ndarray.dot instead of @, stacks
 per-foot products into one np.matmul, reads rows of one product as the
 product of those rows, runs elementwise work on Python floats, and runs
 the torso update (contact substeps, inertia inverse, re-orthonormalization,
-contact memory and height) in substeps.c, compiled code that calls numpy's
-own BLAS and LAPACK routines. Each is exact only because numpy and its
-BLAS make it so; the forms are not interchangeable in general (a scalar
-sum, or a vector dot product, rounds differently from a row of a
-matrix-vector product). The oracles below are that torso update written
-with Python floats and numpy calls.
+contact memory and height) and each half cycle's leg kinematics in
+substeps.c, compiled code that calls numpy's own BLAS and LAPACK routines
+and libm's functions. Each is exact only because numpy and its BLAS make
+it so; the forms are not interchangeable in general (a scalar sum, or a
+vector dot product, rounds differently from a row of a matrix-vector
+product). The oracles below are that torso update written with Python
+floats and numpy calls, and that plan written with the kinematics' array
+form.
 """
 
 import math
@@ -19,7 +21,10 @@ import math
 import numpy as np
 import pytest
 
-from slopetrot.gaitgen import LegAction
+from slopetrot import gaitgen, legkin
+from slopetrot.gaitgen import LEG_ORDER, LegAction
+from slopetrot.legkin import LegGeometry, Unreachable
+from slopetrot.policy import DEFAULT_SCALING, scale_clip_action
 from slopetrot.rotations import rot_x, rot_y, rot_z, yaw_of
 from slopetrot.simenv import STANCE_PAIRS, SimParams, SlopedTerrainEnv, TerrainPlane
 from slopetrot.slopeest import angles_from_normal
@@ -166,18 +171,19 @@ def test_math_functions_equal_numpy(name):
 
 PLAN_RELIES = (
     "np.{name} on a {shape} array differs from math.{name} elementwise: "
-    "SlopedTerrainEnv plans each half cycle's foot targets, IK and FK with "
-    "numpy's array form and relies on it giving math's bits. On this numpy "
-    "the plan no longer reproduces the goldens, so it must call math per "
-    "element instead."
+    "SlopedTerrainEnv computes the spawn posture with the kinematics' array "
+    "form, and substeps.c plans each half cycle with libm's {name}, which is "
+    "math's; the goldens were recorded when the plan ran in the array form. "
+    "On this numpy the two forms differ, so the array form must call math "
+    "per element instead."
 )
 
 
 @pytest.mark.parametrize("shape", [(40,), (1,), (40, 4), (1, 4), (40, 5, 4, 3)])
 @pytest.mark.parametrize("name", ["sin", "cos", "sqrt", "fmod"])
 def test_array_math_equals_math_elementwise(name, shape):
-    # The plan's shapes: the step times, steps by legs, the reset's single
-    # row, and the substep offsets. fmod takes the phase's form,
+    # The array plan's shapes: the step times, steps by legs, the reset's
+    # single row, and the substep offsets. fmod takes the phase's form,
     # t / period + offset. Compared as bit patterns, so -0.0 is not 0.0.
     rng = np.random.default_rng(1)
     for _ in range(200):
@@ -332,14 +338,6 @@ def _parent_tail(env, com, rot, feet_body, stance, contact_world):
     unit = [v / norm for v in up.tolist()]
     theta = (*angles_from_normal(rot[:, 2]), yaw_of(rot))
     return in_contact, points, clearance, clearance - lowest, unit, theta
-
-
-def _nan_canonical_bits(x):
-    """x's float64 bit patterns with every NaN the same NaN, so -0.0
-    differs from 0.0 and two results agree when their NaNs sit in the same
-    places."""
-    x = np.asarray(x, dtype=float)
-    return np.where(np.isnan(x), np.nan, x).view(np.int64)
 
 
 def _draw_step(env, rng, substeps, seen):
@@ -503,3 +501,134 @@ def test_torso_angles_stay_numpy_calls():
                 return
     if differing == 0:
         pytest.skip("np.arctan2 equals math.atan2 on every drawn up-axis on this host")
+
+
+def test_closest_point_float_form_equals_array_form():
+    # Both forms square by products. A float's ** 2 calls libm's pow,
+    # which rounds some squares differently from the product that an
+    # array's ** 2 computes, so the draws must reach such squares.
+    rng = np.random.default_rng(4)
+    vertices = LegGeometry()._vertices
+    px, pz = rng.uniform(-0.4, 0.4, size=20000), rng.uniform(-0.5, 0.1, size=20000)
+    array_x, array_z = legkin._closest_point_on_polygon(px, pz, vertices)
+    float_x, float_z = zip(*(legkin._closest_point_on_polygon(x, z, vertices)
+                             for x, z in zip(px.tolist(), pz.tolist())))
+    assert _nan_canonical_bits(array_x).tolist() == _nan_canonical_bits(float_x).tolist()
+    assert _nan_canonical_bits(array_z).tolist() == _nan_canonical_bits(float_z).tolist()
+    differences = (px - array_x).tolist() + (pz - array_z).tolist()
+    assert sum(v ** 2 != v * v for v in differences) > 10
+
+
+def _parent_plan(env):
+    """The reference for substeps.c's plan_half_cycle: the half-cycle plan
+    written with the kinematics' array form, one call per function over
+    every step and leg, and the joints' lag as a loop over the steps.
+    Returns the joints, the body-frame feet and the motion block, or
+    raises Unreachable as IK does."""
+    s, sim, gait, geometry = env.state, env.sim, env.gait, env.geometry
+    first = s.step_index + 1
+    count = min(env.steps_per_half, sim.episode_len - s.step_index)
+    t = np.arange(first, first + count) * sim.dt
+    latched = np.array(env.latched, dtype=float)
+    if not np.isfinite(latched).all():
+        targets = np.full((count, 4, 3), math.nan)
+    else:
+        tau = np.stack([gaitgen.trot_phase(t, gait.cycle_period, leg) for leg in LEG_ORDER],
+                       axis=-1)
+        foot = gaitgen.checked_foot_target(tau, LegAction(*latched.T), gait, geometry)
+        targets = np.stack(legkin.inverse_kinematics(foot, geometry), axis=-1)
+    joints = np.empty_like(targets)
+    q, alpha = s.joints, 1.0 - math.exp(-sim.dt / sim.track_time_const)
+    for k, target in enumerate(targets):
+        q = joints[k] = q + alpha * (target - q)
+    hips = np.asarray(geometry.hip_positions_body, dtype=float)
+    feet = hips + np.stack(
+        legkin.forward_kinematics(np.moveaxis(joints, -1, 0), geometry), axis=-1)
+    before = np.concatenate((s.feet_body[None], feet[:-1]))
+    move = feet - before
+    off = env.com_offset_body
+    fracs = np.array([(j + 1) / sim.substeps for j in range(sim.substeps)])[:, None, None]
+    substeps = (before - off)[:, None] + fracs * move[:, None]
+    return joints, feet, np.concatenate(
+        ((feet - off)[:, None], (move / sim.dt)[:, None], substeps), axis=1)
+
+
+def _draw_plan(env, rng, seen):
+    """Reset env on a random terrain, then draw the state and latched
+    actions of a plan: a start row anywhere in the episode, joints and
+    feet near the stance, and actions inside the scaled action box, well
+    outside it, near the hip (inside the offset cylinder), huge or
+    non-finite."""
+    env.reset(TerrainPlane(rng.choice([0, 5, 11]), rng.uniform(0.0, 90.0)),
+              seed=int(rng.integers(1000)))
+    s = env.state
+    end = rng.random() < 0.2
+    s.step_index = int(rng.integers(env.sim.episode_len - env.steps_per_half + 1,
+                                    env.sim.episode_len) if end
+                       else rng.integers(env.sim.episode_len))
+    s.joints = s.joints + rng.normal(scale=0.2, size=(4, 3))
+    s.feet_body = s.feet_body + rng.normal(scale=0.02, size=(4, 3))
+    kind = str(rng.choice(["box", "outside", "cylinder", "huge", "nonfinite"],
+                          p=[0.4, 0.35, 0.1, 0.1, 0.05]))
+    if kind == "box":
+        action = scale_clip_action(rng.uniform(-1.0, 1.0, size=20))
+    else:
+        raw = rng.uniform(-6.0, 6.0, size=20)
+        flat = DEFAULT_SCALING._mid + DEFAULT_SCALING._half * raw
+        if kind == "cylinder":
+            # Feet near the abduction axis: lifted by the stance height,
+            # with little lateral shift and step.
+            flat[3::5] = rng.uniform(-0.03, 0.03, size=4)
+            flat[4::5] = env.gait.desired_height + rng.uniform(-0.08, 0.03, size=4)
+            flat[0::5] *= 0.1
+        elif kind != "outside":
+            entry = int(rng.integers(20))
+            flat[entry] = (rng.choice([1e300, -1e300, 1e160]) if kind == "huge"
+                           else rng.choice([math.nan, math.inf, -math.inf]))
+        action = tuple(LegAction(*flat[i:i + 5].tolist()) for i in range(0, 20, 5))
+    env.latched = action
+    seen["kind"].add(kind)
+    seen["end"] += end
+    return s.step_index
+
+
+@pytest.mark.parametrize("geometry", [LegGeometry(), LegGeometry(abduction_offset=0.02)],
+                         ids=["no offset", "offset"])
+def test_compiled_plan_equals_array_plan(geometry):
+    # Compares the kernel's libm atan2 and acos with math's, which the
+    # array form maps over the elements, on every target.
+    env = SlopedTerrainEnv(geometry=geometry)
+    seen = {"kind": set(), "end": 0, "unreachable": 0, "clamped": 0, "cylinder": 0}
+
+    def plan_or_error(plan):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return tuple(map(_nan_canonical_bits, plan()))
+        except Unreachable as err:
+            return (str(err),)
+
+    def forms(rng):
+        _draw_plan(env, rng, seen)
+        reference = plan_or_error(lambda: _parent_plan(env))
+        fast = plan_or_error(env._plan_half_cycle)
+        if len(reference) == 1:
+            seen["unreachable"] += 1
+        else:
+            latched = np.array(env.latched)
+            if np.isfinite(latched).all():
+                count = len(fast[0])
+                t = (env.state.step_index + 1 + np.arange(count)) * env.sim.dt
+                tau = np.stack([gaitgen.trot_phase(t, env.gait.cycle_period, leg)
+                                for leg in LEG_ORDER], axis=-1)
+                foot = gaitgen.foot_target(tau, LegAction(*latched.T), env.gait)
+                inside = legkin.in_workspace(foot, geometry)
+                seen["clamped"] += int(np.count_nonzero(~inside))
+                seen["cylinder"] += int(np.count_nonzero(
+                    foot.y * foot.y + foot.z * foot.z < geometry.abduction_offset ** 2))
+        return fast, reference
+
+    _assert_forms_agree("the compiled half-cycle plan", forms)
+    assert seen["kind"] == {"box", "outside", "cylinder", "huge", "nonfinite"}
+    assert seen["end"] > 200 and seen["unreachable"] > 50 and seen["clamped"] > 10000
+    if geometry.abduction_offset > 0.0:
+        assert seen["cylinder"] > 100

@@ -458,6 +458,31 @@ class TestBehavior:
         assert done and info["fall"] and not math.isfinite(reward)
         assert env.state.step_index == latch_step + 1
 
+    @pytest.mark.parametrize("latch_step", [0, 40])
+    @pytest.mark.parametrize("field, value", [
+        ("step_len", 1e300), ("shift_x", 1e300), ("shift_y", 1e300), ("shift_z", -1e300),
+    ])
+    def test_huge_finite_action_is_unreachable(self, field, value, latch_step):
+        # The foot target's squared distances to the workspace edges
+        # overflow to inf, no edge is nearer than inf, and the projected
+        # target is NaN, which IK rejects at the step that latches it.
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(7, 30), NO_PUSH, seed=1)
+        for _ in range(latch_step):
+            env.step(ZEROS)
+        with pytest.raises(legkin.Unreachable) as err:
+            env.step((ZERO_ACTION._replace(**{field: value}),) * 4)
+        assert str(err.value) == "planar target radius nan m outside leg annulus"
+        assert env.state.step_index == latch_step
+
+    def test_huge_steer_steps_normally(self):
+        # cos and sin of a huge angle are finite, so the target is too.
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(7, 30), NO_PUSH, seed=1)
+        for _ in range(80):
+            assert not env.step((ZERO_ACTION._replace(steer=1e300),) * 4)[2]
+        assert np.isfinite(env.state.com).all()
+
     def test_sunk_torso_terminates(self):
         env = SlopedTerrainEnv()
         env.reset(TerrainPlane(), NO_PUSH, seed=1)
