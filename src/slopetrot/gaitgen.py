@@ -5,10 +5,6 @@ stance half of the cycle drags the foot along a flat line at the desired
 height, the swing half lifts it along a half-ellipse whose minor axis is
 the foot clearance. The policy then shapes the curve with five transforms
 per leg: step length, a yaw rotation of the ellipse, and x/y/z shifts.
-
-Each function takes floats, or arrays that broadcast together (phases of
-many steps and legs, with a LegAction of per-leg arrays), and computes the
-same bits elementwise.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from typing import NamedTuple
 
 from . import legkin
 from .bounds import bounded, check_bounds
-from .elementwise import ops
 
 LEG_ORDER = ("FL", "FR", "BL", "BR")
 
@@ -55,51 +50,48 @@ class LegAction(NamedTuple):
 ZERO_ACTION = LegAction()
 
 
-def trot_phase(t, period: float, leg: str):
-    """Normalized phase in [0, 1) for a leg at time t (or at each time of
-    an array), trot offsets applied."""
-    m = ops(t)
-    if m.any(t < 0.0):
+def trot_phase(t: float, period: float, leg: str) -> float:
+    """Normalized phase in [0, 1) for a leg at time t, trot offsets
+    applied."""
+    if t < 0.0:
         raise ValueError("time must be non-negative")
     if period <= 0.0:
         raise ValueError("period must be positive")
-    return m.fmod(t / period + PHASE_OFFSETS[leg], 1.0)
+    return math.fmod(t / period + PHASE_OFFSETS[leg], 1.0)
 
 
-def base_trajectory_point(tau, action: LegAction, params: GaitParams):
+def base_trajectory_point(tau: float, action: LegAction, params: GaitParams) -> tuple:
     """Untransformed foot reference at phase tau.
 
     Stance (tau in [0, 0.5)): x sweeps the step backward along a cosine,
     z stays at -desired_height. Swing (tau in [0.5, 1)): same x law, z arcs
     up to -desired_height + foot_clearance.
     """
-    m = ops(tau)
-    if not m.all((0.0 <= tau) & (tau < 1.0)):
+    if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
     ang = 2.0 * math.pi * (1.0 - tau)
-    x = 0.5 * action.step_len * m.cos(ang)
-    z = m.where(tau < 0.5, -params.desired_height,
-                -params.desired_height + params.foot_clearance * m.sin(ang))
+    x = 0.5 * action.step_len * math.cos(ang)
+    z = (-params.desired_height if tau < 0.5
+         else -params.desired_height + params.foot_clearance * math.sin(ang))
     return (x, 0.0, z)
 
 
 def transform_point(pt, action: LegAction) -> legkin.FootPosition:
     """Apply the leg's steering rotation and center shift to a base point."""
     x, _, z = pt
-    m = ops(x)
     return legkin.FootPosition(
-        action.shift_x + x * m.cos(action.steer),
-        action.shift_y + x * m.sin(action.steer),
+        action.shift_x + x * math.cos(action.steer),
+        action.shift_y + x * math.sin(action.steer),
         action.shift_z + z,
     )
 
 
-def foot_target(tau, action: LegAction, params: GaitParams) -> legkin.FootPosition:
+def foot_target(tau: float, action: LegAction, params: GaitParams) -> legkin.FootPosition:
     """Transformed leg-frame foot reference at phase tau."""
     return transform_point(base_trajectory_point(tau, action, params), action)
 
 
-def checked_foot_target(tau, action: LegAction, params: GaitParams,
+def checked_foot_target(tau: float, action: LegAction, params: GaitParams,
                         geometry: legkin.LegGeometry) -> legkin.FootPosition:
     """Foot target kept inside the leg workspace: a target outside it is
     projected back onto the polygon."""

@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import bounded, check_bounds
-from .elementwise import ops
 
 
 class Unreachable(ValueError):
@@ -35,8 +34,7 @@ def outside_annulus(r2) -> Unreachable:
 
 class FootPosition(NamedTuple):
     """Foot position (meters) in the leg frame: origin at the hip mount,
-    x forward, y lateral, z up (so a foot below the hip has z < 0). The
-    coordinates are floats for one point, or same-shape arrays for many."""
+    x forward, y lateral, z up (so a foot below the hip has z < 0)."""
 
     x: float
     y: float
@@ -123,30 +121,28 @@ class LegGeometry:
 
 def forward_kinematics(q, geometry: LegGeometry) -> FootPosition:
     """Closed-form foot position for the joint angles q = (abd, hip, knee),
-    in radians: floats, or same-shape arrays for a foot position of arrays.
+    in radians.
 
     Total on finite input; joint limits are not checked here.
     """
     abd, hip, knee = q
-    m = ops(hip)
     l1 = geometry.upper_link_len
     l2 = geometry.lower_link_len
-    px = l1 * m.sin(hip) + l2 * m.sin(hip + knee)
-    pz = -(l1 * m.cos(hip) + l2 * m.cos(hip + knee))
-    ca, sa = m.cos(abd), m.sin(abd)
+    px = l1 * math.sin(hip) + l2 * math.sin(hip + knee)
+    pz = -(l1 * math.cos(hip) + l2 * math.cos(hip + knee))
+    ca, sa = math.cos(abd), math.sin(abd)
     d = geometry.abduction_offset
     return FootPosition(px, d * ca - pz * sa, d * sa + pz * ca)
 
 
-def _clip(x, lo: float, hi: float):
+def _clip(x: float, lo: float, hi: float) -> float:
     """min(max(x, lo), hi) by the same comparisons, so NaN and ties come
     out alike, without the cost of two builtin calls."""
-    m = ops(x)
-    x = m.where(lo > x, lo, x)
-    return m.where(hi < x, hi, x)
+    x = lo if lo > x else x
+    return hi if hi < x else x
 
 
-def _offset_radius2(p: FootPosition, geometry: LegGeometry):
+def _offset_radius2(p: FootPosition, geometry: LegGeometry) -> float:
     """Squared distance of p from the abduction axis, minus the squared
     lateral hip offset: below -1e-15 the point is inside the offset
     cylinder, which no abduction angle reaches."""
@@ -154,54 +150,48 @@ def _offset_radius2(p: FootPosition, geometry: LegGeometry):
     return p.y * p.y + p.z * p.z - d * d
 
 
-def _planar_z(rr):
+def _planar_z(rr: float) -> float:
     """Planar z of a point whose _offset_radius2 is rr."""
-    m = ops(rr)
-    return -m.sqrt(m.where(0.0 > rr, 0.0, rr))
+    return -math.sqrt(0.0 if 0.0 > rr else rr)
 
 
-def _abduction_split(p: FootPosition, geometry: LegGeometry):
+def _abduction_split(p: FootPosition, geometry: LegGeometry) -> tuple:
     """Split a leg-frame point into (abduction angle, planar x, planar z).
 
-    Raises Unreachable when the point, or any point of an array, is closer
-    to the abduction axis than the lateral hip offset allows.
+    Raises Unreachable when the point is closer to the abduction axis than
+    the lateral hip offset allows.
     """
     rr = _offset_radius2(p, geometry)
-    m = ops(rr)
-    if m.any(rr < -1e-15):
+    if rr < -1e-15:
         raise Unreachable(CYLINDER_MESSAGE)
     pz = _planar_z(rr)
-    abd = m.atan2(p.z, p.y) - m.atan2(pz, geometry.abduction_offset)
+    abd = math.atan2(p.z, p.y) - math.atan2(pz, geometry.abduction_offset)
     # wrap to (-pi, pi]
-    abd = m.atan2(m.sin(abd), m.cos(abd))
+    abd = math.atan2(math.sin(abd), math.cos(abd))
     return abd, p.x, pz
 
 
 def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
     """Joint angles (abd, hip, knee), in radians, reaching the foot position
     on the backward-flexing knee branch, clamped into the joint limits.
-    A foot position of arrays gives a triple of arrays.
 
-    Raises Unreachable when the target, or any target of an array, is
-    outside the annulus of the planar pair; a NaN target is outside. A
-    clamped joint leaves a tracking error, which is how the simulator
-    treats saturated joints.
+    Raises Unreachable when the target is outside the annulus of the
+    planar pair; a NaN target is outside. A clamped joint leaves a
+    tracking error, which is how the simulator treats saturated joints.
     """
     abd, px, pz = _abduction_split(p, geometry)
-    m = ops(pz)
     l1 = geometry.upper_link_len
     l2 = geometry.lower_link_len
     r2 = px * px + pz * pz
     lo = (l1 - l2) * (l1 - l2)
     hi = (l1 + l2) * (l1 + l2)
     # Written as "not (within bounds)" so NaN is outside too.
-    outside = m.where((r2 <= hi + 1e-12) & (r2 >= lo - 1e-12), False, True)
-    if m.any(outside):
-        raise outside_annulus(np.extract(outside, r2)[0])
+    if not (r2 <= hi + 1e-12 and r2 >= lo - 1e-12):
+        raise outside_annulus(r2)
     cos_knee = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-    cos_knee = m.where(cos_knee > -1.0, cos_knee, -1.0)
-    knee = m.acos(m.where(cos_knee < 1.0, cos_knee, 1.0))
-    hip = m.atan2(px, -pz) - m.atan2(l2 * m.sin(knee), l1 + l2 * m.cos(knee))
+    cos_knee = cos_knee if cos_knee > -1.0 else -1.0
+    knee = math.acos(cos_knee if cos_knee < 1.0 else 1.0)
+    hip = math.atan2(px, -pz) - math.atan2(l2 * math.sin(knee), l1 + l2 * math.cos(knee))
     (lo_a, hi_a), (lo_h, hi_h), (lo_k, hi_k) = geometry.joint_limits
     return _clip(abd, lo_a, hi_a), _clip(hip, lo_h, hi_h), _clip(knee, lo_k, hi_k)
 
@@ -230,34 +220,30 @@ def _oriented_edges(poly) -> tuple:
     return tuple(edges)
 
 
-def _point_in_polygon(px, pz, edges, tol: float = 1e-12):
+def _point_in_polygon(px: float, pz: float, edges, tol: float = 1e-12) -> bool:
     """Convex polygon membership, boundary inclusive, for the polygon's
-    _oriented_edges: a bool, or a bool array for arrays of points; a NaN
-    point is outside. Negating an edge negates each product and the
-    difference exactly, so the test gives the bits of orient * cross."""
-    m = ops(pz)
-    inside = True
+    _oriented_edges; a NaN point is outside. Negating an edge negates each
+    product and the difference exactly, so the test gives the bits of
+    orient * cross."""
     for x1, z1, ex, ez in edges:
         # "Not (within bounds)", so a NaN cross product is outside.
-        inside = m.where(ex * (pz - z1) - ez * (px - x1) >= -tol, inside, False)
-    return inside
+        if not ex * (pz - z1) - ez * (px - x1) >= -tol:
+            return False
+    return True
 
 
-def in_workspace(p: FootPosition, geometry: LegGeometry):
+def in_workspace(p: FootPosition, geometry: LegGeometry) -> bool:
     """True when the planar projection of p (after the abduction split)
-    lies inside the safety polygon, boundary inclusive; a bool array for a
-    foot position of arrays. A point inside the offset cylinder is
-    outside, and so is a NaN point. The test needs only the planar
-    coordinates, not the angle."""
+    lies inside the safety polygon, boundary inclusive. A point inside the
+    offset cylinder is outside, and so is a NaN point. The test needs only
+    the planar coordinates, not the angle."""
     rr = _offset_radius2(p, geometry)
-    inside = _point_in_polygon(p.x, _planar_z(rr), geometry._edges)
-    return ops(rr).where(rr < -1e-15, False, inside)
+    return not rr < -1e-15 and _point_in_polygon(p.x, _planar_z(rr), geometry._edges)
 
 
-def _closest_point_on_polygon(px, pz, poly):
-    """The point of the polygon's boundary nearest (px, pz), floats or
-    arrays elementwise; the first nearest edge wins a tie."""
-    m = ops(pz)
+def _closest_point_on_polygon(px: float, pz: float, poly) -> tuple:
+    """The point of the polygon's boundary nearest (px, pz); the first
+    nearest edge wins a tie."""
     best_x = best_z = math.nan
     best_d2 = math.inf
     n = len(poly)
@@ -269,44 +255,34 @@ def _closest_point_on_polygon(px, pz, poly):
         t = 0.0 if denom == 0.0 else ((px - ax) * ex + (pz - az) * ez) / denom
         # The comparisons of min(1.0, max(0.0, t)): _clip's would keep a
         # -0.0 or NaN t.
-        t = m.where(t > 0.0, t, 0.0)
-        t = m.where(t < 1.0, t, 1.0)
+        t = t if t > 0.0 else 0.0
+        t = t if t < 1.0 else 1.0
         cx, cz = ax + t * ex, az + t * ez
-        # Products, not ** 2: a float's ** calls libm's pow, which rounds
-        # differently from the product an array's ** 2 computes.
+        # Products, not ** 2: a float's ** calls libm's pow, which can
+        # round differently from the product substeps.c computes.
         dx, dz = px - cx, pz - cz
         d2 = dx * dx + dz * dz
-        closer = d2 < best_d2
-        best_x = m.where(closer, cx, best_x)
-        best_z = m.where(closer, cz, best_z)
-        best_d2 = m.where(closer, d2, best_d2)
+        if d2 < best_d2:
+            best_x, best_z, best_d2 = cx, cz, d2
     return best_x, best_z
 
 
 def clamp_to_workspace(p: FootPosition, geometry: LegGeometry) -> FootPosition:
-    """p where in_workspace(p) holds, else its projection onto the polygon
-    boundary; elementwise for a foot position of arrays, and p itself when
-    every point is inside.
+    """p itself where in_workspace(p) holds, else its projection onto the
+    polygon boundary.
 
     The projection keeps the abduction angle of the original point and
     moves only the planar coordinates. A point laterally inside the offset
     cylinder falls back to a straight-down posture at the same depth.
     """
-    inside = in_workspace(p, geometry)
-    m = ops(inside)
-    if m.all(inside):
+    if in_workspace(p, geometry):
         return p
+    if _offset_radius2(p, geometry) < 0.0:
+        abd, px, pz = 0.0, p.x, -abs(p.z)
+    else:
+        abd, px, pz = _abduction_split(p, geometry)
+    if not _point_in_polygon(px, pz, geometry._edges):
+        px, pz = _closest_point_on_polygon(px, pz, geometry._vertices)
     d = geometry.abduction_offset
-    cylinder = _offset_radius2(p, geometry) < 0.0
-    # A cylinder point is split as the stand-in (x, d, 0), which lies on
-    # the cylinder, so the split never raises.
-    abd, px, pz = _abduction_split(
-        FootPosition(p.x, m.where(cylinder, d, p.y), m.where(cylinder, 0.0, p.z)), geometry)
-    abd = m.where(cylinder, 0.0, abd)
-    pz = m.where(cylinder, -abs(p.z), pz)
-    planar_inside = _point_in_polygon(px, pz, geometry._edges)
-    cx, cz = _closest_point_on_polygon(px, pz, geometry._vertices)
-    px, pz = m.where(planar_inside, px, cx), m.where(planar_inside, pz, cz)
-    ca, sa = m.cos(abd), m.sin(abd)
-    projected = (px, d * ca - pz * sa, d * sa + pz * ca)
-    return FootPosition(*(m.where(inside, a, b) for a, b in zip(p, projected)))
+    ca, sa = math.cos(abd), math.sin(abd)
+    return FootPosition(px, d * ca - pz * sa, d * sa + pz * ca)

@@ -383,17 +383,17 @@ class SlopedTerrainEnv:
         """The legs' IK joints and body-frame feet (leg-frame FK plus the
         hip mounts) at t = 0 under the zero action, each (4, 3): legs in
         LEG_ORDER, joints abd/hip/knee. They come from the public
-        kinematics, called once on arrays of all four legs, which give
-        the bits of the compiled plan."""
+        kinematics, one call per leg, which give the bits of the compiled
+        plan."""
         gait, geometry = self.gait, self.geometry
-        t = np.zeros(1)
-        tau = np.stack([gaitgen.trot_phase(t, gait.cycle_period, leg) for leg in LEG_ORDER],
-                       axis=-1)
-        action = gaitgen.LegAction(*np.zeros((5, 4)))
-        foot = gaitgen.checked_foot_target(tau, action, gait, geometry)
-        (joints,) = np.stack(legkin.inverse_kinematics(foot, geometry), axis=-1)
-        feet = legkin.forward_kinematics(joints.T, geometry)
-        return joints, self._hips + np.stack(feet, axis=-1)
+        joints, feet = [], []
+        for leg in LEG_ORDER:
+            tau = gaitgen.trot_phase(0.0, gait.cycle_period, leg)
+            foot = gaitgen.checked_foot_target(tau, gaitgen.ZERO_ACTION, gait, geometry)
+            q = legkin.inverse_kinematics(foot, geometry)
+            joints.append(q)
+            feet.append(legkin.forward_kinematics(q, geometry))
+        return np.array(joints), self._hips + np.array(feet)
 
     def _plan_half_cycle(self) -> tuple:
         """The kinematics of every control step from this one to the end of
@@ -405,8 +405,8 @@ class SlopedTerrainEnv:
         at the end of each contact substep, all in the body frame. Row k
         belongs to the step k steps after this one.
 
-        Each element has the bits of the public kinematics' array calls on
-        the same targets: libm's atan2, acos, sin, cos, sqrt and fmod are
+        Each element has the bits of the public kinematics' calls on the
+        same target: libm's atan2, acos, sin, cos, sqrt and fmod are
         math's. An action with a non-finite entry has no foot target: its
         joints are NaN, which makes the state NaN, and the step counts
         that as a fall. A target IK cannot reach raises Unreachable as

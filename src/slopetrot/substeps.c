@@ -12,8 +12,8 @@
    joints' lag, FK and the feet's motion for every step of the half cycle.
 
    The results are bit for bit those of the same code written with Python
-   floats and numpy calls (the kinematics in legkin's and gaitgen's array
-   form):
+   floats and numpy calls (the kinematics as legkin's and gaitgen's
+   functions, called once per leg and step):
 
    - every matrix product calls the cblas routine that ndarray.dot (or
      np.matmul) calls, from the OpenBLAS numpy has loaded, with numpy's
@@ -368,8 +368,8 @@ enum { ACTIONS = 0, JOINTS = 20, FEET = 32, REJECTED_R2 = 44 };
 
 enum { STEP_LEN, STEER, SHIFT_X, SHIFT_Y, SHIFT_Z };
 
-/* What plan_half_cycle returns: the plan, or the first of the errors
-   legkin.inverse_kinematics raises for an array of targets. */
+/* What plan_half_cycle returns: the plan, or the error that
+   legkin.inverse_kinematics raises for a target it rejects. */
 enum { PLANNED, INSIDE_CYLINDER, OUTSIDE_ANNULUS };
 
 /* math.atan2: CPython's special cases for NaN, infinities and zeros,

@@ -15,7 +15,8 @@ libm's.
 Its plan_half_cycle computes, when an action latches, every step's foot
 targets, workspace projection, IK, joint lag, FK and feet motion up to
 the end of the half cycle, with libm's atan2, acos, sin, cos, sqrt and
-fmod, which are math's: the bits of legkin's and gaitgen's array form.
+fmod, which are math's: the bits of legkin's and gaitgen's float calls
+on each leg and step.
 
 The first import compiles substeps.c with the C compiler Python was built
 with into this package's __pycache__/, under a name that hashes the

@@ -2,7 +2,8 @@
 parent runs spread wider than the bound is unresolved unless every change
 run reads better than every parent run, and a claim is met only when the
 change wins at least 9 of 10 pairs and the medians differ by more than
-the parent's interquartile range."""
+the parent's interquartile range. A --claim that names no known workload
+and metric is a usage error before any revision is exported."""
 
 import importlib.util
 from pathlib import Path
@@ -80,3 +81,30 @@ def test_claim_met_at_nine_wins_beyond_the_parent_iqr(better):
     assert claim["change_wins"] == "9/10"
     assert abs(claim["median_diff"]) > claim["parent_iqr"]
     assert claim["met"]
+
+
+@pytest.mark.parametrize("claim", [
+    "eval_grid", "eval_grid:", "eval_grids:env_steps_per_s", "eval_grid:steps_per_s",
+    "eval_grid:env_steps_per_s:x", ":env_steps_per_s",
+])
+def test_bad_claim_is_a_usage_error_before_any_export(claim, monkeypatch, capsys):
+    def export(rev, dest):
+        raise AssertionError("exported a revision before checking --claim")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["HEAD", "HEAD", "--pr", "0", "--claim", claim])
+    assert exit_.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+
+
+def test_good_claim_reaches_the_export(monkeypatch):
+    class Exported(Exception):
+        pass
+
+    def export(rev, dest):
+        raise Exported
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    with pytest.raises(Exported):
+        bench_pairs.main(["HEAD", "HEAD", "--pr", "0", "--claim", "eval_grid:env_steps_per_s"])

@@ -12,8 +12,8 @@ and libm's functions. Each is exact only because numpy and its BLAS make
 it so; the forms are not interchangeable in general (a scalar sum, or a
 vector dot product, rounds differently from a row of a matrix-vector
 product). The oracles below are that torso update written with Python
-floats and numpy calls, and that plan written with the kinematics' array
-form.
+floats and numpy calls, and that plan written with the kinematics' float
+calls, one per step and leg.
 """
 
 import math
@@ -167,38 +167,6 @@ def test_math_functions_equal_numpy(name):
         return (getattr(math, name)(x),), (float(getattr(np, name)(x)),)
 
     _assert_forms_agree(f"math.{name}", forms)
-
-
-PLAN_RELIES = (
-    "np.{name} on a {shape} array differs from math.{name} elementwise: "
-    "SlopedTerrainEnv computes the spawn posture with the kinematics' array "
-    "form, and substeps.c plans each half cycle with libm's {name}, which is "
-    "math's; the goldens were recorded when the plan ran in the array form. "
-    "On this numpy the two forms differ, so the array form must call math "
-    "per element instead."
-)
-
-
-@pytest.mark.parametrize("shape", [(40,), (1,), (40, 4), (1, 4), (40, 5, 4, 3)])
-@pytest.mark.parametrize("name", ["sin", "cos", "sqrt", "fmod"])
-def test_array_math_equals_math_elementwise(name, shape):
-    # The array plan's shapes: the step times, steps by legs, the reset's
-    # single row, and the substep offsets. fmod takes the phase's form,
-    # t / period + offset. Compared as bit patterns, so -0.0 is not 0.0.
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        if name == "sqrt":
-            x = rng.uniform(0.0, 4.0, size=shape)
-            fast, reference = np.sqrt(x), [math.sqrt(v) for v in x.ravel().tolist()]
-        elif name == "fmod":
-            x = rng.uniform(0.0, 1000.0, size=shape) / 0.4 + 0.5
-            fast, reference = np.fmod(x, 1.0), [math.fmod(v, 1.0) for v in x.ravel().tolist()]
-        else:
-            x = rng.uniform(-10.0, 10.0, size=shape)
-            fast = getattr(np, name)(x)
-            reference = [getattr(math, name)(v) for v in x.ravel().tolist()]
-        assert fast.ravel().view(np.int64).tolist() == np.array(reference).view(np.int64).tolist(), (
-            PLAN_RELIES.format(name=name, shape=shape))
 
 
 def _parent_substeps(env, feet_rate, feet_sub, push_y):
@@ -503,47 +471,45 @@ def test_torso_angles_stay_numpy_calls():
         pytest.skip("np.arctan2 equals math.atan2 on every drawn up-axis on this host")
 
 
-def test_closest_point_float_form_equals_array_form():
-    # Both forms square by products. A float's ** 2 calls libm's pow,
-    # which rounds some squares differently from the product that an
-    # array's ** 2 computes, so the draws must reach such squares.
-    rng = np.random.default_rng(4)
-    vertices = LegGeometry()._vertices
-    px, pz = rng.uniform(-0.4, 0.4, size=20000), rng.uniform(-0.5, 0.1, size=20000)
-    array_x, array_z = legkin._closest_point_on_polygon(px, pz, vertices)
-    float_x, float_z = zip(*(legkin._closest_point_on_polygon(x, z, vertices)
-                             for x, z in zip(px.tolist(), pz.tolist())))
-    assert _nan_canonical_bits(array_x).tolist() == _nan_canonical_bits(float_x).tolist()
-    assert _nan_canonical_bits(array_z).tolist() == _nan_canonical_bits(float_z).tolist()
-    differences = (px - array_x).tolist() + (pz - array_z).tolist()
-    assert sum(v ** 2 != v * v for v in differences) > 10
+def _plan_phases(env, count):
+    """(phase, latched action) of every target of a plan of count steps,
+    step by step and leg by leg in LEG_ORDER, as the kernel visits them."""
+    first = env.state.step_index + 1
+    for k in range(count):
+        for leg, action in zip(LEG_ORDER, env.latched):
+            yield gaitgen.trot_phase((first + k) * env.sim.dt, env.gait.cycle_period, leg), action
 
 
 def _parent_plan(env):
     """The reference for substeps.c's plan_half_cycle: the half-cycle plan
-    written with the kinematics' array form, one call per function over
-    every step and leg, and the joints' lag as a loop over the steps.
-    Returns the joints, the body-frame feet and the motion block, or
-    raises Unreachable as IK does."""
+    written with the kinematics' float calls, one per step and leg, and
+    the joints' lag as a loop over the steps. Returns the joints, the
+    body-frame feet and the motion block, or raises Unreachable as the
+    kernel does: for a target inside the offset cylinder if there is one,
+    else for the first target outside the annulus."""
     s, sim, gait, geometry = env.state, env.sim, env.gait, env.geometry
-    first = s.step_index + 1
     count = min(env.steps_per_half, sim.episode_len - s.step_index)
-    t = np.arange(first, first + count) * sim.dt
-    latched = np.array(env.latched, dtype=float)
-    if not np.isfinite(latched).all():
+    if not np.isfinite(env.latched).all():
         targets = np.full((count, 4, 3), math.nan)
     else:
-        tau = np.stack([gaitgen.trot_phase(t, gait.cycle_period, leg) for leg in LEG_ORDER],
-                       axis=-1)
-        foot = gaitgen.checked_foot_target(tau, LegAction(*latched.T), gait, geometry)
-        targets = np.stack(legkin.inverse_kinematics(foot, geometry), axis=-1)
+        targets, errors = [], []
+        for tau, action in _plan_phases(env, count):
+            foot = gaitgen.checked_foot_target(tau, action, gait, geometry)
+            try:
+                targets.append(legkin.inverse_kinematics(foot, geometry))
+            except Unreachable as err:
+                errors.append(err)
+        if errors:
+            cylinder = [e for e in errors if str(e) == legkin.CYLINDER_MESSAGE]
+            raise (cylinder or errors)[0]
+        targets = np.array(targets).reshape(count, 4, 3)
     joints = np.empty_like(targets)
     q, alpha = s.joints, 1.0 - math.exp(-sim.dt / sim.track_time_const)
     for k, target in enumerate(targets):
         q = joints[k] = q + alpha * (target - q)
     hips = np.asarray(geometry.hip_positions_body, dtype=float)
-    feet = hips + np.stack(
-        legkin.forward_kinematics(np.moveaxis(joints, -1, 0), geometry), axis=-1)
+    feet = hips + np.array([[legkin.forward_kinematics(angles, geometry)
+                             for angles in row.tolist()] for row in joints])
     before = np.concatenate((s.feet_body[None], feet[:-1]))
     move = feet - before
     off = env.com_offset_body
@@ -594,9 +560,9 @@ def _draw_plan(env, rng, seen):
 
 @pytest.mark.parametrize("geometry", [LegGeometry(), LegGeometry(abduction_offset=0.02)],
                          ids=["no offset", "offset"])
-def test_compiled_plan_equals_array_plan(geometry):
-    # Compares the kernel's libm atan2 and acos with math's, which the
-    # array form maps over the elements, on every target.
+def test_compiled_plan_equals_float_plan(geometry):
+    # Compares the kernel's libm atan2 and acos with math's on every
+    # target.
     env = SlopedTerrainEnv(geometry=geometry)
     seen = {"kind": set(), "end": 0, "unreachable": 0, "clamped": 0, "cylinder": 0}
 
@@ -613,18 +579,12 @@ def test_compiled_plan_equals_array_plan(geometry):
         fast = plan_or_error(env._plan_half_cycle)
         if len(reference) == 1:
             seen["unreachable"] += 1
-        else:
-            latched = np.array(env.latched)
-            if np.isfinite(latched).all():
-                count = len(fast[0])
-                t = (env.state.step_index + 1 + np.arange(count)) * env.sim.dt
-                tau = np.stack([gaitgen.trot_phase(t, env.gait.cycle_period, leg)
-                                for leg in LEG_ORDER], axis=-1)
-                foot = gaitgen.foot_target(tau, LegAction(*latched.T), env.gait)
-                inside = legkin.in_workspace(foot, geometry)
-                seen["clamped"] += int(np.count_nonzero(~inside))
-                seen["cylinder"] += int(np.count_nonzero(
-                    foot.y * foot.y + foot.z * foot.z < geometry.abduction_offset ** 2))
+        elif np.isfinite(env.latched).all():
+            for tau, action in _plan_phases(env, len(fast[0])):
+                foot = gaitgen.foot_target(tau, action, env.gait)
+                seen["clamped"] += not legkin.in_workspace(foot, geometry)
+                seen["cylinder"] += (foot.y * foot.y + foot.z * foot.z
+                                     < geometry.abduction_offset ** 2)
         return fast, reference
 
     _assert_forms_agree("the compiled half-cycle plan", forms)

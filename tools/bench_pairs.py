@@ -141,6 +141,13 @@ def main(argv=None) -> int:
     parser.add_argument("--note", default="", help="machine note recorded in the output")
     parser.add_argument("--seeds-note", default="", help="which seeds the change was written on")
     args = parser.parse_args(argv)
+    if args.claim is not None:
+        # Checked before the runs, which take over half an hour.
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+        if claim_workload not in WORKLOADS or claim_metric not in metrics:
+            parser.error(f"--claim {args.claim!r}: expected WORKLOAD:METRIC with WORKLOAD one of "
+                         f"{', '.join(WORKLOADS)} and METRIC one of {', '.join(metrics)}")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -211,10 +218,10 @@ def main(argv=None) -> int:
                       f"  change wins {cmp_['change_wins']}  {100 * cmp_['median_change_rel']:+.1f} %"
                       f"{'' if cmp_['within_bound'] else '  OUTSIDE BOUND'}"
                       f"{'  UNRESOLVED' if cmp_['unresolved'] else ''}")
-        if args.claim:
-            workload, metric = args.claim.split(":")
-            out["claim"] = claim_entry(out["workloads"][workload]["metrics"][metric],
-                                       workload, metric, sides, args.seeds_note)
+        if args.claim is not None:
+            out["claim"] = claim_entry(
+                out["workloads"][claim_workload]["metrics"][claim_metric],
+                claim_workload, claim_metric, sides, args.seeds_note)
             print(f"\nclaim {args.claim}: met = {out['claim']['met']}")
         if not out["per_layer_traced"]:
             del out["per_layer_traced"]
