@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopetrot import gaitgen
-from slopetrot.gaitgen import GaitParams, LegAction
 from slopetrot.legkin import (
     DEFAULT_WORKSPACE,
     FootPosition,
@@ -20,21 +18,6 @@ from slopetrot.legkin import (
 from slopetrot.rotations import rot_x, rot_y
 
 from conftest import sample_workspace_points
-
-GEOMETRIES = {
-    "no offset": LegGeometry(),
-    "offset": LegGeometry(abduction_offset=0.02),
-    # A polygon that reaches up to the hip's height, so that it holds the
-    # planar point of a target inside the offset cylinder.
-    "offset, high polygon": LegGeometry(
-        abduction_offset=0.02,
-        workspace_polygon=((0.03, 0.01), (0.2, 0.01), (0.2, -0.2), (0.03, -0.2))),
-}
-
-
-def bits(values) -> list:
-    """The values' float64 bit patterns, so that -0.0 differs from 0.0."""
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def fk_oracle(q, g: LegGeometry) -> np.ndarray:
@@ -225,37 +208,3 @@ class TestGeometryValidation:
     def test_bad_joint_limits(self):
         with pytest.raises(ValueError):
             LegGeometry(joint_limits=((0.5, -0.5), (-1.6, 1.6), (0.0, 2.6)))
-
-
-@pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_clamp_to_workspace_keeps_inside_points(name):
-    # One rule decides "inside" for the test and the projection: a point
-    # in_workspace accepts comes back with its own bits, also just inside
-    # the offset cylinder's 1e-15 tolerance.
-    geometry = GEOMETRIES[name]
-    d = geometry.abduction_offset
-    poly = np.asarray(geometry.workspace_polygon)
-    rng = np.random.default_rng(10)
-    planar = rng.uniform(poly.min(axis=0) - 0.02, poly.max(axis=0) + 0.02, size=(240, 2))
-    points = [tuple((rot_x(rng.uniform(-1.2, 1.2)) @ np.array([x, d, z])).tolist())
-              for x, z in planar]
-    points.append((0.1, math.nextafter(d, 0.0), 1e-12))
-    inside = [p for p in points if in_workspace(FootPosition(*p), geometry)]
-    assert len(inside) > 50
-    for p in inside:
-        assert bits(clamp_to_workspace(FootPosition(*p), geometry)) == bits(p)
-
-
-@pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_float_calls_return_python_floats(name):
-    geometry = GEOMETRIES[name]
-    gait = GaitParams()
-    action = LegAction(0.1, 0.2, 0.0, 0.0, 0.0)
-    values = [gaitgen.trot_phase(0.3, 0.4, "FR")]
-    values += gaitgen.checked_foot_target(0.7, action, gait, geometry)
-    q = inverse_kinematics(FootPosition(0.02, 0.01, -0.24), geometry)
-    values += q
-    values += forward_kinematics(q, geometry)
-    values += clamp_to_workspace(FootPosition(0.0, 0.0, -0.4), geometry)
-    assert all(type(v) is float for v in values)
-    assert type(in_workspace(FootPosition(0.0, 0.0, -0.24), geometry)) is bool
