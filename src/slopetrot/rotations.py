@@ -16,8 +16,3 @@ def rot_y(angle: float) -> np.ndarray:
 def rot_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def yaw_of(rot: np.ndarray) -> float:
-    """Heading of the body x-axis projected onto the world xy-plane."""
-    return float(np.arctan2(rot[1, 0], rot[0, 0]))

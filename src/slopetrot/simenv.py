@@ -24,9 +24,12 @@ from .bounds import ConfigError, bounded, check_bounds
 from .gaitgen import LEG_ORDER, GaitParams
 from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
-from .rotations import rot_z, yaw_of
-from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal, angles_from_unit_normal
-from .substeps import INSIDE_CYLINDER, OUTSIDE_ANNULUS, plan_half_cycle, step_torso
+from .rotations import rot_z
+from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
+from .substeps import (
+    CLEARANCE, COM, HEIGHT, IN_CONTACT, INSIDE_CYLINDER, OMEGA, OUTSIDE_ANNULUS, POINTS, RECORD,
+    ROT, TOUCHED, UP, VEL, plan_half_cycle, step_torso,
+)
 
 
 class NotReset(RuntimeError):
@@ -252,17 +255,14 @@ class SlopedTerrainEnv:
         # IK rejects.
         self._plan_in = np.zeros(45)
         self._plan_in_address = self._plan_in.ctypes.data
-        # The compiled step's buffer (see substeps.c): the state in and
-        # out; the torso's unit up-axis, clearance and height; then per
-        # foot whether it is in contact, whether it has touched since
-        # reset, and the world point the slope estimator takes for it.
-        kernel_buf = np.zeros(43)
-        self._kernel_state = kernel_buf[:18]
-        self._kernel_tail = kernel_buf[18:23]
-        self._in_contact = kernel_buf[23:27]
-        self._touched = kernel_buf[27:31]
-        self._contact_points = kernel_buf[31:].reshape(4, 3)
-        self._kernel_address = kernel_buf.ctypes.data
+        # The record the compiled torso steps start from (see substeps.c):
+        # the state and the feet's contact memory.
+        self._start = np.zeros(RECORD)
+        self._start_address = self._start.ctypes.data
+        # Each step's stance pair over one gait cycle, by step index modulo
+        # two half cycles: the pair of the half cycle the step ends in.
+        self._stances = np.array([STANCE_PAIRS[(i + 1) // steps % 2] for i in range(2 * steps)],
+                                 dtype=np.int64)
         # Largest possible forward displacement per control step, used to
         # normalize the progress reward: top speed is one max step per half
         # cycle.
@@ -351,12 +351,19 @@ class SlopedTerrainEnv:
         self._done = False
         self.fall = False
 
-        # The spawn pose's contact memory, angles and height: the compiled
-        # step without substeps.
-        self._touched[:] = 0.0
+        # The spawn pose's contact memory, angles and height: one compiled
+        # step without substeps, from no contact memory, above the first
+        # half cycle's stance pair, which the table gives a cycle's last
+        # step. The state arrays stay the caller's to edit: the first step
+        # reads them.
         offsets = self.state.feet_body - self.com_offset_body
-        self._last_theta, _, self._last_height = self._advance(
-            offsets.ctypes.data, 0, 0.0, STANCE_PAIRS[0])
+        block = self._advance(offsets.ctypes.data, 0, self._stances[-1:], 0.0)
+        self._record = block[0]
+        (self._last_theta,), _, (self._last_height,), _ = self._measure(block)
+        # The rows the steps of the current half cycle serve, the first of
+        # them for step number _first; none until the first step runs them.
+        self._rows = []
+        self._first = 0
 
         self._estimator.reset()
         self._theta_hist.clear()
@@ -399,11 +406,12 @@ class SlopedTerrainEnv:
         """The kinematics of every control step from this one to the end of
         its half cycle (or of the episode), which the latched actions fix,
         in one compiled call (see substeps.c): joints and body-frame feet
-        after the step, and the feet's motion that the compiled step
-        reads, one C-ordered (substeps + 2, 4, 3) block per step: the feet
-        minus com after the step, the feet's rate, then the feet minus com
-        at the end of each contact substep, all in the body frame. Row k
-        belongs to the step k steps after this one.
+        after the step, and the feet's motion that the compiled torso
+        steps read, one C-ordered (substeps + 2, 4, 3) block per step: the
+        feet minus com after the step, the feet's rate, then the feet minus
+        com at the end of each contact substep, all in the body frame. Row
+        k belongs to the step k steps after this one. The arrays are
+        read-only.
 
         Each element has the bits of the public kinematics' calls on the
         same target: libm's atan2, acos, sin, cos, sqrt and fmod are
@@ -412,7 +420,8 @@ class SlopedTerrainEnv:
         that as a fall. A target IK cannot reach raises Unreachable as
         legkin.inverse_kinematics does."""
         s, sim = self.state, self.sim
-        count = min(self.steps_per_half, sim.episode_len - s.step_index)
+        count = min(self.steps_per_half - s.step_index % self.steps_per_half,
+                    sim.episode_len - s.step_index)
         np.concatenate((self.latched, s.joints, s.feet_body), axis=None,
                        out=self._plan_in[:44])
         # Fresh arrays: the state's joints and feet are views into them.
@@ -423,37 +432,96 @@ class SlopedTerrainEnv:
             raise legkin.Unreachable(legkin.CYLINDER_MESSAGE)
         if status == OUTSIDE_ANNULUS:
             raise legkin.outside_annulus(self._plan_in.item(44))
+        out.flags.writeable = False
         rows = count * 12
         return (out[:rows].reshape(count, 4, 3), out[rows:2 * rows].reshape(count, 4, 3),
                 out[2 * rows:].reshape(count, sim.substeps + 2, 4, 3))
 
-    def _advance(self, motion: int, count: int, push_y: float, stance: tuple) -> tuple:
-        """Advance the torso through count contact substeps in one compiled
-        call, re-orthonormalize its rotation, update the feet's contact
-        memory, and return the torso's (roll, pitch, yaw), its clearance
-        above the plane (com @ n) and its height along the normal above
-        the lower of the two stance feet. com, vel, omega and rot become
-        fresh arrays.
+    def _advance(self, motion: int, substeps: int, stances: np.ndarray, memory) -> np.ndarray:
+        """Advance the torso from the state and the contact memory memory
+        (the touched flags and points of a record) through len(stances)
+        control steps in one compiled call, the first of them step number
+        state.step_index, and return their records (see substeps.py): one
+        read-only row per step, up to the first step whose world inertia
+        is singular.
 
-        motion is the address of the step's block of feet motion (see
-        _plan_half_cycle), push_y the lateral push force. With count 0 the
-        block holds only the feet minus com, and the state is measured
-        without moving it.
+        Each step runs substeps contact substeps, re-orthonormalizes the
+        rotation, updates the feet's contact memory and measures the
+        torso's unit up-axis, its clearance above the plane (com @ n) and
+        its height along the normal above the lower of its stance pair,
+        the step's row of stances. motion is the address of the steps'
+        blocks of feet motion (see _plan_half_cycle); each step's push
+        force comes from the push window. With substeps 0 the block holds
+        only the feet minus com, and the state is measured without moving
+        it.
 
         substeps.c keeps the bits of numpy's calls and Python's float
         arithmetic: it calls the BLAS and LAPACK routines numpy calls,
         with numpy's arguments, and compiles its scalar code without FMA
-        contraction in Python's operand order. The angles stay numpy's
-        arctan2 and arcsin, which may round differently from libm's."""
+        contraction in Python's operand order."""
         s = self.state
-        np.concatenate((s.com, s.vel, s.omega, s.rot), axis=None, out=self._kernel_state)
-        if step_torso(self._episode_address, self._kernel_address, motion, count, push_y,
-                      *stance):
-            raise np.linalg.LinAlgError("Singular matrix")
-        out = self._kernel_state.copy()
-        s.com, s.vel, s.omega, s.rot = out[:3], out[3:6], out[6:9], out[9:].reshape(3, 3)
-        ux, uy, uz, clearance, height = self._kernel_tail.tolist()
-        return (*angles_from_unit_normal(ux, uy, uz), yaw_of(s.rot)), clearance, height
+        np.concatenate((s.com, s.vel, s.omega, s.rot), axis=None, out=self._start[:UP])
+        self._start[TOUCHED:] = memory
+        count = len(stances)
+        pushes = np.zeros(count)
+        self._push_read = push = self.push
+        if push is not None:
+            pushes[max(push.start_step - s.step_index, 0):
+                   max(push.stop_step - s.step_index, 0)] = push.force_y
+        block = np.empty((count, RECORD))
+        done = step_torso(self._episode_address, self._start_address, motion, substeps,
+                          pushes.ctypes.data, stances.ctypes.data, count, block.ctypes.data)
+        block = block[:done]
+        block.flags.writeable = False
+        return block
+
+    @staticmethod
+    def _measure(block: np.ndarray) -> tuple:
+        """The records' torso (roll, pitch, yaw), clearances and heights as
+        lists of Python floats, and their com x. The angles are numpy's
+        arctan2 and arcsin over the whole block, whose bits the goldens
+        hold: they equal the calls on each record's floats, though they may
+        round differently from libm's."""
+        ux, uy, uz, r10, r00, clearance, height, x = block.T[
+            [UP, UP + 1, UP + 2, ROT + 3, ROT, CLEARANCE, HEIGHT, COM]]
+        theta = zip(np.arctan2(uy, uz).tolist(),
+                    (-np.arcsin(np.minimum(np.maximum(ux, -1.0), 1.0))).tolist(),
+                    np.arctan2(r10, r00).tolist())
+        return list(theta), clearance.tolist(), height.tolist(), x.tolist()
+
+    def _run_half_cycle(self) -> None:
+        """Plan the legs and run the torso from this step to the end of its
+        half cycle (or of the episode), and keep one row per step: the
+        com, vel, omega and rot it serves (read-only views of its record),
+        the planned joints and feet, the record, the angles, clearance,
+        height, com x and forward displacement."""
+        s = self.state
+        joints, feet, motion = self._plan_half_cycle()
+        i = s.step_index % len(self._stances)
+        block = self._advance(motion.ctypes.data, self.sim.substeps,
+                              self._stances[i:i + len(joints)], self._record[TOUCHED:])
+        theta, clearance, height, x = self._measure(block)
+        dx = [after - before for before, after in zip((s.com.item(0), *x), x)]
+        self._rows = list(zip(
+            block[:, COM:VEL], block[:, VEL:OMEGA], block[:, OMEGA:ROT],
+            block[:, ROT:UP].reshape(len(block), 3, 3), joints, feet, block,
+            theta, clearance, height, x, dx))
+        self._first = s.step_index
+
+    def _rows_go_on(self) -> bool:
+        """True when this step's row follows the last step's: the state
+        holds the arrays the last step served and the push window is the
+        one the torso steps read. A caller who replaced any of them, or
+        the step index, since then has the rest of the half cycle run
+        again from this step."""
+        s = self.state
+        k = s.step_index - self._first
+        if not 0 < k <= len(self._rows):
+            return False
+        last = self._rows[k - 1]
+        return (s.com is last[0] and s.vel is last[1] and s.omega is last[2] and s.rot is last[3]
+                and s.joints is last[4] and s.feet_body is last[5]
+                and self.push is self._push_read)
 
     def mechanical_energy(self) -> float:
         s = self.state
@@ -482,22 +550,17 @@ class SlopedTerrainEnv:
             raise NotReset("environment must be reset before stepping")
         s = self.state
         sim = self.sim
-        row = s.step_index % self.steps_per_half
-        if row == 0:
+        latch = s.step_index % self.steps_per_half == 0
+        if latch:
             self.latched = tuple(action)
-            self._plan = self._plan_half_cycle()
-            self._motion_address = self._plan[2].ctypes.data
-        joints, feet_new, motion = self._plan
-
-        push_y = 0.0
-        if self.push is not None and self.push.start_step <= s.step_index < self.push.stop_step:
-            push_y = self.push.force_y
-        com_x_before = s.com.item(0)
-        stance = STANCE_PAIRS[(s.step_index + 1) // self.steps_per_half % 2]
-        theta, clearance, height = self._advance(
-            self._motion_address + row * motion.strides[0], sim.substeps, push_y, stance)
-        s.joints = joints[row]
-        s.feet_body = feet_new[row]
+        if latch or not self._rows_go_on():
+            self._run_half_cycle()
+        rows = self._rows
+        k = s.step_index - self._first
+        if k == len(rows):
+            raise np.linalg.LinAlgError("Singular matrix")
+        (s.com, s.vel, s.omega, s.rot, s.joints, s.feet_body, self._record,
+         theta, clearance, height, cx, dx) = rows[k]
         s.step_index += 1
 
         exchange = s.step_index % self.steps_per_half == 0
@@ -505,26 +568,15 @@ class SlopedTerrainEnv:
             # Wait for the touch-down pair to land before snapshotting.
             self._incoming = STANCE_PAIRS[s.step_index // self.steps_per_half % 2]
             self._theta_hist.append(theta)
-        if self._capture() or exchange:
+        if (self._incoming and self._capture()) or exchange:
             self._obs = build_observation(self._theta_hist, self._estimator.estimate)
 
-        cx = s.com.item(0)
-        dx = cx - com_x_before
         standing = self._standing.push(cx)
+        # Positional: the torso's roll, pitch and yaw, the plane's roll and
+        # pitch, the height, the forward displacement and the standing flag.
         reward_val = compute_reward(
-            RewardInputs(
-                torso_roll=theta[0],
-                torso_pitch=theta[1],
-                torso_yaw=theta[2],
-                plane_roll=self.plane_roll,
-                plane_pitch=self.plane_pitch,
-                height=height,
-                forward_disp=dx,
-                standing=standing,
-            ),
-            self.reward_weights,
-            self.max_step_per_control,
-        )
+            RewardInputs(*theta, self.plane_roll, self.plane_pitch, height, dx, standing),
+            self.reward_weights, self.max_step_per_control)
 
         # Written as "not (within bounds)" so a non-finite state, whose
         # comparisons are all false, counts as a fall.
@@ -566,8 +618,9 @@ class SlopedTerrainEnv:
                 action = controller(obs)
 
     def _capture(self) -> bool:
-        """Finish the pending snapshot once the touch-down pair has made
-        contact; True when an estimator update ran.
+        """Finish the pending snapshot, which the step asks for while one
+        is pending, once the touch-down pair has made contact; True when an
+        estimator update ran.
 
         Every foot contributes, in LEG_ORDER, its last world contact point
         (a foot that never touched, its world position now),
@@ -576,11 +629,12 @@ class SlopedTerrainEnv:
         lift-off pair's points stay valid even though they were touched
         earlier.
         """
-        if not self._incoming or not all(self._in_contact[i] for i in self._incoming):
+        record = self._record
+        if not all(record[IN_CONTACT + i] for i in self._incoming):
             return False
         s = self.state
         body_origin = s.com - s.rot @ self.com_offset_body
-        points = [s.rot.T @ (point - body_origin) for point in self._contact_points]
+        points = [s.rot.T @ (point - body_origin) for point in record[POINTS:].reshape(4, 3)]
         self._estimator.update(ContactSnapshot(*points, s.rot))
         self._incoming = ()
         return True

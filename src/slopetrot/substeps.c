@@ -1,19 +1,20 @@
 /* The compiled parts of SlopedTerrainEnv's control steps.
 
-   step_torso runs one step's torso update. The contact substeps find the
-   feet below the plane, sum their penalty contact forces and torques, and
-   advance the torso by semi-implicit Euler with a Rodrigues rotation
-   update, its inertia inverted once per step. The step then
-   re-orthonormalizes the rotation, updates the feet's contact memory and
-   measures the torso's height.
+   step_torso runs the torso through the control steps of a half cycle,
+   one row per step. Each row's contact substeps find the feet below the
+   plane, sum their penalty contact forces and torques, and advance the
+   torso by semi-implicit Euler with a Rodrigues rotation update, its
+   inertia inverted once per step. The row then re-orthonormalizes the
+   rotation, updates the feet's contact memory and measures the torso's
+   height, and the next row starts from its record.
 
    plan_half_cycle runs once per half cycle, when an action latches: the
    legs' foot targets, their projection onto the workspace, IK, the
    joints' lag, FK and the feet's motion for every step of the half cycle.
 
    The results are bit for bit those of the same code written with Python
-   floats and numpy calls (the kinematics as legkin's and gaitgen's
-   functions, called once per leg and step):
+   floats and numpy calls, one control step at a time (the kinematics as
+   legkin's and gaitgen's functions, called once per leg and step):
 
    - every matrix product calls the cblas routine that ndarray.dot (or
      np.matmul) calls, from the OpenBLAS numpy has loaded, with numpy's
@@ -58,14 +59,14 @@ void bind_routines(ddot_fn dot, dgemv_fn gemv, dgemm_fn gemm, dgesv_fn gesv)
 /* The episode's constants, packed once at reset. */
 enum { NX, NY, NZ, MU, KP, KD, CAP, NEG_DAMPING, GX, GY, GZ, H, H_M, INERTIA };
 
-/* The step buffer: the state in and out, row-major; the unit up-axis of
-   the torso, its clearance above the plane and its height above the
+/* A step's record: the state after the step, row-major; the unit up-axis
+   of the torso, its clearance above the plane and its height above the
    stance feet; then per foot whether it touches the plane, whether it has
    touched it since reset, and the world point the slope estimator takes
    for it. */
 enum {
     COM = 0, VEL = 3, OMEGA = 6, ROT = 9, UP = 18, CLEARANCE = 21, HEIGHT = 22,
-    IN_CONTACT = 23, TOUCHED = 27, POINTS = 31
+    IN_CONTACT = 23, TOUCHED = 27, POINTS = 31, RECORD = 43
 };
 
 /* ndarray.dot of two 3-vectors with strides inc_x and inc_y: numpy adds
@@ -305,7 +306,8 @@ static void update_contact_memory(const double *n, double *buf, const double *of
 /* The torso's clearance com @ n above the plane, and its height along n
    above the lower of the stance feet a and b, so it tracks posture, not
    the absolute terrain position. */
-static void measure_height(const double *n, double *buf, const double *offsets, long a, long b)
+static void measure_height(const double *n, double *buf, const double *offsets, int64_t a,
+                           int64_t b)
 {
     const double *com = buf + COM;
     double rel[12], sdist[4];
@@ -322,16 +324,16 @@ static void measure_height(const double *n, double *buf, const double *offsets, 
     buf[HEIGHT] = clearance - lowest;
 }
 
-/* Advance the state in buf by one control step: count contact substeps
-   (see integrate), then the rotation's re-orthonormalization, the contact
-   memory, the torso's unit up-axis and its height above the stance feet
-   stance_a and stance_b. motion holds the (4, 3) feet minus com in the
-   body frame after the step, then integrate's motion. With count 0 only
-   the state's contact memory, up-axis and height are measured. Returns
-   dgesv's info for the world inertia; when it is not 0 the state in buf
-   is left as it was. */
-long step_torso(const double *episode, double *buf, const double *motion, long count,
-                double push_y, long stance_a, long stance_b)
+/* Advance the state in buf, a record, by one control step: count contact
+   substeps (see integrate), then the rotation's re-orthonormalization,
+   the contact memory, the torso's unit up-axis and its height above the
+   stance feet stance_a and stance_b. motion holds the (4, 3) feet minus
+   com in the body frame after the step, then integrate's motion. With
+   count 0 only the state's contact memory, up-axis and height are
+   measured. Returns dgesv's info for the world inertia; when it is not 0
+   the state in buf is left as it was. */
+static blasint step_row(const double *episode, double *buf, const double *motion, long count,
+                        double push_y, int64_t stance_a, int64_t stance_b)
 {
     const double *n = episode + NX;
     if (count > 0) {
@@ -350,6 +352,29 @@ long step_torso(const double *episode, double *buf, const double *motion, long c
     buf[UP + 1] = up[1] / norm;
     buf[UP + 2] = up[2] / norm;
     return 0;
+}
+
+/* Run rows control steps, each with substeps contact substeps, from the
+   state and contact memory in the record start. Row j starts from row
+   j - 1's record (row 0 from start), reads its (substeps + 2, 4, 3) block
+   of motion (see step_row), its push force pushes[j] and its stance pair
+   stances[2 j], stances[2 j + 1], and writes its record to out[j]. Returns
+   rows, or the first row whose world inertia dgesv finds singular; out
+   holds the records of the rows before it. */
+long step_torso(const double *episode, const double *start, const double *motion,
+                long substeps, const double *pushes, const int64_t *stances, long rows,
+                double *out)
+{
+    const double *prev = start;
+    for (long j = 0; j < rows; j++) {
+        double *buf = out + RECORD * j;
+        memcpy(buf, prev, RECORD * sizeof *buf);
+        if (step_row(episode, buf, motion + 12 * (substeps + 2) * j, substeps, pushes[j],
+                     stances[2 * j], stances[2 * j + 1]) != 0)
+            return j;
+        prev = buf;
+    }
+    return rows;
 }
 
 /* The half cycle's kinematics: the constants, packed once by the

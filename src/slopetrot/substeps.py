@@ -1,16 +1,17 @@
-"""The compiled torso update of one environment control step, and the
-compiled plan of each half cycle's leg kinematics.
+"""The compiled torso steps of each half cycle, and the compiled plan of
+each half cycle's leg kinematics.
 
-substeps.c's step_torso runs a control step's contact substeps, the
-inverse of the world inertia they use, the rotation's
-re-orthonormalization, the feet's contact memory and the torso's height
-in one call. Its matrix products call the cblas routines of the OpenBLAS
-that numpy has loaded, with numpy's arguments, its inverse calls that
-library's LAPACK dgesv as np.linalg.inv does, and its scalar code rounds
-as Python's does, so it computes the bits of the same code written in
-numpy and Python floats. The torso's angles stay numpy calls in the
-environment: numpy's arctan2 and arcsin may round differently from
-libm's.
+substeps.c's step_torso runs the torso through a run of control steps in
+one call: per step, its contact substeps, the inverse of the world
+inertia they use, the rotation's re-orthonormalization, the feet's
+contact memory and the torso's height, each step starting from the
+record the one before it wrote. Its matrix products call the cblas
+routines of the OpenBLAS that numpy has loaded, with numpy's arguments,
+its inverse calls that library's LAPACK dgesv as np.linalg.inv does, and
+its scalar code rounds as Python's does, so it computes the bits of the
+same code written in numpy and Python floats, one step at a time. The
+torso's angles stay numpy calls in the environment: numpy's arctan2 and
+arcsin may round differently from libm's.
 
 Its plan_half_cycle computes, when an action latches, every step's foot
 targets, workspace projection, IK, joint lag, FK and feet motion up to
@@ -104,7 +105,8 @@ def _load():
     kernel.bind_routines.restype = None
     kernel.bind_routines(*routines)
     step = kernel.step_torso
-    step.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_double] + [ctypes.c_long] * 2
+    step.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_void_p] * 2
+                     + [ctypes.c_long, ctypes.c_void_p])
     step.restype = ctypes.c_long
     plan = kernel.plan_half_cycle
     plan.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2 + [ctypes.c_void_p]
@@ -112,11 +114,19 @@ def _load():
     return step, plan
 
 
-# Both take the addresses of C-ordered float64 arrays, see substeps.c for
-# their layouts. step_torso(episode, buf, motion, count, push_y, stance_a,
-# stance_b) returns LAPACK's info for the world inertia: not 0 when it is
-# singular. plan_half_cycle(kinematics, plan, first, count, out) returns 0
-# for a plan, or INSIDE_CYLINDER or OUTSIDE_ANNULUS for a target that IK
-# rejects.
+# Both take the addresses of C-ordered arrays, float64 unless named, see
+# substeps.c for their layouts. step_torso(episode, start, motion,
+# substeps, pushes, stances, rows, out) runs rows control steps from the
+# record start, with stances an int64 (rows, 2) array, and writes one
+# record per step to out; it returns rows, or the first row whose world
+# inertia is singular. plan_half_cycle(kinematics, plan, first, count, out)
+# returns 0 for a plan, or INSIDE_CYLINDER or OUTSIDE_ANNULUS for a target
+# that IK rejects.
 step_torso, plan_half_cycle = _load()
 INSIDE_CYLINDER, OUTSIDE_ANNULUS = 1, 2
+# A step's record, RECORD floats: the state (com, vel, omega and the
+# row-major rotation) up to UP, the torso's unit up-axis, its clearance
+# and height, then per foot whether it is in contact, whether it has
+# touched since reset, and the world point the slope estimator takes.
+COM, VEL, OMEGA, ROT, UP, CLEARANCE, HEIGHT = 0, 3, 6, 9, 18, 21, 22
+IN_CONTACT, TOUCHED, POINTS, RECORD = 23, 27, 31, 43

@@ -3,7 +3,8 @@ parent runs spread wider than the bound is unresolved unless every change
 run reads better than every parent run, and a claim is met only when the
 change wins at least 9 of 10 pairs and the medians differ by more than
 the parent's interquartile range. A --claim that names no known workload
-and metric is a usage error before any revision is exported."""
+and metric is a usage error before any revision is exported. A run
+records the CPU seconds its processes used."""
 
 import importlib.util
 from pathlib import Path
@@ -108,3 +109,32 @@ def test_good_claim_reaches_the_export(monkeypatch):
     monkeypatch.setattr(bench_pairs, "export", export)
     with pytest.raises(Exported):
         bench_pairs.main(["HEAD", "HEAD", "--pr", "0", "--claim", "eval_grid:env_steps_per_s"])
+
+
+FAKE_RUN = '''\
+import json, sys, time
+if sys.argv[sys.argv.index("--seed") + 1] == "1":
+    end = time.process_time() + 0.3
+    while time.process_time() < end:
+        pass
+else:
+    time.sleep(0.3)
+print("digest " + "0" * 64 + " (fake)")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}}))
+'''
+
+
+def test_run_records_its_child_cpu_seconds(tmp_path):
+    # A run that computes for 0.3 CPU seconds against one that sleeps for
+    # 0.3 s; the comparison of them is reported without a bound or a
+    # verdict.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    busy = bench_pairs.run_once(tmp_path, "eval_grid", 1, False)
+    idle = bench_pairs.run_once(tmp_path, "eval_grid", 2, False)
+    assert busy["digest"] == ("0" * 64, "fake")
+    assert 0.3 <= busy["cpu_s"] < 2.0
+    assert 0.0 <= idle["cpu_s"] < 0.15
+    got = bench_pairs.describe([busy["cpu_s"]], [idle["cpu_s"]], "lower")
+    assert got["change_wins"] == "1/1"
+    assert not {"bound", "within_bound", "unresolved"} & got.keys()

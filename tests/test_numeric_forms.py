@@ -6,14 +6,15 @@ The step calls each small product through ndarray.dot instead of @, stacks
 per-foot products into one np.matmul, reads rows of one product as the
 product of those rows, runs elementwise work on Python floats, and runs
 the torso update (contact substeps, inertia inverse, re-orthonormalization,
-contact memory and height) and each half cycle's leg kinematics in
-substeps.c, compiled code that calls numpy's own BLAS and LAPACK routines
-and libm's functions. Each is exact only because numpy and its BLAS make
+contact memory and height) of a half cycle's steps and its leg kinematics
+in substeps.c, compiled code that calls numpy's own BLAS and LAPACK
+routines and libm's functions, and takes the torso's angles of a whole
+half cycle in one array call each. Each is exact only because numpy and its BLAS make
 it so; the forms are not interchangeable in general (a scalar sum, or a
 vector dot product, rounds differently from a row of a matrix-vector
 product). The oracles below are that torso update written with Python
-floats and numpy calls, and that plan written with the kinematics' float
-calls, one per step and leg.
+floats and numpy calls, the compiled update of one step at a time, and
+that plan written with the kinematics' float calls, one per step and leg.
 """
 
 import math
@@ -25,9 +26,12 @@ from slopetrot import gaitgen, legkin
 from slopetrot.gaitgen import LEG_ORDER, LegAction
 from slopetrot.legkin import LegGeometry, Unreachable
 from slopetrot.policy import DEFAULT_SCALING, scale_clip_action
-from slopetrot.rotations import rot_x, rot_y, rot_z, yaw_of
-from slopetrot.simenv import STANCE_PAIRS, SimParams, SlopedTerrainEnv, TerrainPlane
-from slopetrot.slopeest import angles_from_normal
+from slopetrot.rotations import rot_x, rot_y, rot_z
+from slopetrot.simenv import STANCE_PAIRS, PushEvent, SimParams, SlopedTerrainEnv, TerrainPlane
+from slopetrot.slopeest import angles_from_normal, angles_from_unit_normal
+from slopetrot.substeps import (
+    CLEARANCE, COM, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, TOUCHED, UP, VEL, step_torso,
+)
 
 SAMPLES = 2000
 
@@ -304,7 +308,7 @@ def _parent_tail(env, com, rot, feet_body, stance, contact_world):
     up = np.asarray(rot[:, 2], dtype=float).ravel()
     norm = math.sqrt(up.dot(up))
     unit = [v / norm for v in up.tolist()]
-    theta = (*angles_from_normal(rot[:, 2]), yaw_of(rot))
+    theta = (*angles_from_normal(rot[:, 2]), float(np.arctan2(rot[1, 0], rot[0, 0])))
     return in_contact, points, clearance, clearance - lowest, unit, theta
 
 
@@ -348,6 +352,32 @@ def _draw_step(env, rng, substeps, seen):
     return motion, feet_rate, feet_sub, feet_end, push_y
 
 
+def _state_record(state, memory=0.0) -> np.ndarray:
+    """A step record (see substeps.py) holding state, a (com, vel, omega,
+    rot) tuple, and the contact memory memory: the touched flags and
+    points."""
+    record = np.zeros(RECORD)
+    np.concatenate(state, axis=None, out=record[:UP])
+    record[TOUCHED:] = memory
+    return record
+
+
+def _one_step(env, start, motion, substeps, push_y, stance):
+    """One control step of the compiled torso update, a call of one row,
+    from the record start: its record, or None when its world inertia is
+    singular."""
+    out = np.empty((1, RECORD))
+    rows = step_torso(env._episode.ctypes.data, start.ctypes.data, motion.ctypes.data,
+                      substeps, np.array([push_y]).ctypes.data,
+                      np.array(stance, dtype=np.int64).ctypes.data, 1, out.ctypes.data)
+    return out[0] if rows == 1 else None
+
+
+def _record_state(record):
+    """com, vel, omega and rot of a record."""
+    return (record[COM:VEL], record[VEL:OMEGA], record[OMEGA:ROT], record[ROT:UP].reshape(3, 3))
+
+
 @pytest.mark.parametrize("substeps", [1, 5])
 def test_substep_kernel_equals_python_loop(substeps):
     env = SlopedTerrainEnv(sim=SimParams(substeps=substeps))
@@ -358,9 +388,9 @@ def test_substep_kernel_equals_python_loop(substeps):
         com, vel, omega, rot = _parent_substeps(env, feet_rate, feet_sub, push_y)
         reference = (com, vel, omega, _orthonormalize(rot))
         s = env.state
-        env._advance(motion.ctypes.data, substeps, push_y, STANCE_PAIRS[0])
-        fast = (s.com, s.vel, s.omega, s.rot)
-        return (tuple(map(_nan_canonical_bits, fast)),
+        record = _one_step(env, _state_record((s.com, s.vel, s.omega, s.rot)), motion,
+                           substeps, push_y, STANCE_PAIRS[0])
+        return (tuple(map(_nan_canonical_bits, _record_state(record))),
                 tuple(map(_nan_canonical_bits, reference)))
 
     _assert_forms_agree(f"the substep kernel at {substeps} substeps", forms)
@@ -373,7 +403,8 @@ def test_substep_kernel_equals_python_loop(substeps):
 def test_compiled_tail_equals_python_tail(substeps):
     # The whole compiled step against the Python loop and tail, from a
     # random contact memory; one draw in five is the reset's call, which
-    # measures the state without moving it.
+    # measures the state without moving it. The angles are the
+    # environment's array calls on the record.
     env = SlopedTerrainEnv(sim=SimParams(substeps=substeps))
     seen = {"touching": set(), "push": set(), "still": 0, "nan": 0,
             "in_contact": set(), "remembered": 0, "reset_call": 0}
@@ -382,10 +413,8 @@ def test_compiled_tail_equals_python_tail(substeps):
         motion, feet_rate, feet_sub, feet_end, push_y = _draw_step(env, rng, substeps, seen)
         s = env.state
         touched = rng.random(4) < 0.5
-        env._touched[:] = touched
-        env._contact_points[:] = rng.normal(size=(4, 3))
-        contact_world = [tuple(p) if t else None
-                         for p, t in zip(env._contact_points.tolist(), touched)]
+        points = rng.normal(size=(4, 3))
+        contact_world = [tuple(p) if t else None for p, t in zip(points.tolist(), touched)]
         stance = STANCE_PAIRS[int(rng.integers(2))]
         count = substeps
         if rng.random() < 0.2:
@@ -395,13 +424,17 @@ def test_compiled_tail_equals_python_tail(substeps):
         else:
             com, vel, omega, rot = _parent_substeps(env, feet_rate, feet_sub, push_y)
             state = (com, vel, omega, _orthonormalize(rot))
-        in_contact, points, clearance, height, unit, theta = _parent_tail(
+        in_contact, points_ref, clearance, height, unit, theta = _parent_tail(
             env, state[0], state[3], feet_end, stance, contact_world)
-        reference = (*state, in_contact, points, clearance, height, unit, theta)
+        reference = (*state, in_contact, points_ref, clearance, height, unit, theta)
 
-        theta_c, clearance_c, height_c = env._advance(motion.ctypes.data, count, push_y, stance)
-        fast = (s.com, s.vel, s.omega, s.rot, env._in_contact != 0.0, env._contact_points,
-                clearance_c, height_c, env._kernel_tail[:3], theta_c)
+        start = _state_record((s.com, s.vel, s.omega, s.rot),
+                              np.concatenate((touched, points), axis=None))
+        record = _one_step(env, start, motion, count, push_y, stance)
+        (theta_c,), (clearance_c,), (height_c,), _ = env._measure(record[None])
+        fast = (*_record_state(record), record[IN_CONTACT:TOUCHED] != 0.0,
+                record[POINTS:].reshape(4, 3), clearance_c, height_c, record[UP:CLEARANCE],
+                theta_c)
         seen["in_contact"].add(sum(in_contact))
         seen["remembered"] += sum(t and not c for t, c in zip(touched, in_contact))
         return (tuple(map(_nan_canonical_bits, fast)),
@@ -414,6 +447,96 @@ def test_compiled_tail_equals_python_tail(substeps):
     assert seen["reset_call"] > 300 and seen["remembered"] > 300
 
 
+@pytest.mark.parametrize("substeps", [1, 5])
+def test_half_cycle_of_torso_steps_equals_single_steps(substeps):
+    # The environment's batched call against one single-row call per step,
+    # each from the record before it, with the push force and stance pair
+    # the step by step environment gave that step: from a random state
+    # and contact memory, any step of an episode that ends mid half cycle,
+    # push windows opening and closing inside the run, and one draw in
+    # eight a body inertia with a zero entry, whose world inertia dgesv
+    # finds singular at some rotations.
+    env = SlopedTerrainEnv(sim=SimParams(substeps=substeps, episode_len=230))
+    per_half = env.steps_per_half
+    seen = {"touching": set(), "push": set(), "still": 0, "nan": 0, "nan_rows": 0,
+            "switch": 0, "cut": 0, "window_inside": 0, "singular_first": 0,
+            "singular_later": 0}
+
+    def forms(rng):
+        motion, *_ = _draw_step(env, rng, substeps, seen)
+        s = env.state
+        first = int(rng.integers(env.sim.episode_len))
+        count = min(per_half - first % per_half, env.sim.episode_len - first)
+        motion = motion + rng.normal(scale=2e-3, size=(count, *motion.shape))
+        start = int(rng.integers(max(first - 5, 0), first + count + 5))
+        stop = start + int(rng.integers(1, 15))
+        env.push = (PushEvent(start, stop, float(rng.uniform(-120.0, 120.0)))
+                    if rng.random() < 0.7 else None)
+        if rng.random() < 0.125:
+            env._episode[-3] = 0.0  # the body inertia's x entry
+        touched = rng.random(4) < 0.5
+        memory = np.concatenate((touched, rng.normal(size=(4, 3))), axis=None)
+        stances = env._stances[first % len(env._stances):][:count]
+
+        s.step_index = first
+        block = env._advance(motion.ctypes.data, substeps, stances, memory)
+
+        records = []
+        record = _state_record((s.com, s.vel, s.omega, s.rot), memory)
+        for k in range(count):
+            push = env.push
+            push_y = (push.force_y if push is not None and push.start_step <= first + k
+                      < push.stop_step else 0.0)
+            record = _one_step(env, record, motion[k], substeps, push_y,
+                               STANCE_PAIRS[(first + k + 1) // per_half % 2])
+            if record is None:
+                break
+            records.append(record)
+        records = np.array(records).reshape(-1, RECORD)
+
+        seen["switch"] += len(block) == count and count == per_half - first % per_half
+        seen["cut"] += count < per_half - first % per_half
+        seen["window_inside"] += (env.push is not None
+                                  and first < env.push.start_step < env.push.stop_step
+                                  < first + count)
+        seen["nan_rows"] += int(np.isnan(block).any(axis=1).sum())
+        if len(block) < count:
+            seen["singular_later" if len(block) else "singular_first"] += 1
+        return ((len(block), _nan_canonical_bits(block)),
+                (len(records), _nan_canonical_bits(records)))
+
+    _assert_forms_agree(f"the half cycle's torso steps at {substeps} substeps", forms)
+    assert seen["touching"] == {0, 1, 2, 3, 4}
+    assert seen["switch"] > 300 and seen["cut"] > 100 and seen["window_inside"] > 200
+    assert seen["nan"] > 20 and seen["nan_rows"] > 500
+    assert seen["singular_first"] > 10 and seen["singular_later"] > 10
+
+
+@pytest.mark.parametrize("length", range(1, 21))
+def test_array_angles_equal_scalar_angles(length):
+    # The step takes a half cycle's roll, pitch and yaw in one numpy call
+    # each, over a (length,) array; the goldens hold the bits of the calls
+    # on each step's floats. Each position of each length takes values
+    # from a pool with NaN, signed zeros, +-1 and values beyond them.
+    specials = [math.nan, 0.0, -0.0, 1.0, -1.0, 1.0 + 2.0**-52, -1.0 - 2.0**-52, 5e-324]
+    rng = np.random.default_rng(length)
+    for _ in range(200):
+        columns = rng.uniform(-1.0, 1.0, size=(5, length))
+        for row in columns:
+            picks = rng.random(length) < 0.3
+            row[picks] = rng.choice(specials, size=int(picks.sum()))
+        ux, uy, uz, r10, r00 = columns
+        roll = np.arctan2(uy, uz).tolist()
+        pitch = (-np.arcsin(np.minimum(np.maximum(ux, -1.0), 1.0))).tolist()
+        yaw = np.arctan2(r10, r00).tolist()
+        for k in range(length):
+            scalar = (*angles_from_unit_normal(ux[k].item(), uy[k].item(), uz[k].item()),
+                      float(np.arctan2(r10[k].item(), r00[k].item())))
+            assert _nan_canonical_bits([roll[k], pitch[k], yaw[k]]).tolist() == (
+                _nan_canonical_bits(scalar).tolist()), RERECORD.format(
+                    what=f"array angles at position {k} of {length}")
+
+
 @pytest.mark.parametrize("terrain", [TerrainPlane(), TerrainPlane(11, 90), TerrainPlane(7, 30)])
 def test_reset_measures_the_spawn_pose_as_python_did(terrain):
     env = SlopedTerrainEnv()
@@ -422,8 +545,8 @@ def test_reset_measures_the_spawn_pose_as_python_did(terrain):
         s = env.state
         in_contact, points, _, height, _, theta = _parent_tail(
             env, s.com, s.rot, s.feet_body, STANCE_PAIRS[0], [None] * 4)
-        assert env._in_contact.tolist() == in_contact
-        assert np.array_equal(env._contact_points, np.array(points))
+        assert (env._record[IN_CONTACT:TOUCHED] != 0.0).tolist() == in_contact
+        assert np.array_equal(env._record[POINTS:].reshape(4, 3), np.array(points))
         assert env.log_row()["height"] == height
         assert env._last_theta == theta
 
@@ -488,7 +611,8 @@ def _parent_plan(env):
     kernel does: for a target inside the offset cylinder if there is one,
     else for the first target outside the annulus."""
     s, sim, gait, geometry = env.state, env.sim, env.gait, env.geometry
-    count = min(env.steps_per_half, sim.episode_len - s.step_index)
+    count = min(env.steps_per_half - s.step_index % env.steps_per_half,
+                sim.episode_len - s.step_index)
     if not np.isfinite(env.latched).all():
         targets = np.full((count, 4, 3), math.nan)
     else:
@@ -558,6 +682,16 @@ def _draw_plan(env, rng, seen):
     return s.step_index
 
 
+def _plan_or_error(plan):
+    """The plan's arrays as NaN-canonical bits, or the message of the
+    Unreachable it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(map(_nan_canonical_bits, plan()))
+    except Unreachable as err:
+        return (str(err),)
+
+
 @pytest.mark.parametrize("geometry", [LegGeometry(), LegGeometry(abduction_offset=0.02)],
                          ids=["no offset", "offset"])
 def test_compiled_plan_equals_float_plan(geometry):
@@ -566,17 +700,10 @@ def test_compiled_plan_equals_float_plan(geometry):
     env = SlopedTerrainEnv(geometry=geometry)
     seen = {"kind": set(), "end": 0, "unreachable": 0, "clamped": 0, "cylinder": 0}
 
-    def plan_or_error(plan):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return tuple(map(_nan_canonical_bits, plan()))
-        except Unreachable as err:
-            return (str(err),)
-
     def forms(rng):
         _draw_plan(env, rng, seen)
-        reference = plan_or_error(lambda: _parent_plan(env))
-        fast = plan_or_error(env._plan_half_cycle)
+        reference = _plan_or_error(lambda: _parent_plan(env))
+        fast = _plan_or_error(env._plan_half_cycle)
         if len(reference) == 1:
             seen["unreachable"] += 1
         elif np.isfinite(env.latched).all():
@@ -592,3 +719,86 @@ def test_compiled_plan_equals_float_plan(geometry):
     assert seen["end"] > 200 and seen["unreachable"] > 50 and seen["clamped"] > 10000
     if geometry.abduction_offset > 0.0:
         assert seen["cylinder"] > 100
+
+
+# Workspaces on which the projection's two boundary rules show. On the
+# default polygon no planar point lies exactly on an edge's -1e-12
+# tolerance: the edge test's differences and products round on grids that
+# miss -1e-12, so whether the test includes the tolerance cannot show
+# there. An edge that starts on the leg's axis (x = 0) with a power-of-two
+# direction holds such points: the diamond's two such edges in one vertex
+# order, its other two in the other. The high polygon reaches above the
+# hip, so a target inside the offset cylinder keeps its stand-in's planar
+# point, whose z sign then shows.
+DIAMOND = ((0.0, -0.125), (0.125, -0.25), (0.0, -0.3125), (-0.125, -0.25))
+HIGH_POLYGON = ((-0.1, 0.01), (0.1, 0.01), (0.11, -0.28), (-0.11, -0.28))
+
+
+def _ulps_around(x: float, n: int):
+    """x and the n floats on each side of it, nearest first."""
+    yield x
+    up = down = x
+    for _ in range(n):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        yield up
+        yield down
+
+
+@pytest.mark.parametrize("polygon", [DIAMOND, DIAMOND[::-1]], ids=["ccw", "cw"])
+def test_compiled_plan_equals_float_plan_on_edge_tolerance(polygon):
+    # Stance targets whose planar point lies exactly at -1e-12 from an
+    # edge, and a few floats to either side: a zero stride and lateral
+    # shift put the stance foot at (shift_x, 0, shift_z - height), whose
+    # planar point is (shift_x, shift_z - height) exactly.
+    geometry = LegGeometry(workspace_polygon=polygon)
+    env = SlopedTerrainEnv(geometry=geometry)
+    height, tol = env.gait.desired_height, 1e-12
+    on_band = set()
+    for index, (x1, z1, ex, ez) in enumerate(geometry._edges):
+        if x1 != 0.0:
+            continue
+        shift_z = next(c for c in _ulps_around(z1 + height, 8) if c + -height == z1)
+        band = [c for c in _ulps_around(tol / ez, 8) if ex * (z1 - z1) - ez * (c - x1) == -tol]
+        assert band and all(legkin._point_in_polygon(c, z1, geometry._edges) for c in band)
+        on_band.add(index)
+        for shift_x in _ulps_around(band[0], 3):
+            for row in (0, 17):
+                env.reset(TerrainPlane(), seed=0)
+                env.state.step_index = row
+                env.latched = (LegAction(0.0, 0.0, shift_x, 0.0, shift_z),) * 4
+                fast = _plan_or_error(env._plan_half_cycle)
+                reference = _plan_or_error(lambda: _parent_plan(env))
+                assert len(fast) == 3, fast
+                assert all(map(np.array_equal, fast, reference)), (
+                    RERECORD.format(what=f"the plan at edge {index}'s tolerance"))
+    assert len(on_band) == 2
+
+
+def test_compiled_plan_equals_float_plan_inside_offset_cylinder():
+    # Stance targets near the hip, most of them inside the offset cylinder
+    # and above or below its axis, on legs whose polygon holds their
+    # stand-ins' planar points.
+    geometry = LegGeometry(abduction_offset=0.02, workspace_polygon=HIGH_POLYGON)
+    env = SlopedTerrainEnv(geometry=geometry)
+    seen = {"above": 0, "below": 0, "unreachable": 0}
+
+    def forms(rng):
+        env.reset(TerrainPlane(), seed=int(rng.integers(1000)))
+        env.state.step_index = int(rng.integers(env.sim.episode_len))
+        env.latched = tuple(
+            LegAction(rng.uniform(-0.01, 0.01), rng.uniform(-0.3, 0.3),
+                      rng.choice([-1.0, 1.0]) * rng.uniform(0.04, 0.09), rng.uniform(-0.01, 0.01),
+                      env.gait.desired_height + rng.uniform(-0.015, 0.015))
+            for _ in range(4))
+        reference = _plan_or_error(lambda: _parent_plan(env))
+        count = min(env.steps_per_half - env.state.step_index % env.steps_per_half,
+                    env.sim.episode_len - env.state.step_index)
+        for tau, action in _plan_phases(env, count):
+            foot = gaitgen.foot_target(tau, action, env.gait)
+            if foot.y * foot.y + foot.z * foot.z < geometry.abduction_offset ** 2:
+                seen["above" if foot.z > 0.0 else "below"] += 1
+        seen["unreachable"] += len(reference) == 1
+        return _plan_or_error(env._plan_half_cycle), reference
+
+    _assert_forms_agree("the compiled plan inside the offset cylinder", forms)
+    assert seen["above"] > 20000 and seen["below"] > 20000 and seen["unreachable"] < 100

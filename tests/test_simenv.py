@@ -27,6 +27,7 @@ from slopetrot.simenv import (
     terrain_grid,
 )
 from slopetrot.slopeest import PlaneEstimate, angles_from_normal
+from slopetrot.substeps import IN_CONTACT, TOUCHED
 
 NO_PUSH = RandomizationConfig(push_enabled=False)
 ZEROS = (ZERO_ACTION,) * 4
@@ -569,6 +570,117 @@ class TestBehavior:
             env.step(ZEROS)
 
 
+def _steps(env, count, action=ZEROS):
+    """Step env count times; each step's reward and com, vel, omega and
+    rot as float.hex, and whether it was done."""
+    out = []
+    for _ in range(count):
+        _, r, done, _ = env.step(action)
+        s = env.state
+        out.append((r.hex(), [v.hex() for a in (s.com, s.vel, s.omega, s.rot)
+                              for v in a.ravel().tolist()], done))
+    return out
+
+
+def _walking_env(push=None):
+    env = SlopedTerrainEnv()
+    env.reset(TerrainPlane(7, 30), NO_PUSH, seed=3)
+    if push is not None:
+        env.set_push(*push)
+    return env
+
+
+WALK = (LegAction(0.1, 0.05, 0.01, 0.0, 0.0),) * 4
+
+
+class TestEditsBetweenSteps:
+    """The step runs the torso through the rest of a half cycle when it
+    latches an action, reading the state then; edits made between the
+    steps of a half cycle act at the next step, as they would if each step
+    read the state afresh."""
+
+    def test_set_push_mid_half_cycle_acts_at_next_step(self):
+        scripted = _steps(_walking_env((45, 55, 90.0)), 100, WALK)
+        env = _walking_env()
+        late = _steps(env, 43, WALK)
+        env.set_push(45, 55, 90.0)  # step 43 is row 3 of a half cycle
+        assert late + _steps(env, 57, WALK) == scripted
+        assert scripted != _steps(_walking_env(), 100, WALK)
+
+    def test_push_shortened_inside_its_window(self):
+        shortened = _walking_env((45, 55, 90.0))
+        steps = _steps(shortened, 50, WALK)
+        shortened.set_push(45, 50, 90.0)
+        steps += _steps(shortened, 50, WALK)
+        assert steps == _steps(_walking_env((45, 50, 90.0)), 100, WALK)
+
+    @pytest.mark.parametrize("field", ["com", "vel", "omega", "rot", "joints", "feet_body"])
+    def test_replacing_an_array_by_its_copy_changes_nothing(self, field):
+        # The rest of the half cycle runs again from the replaced array and
+        # the contact memory of the last step, with the same bits.
+        env = _walking_env((45, 55, 90.0))
+        steps = []
+        for at in (7, 40, 58):
+            steps += _steps(env, at - env.state.step_index, WALK)
+            setattr(env.state, field, getattr(env.state, field).copy())
+        steps += _steps(env, 100 - env.state.step_index, WALK)
+        assert steps == _steps(_walking_env((45, 55, 90.0)), 100, WALK)
+
+    def test_replaced_velocity_acts_at_next_step(self):
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(), NO_PUSH, seed=1)
+        env.state.com[2] += 1.0  # free flight
+        _steps(env, 10)
+        env.state.vel = np.array([0.0, 1.0, 0.0])
+        com = env.state.com.copy()
+        env.step(ZEROS)
+        assert env.state.vel == pytest.approx([0.0, 1.0, -9.81 * 0.005], abs=1e-12)
+        assert env.state.com[1] - com[1] == pytest.approx(0.005, abs=1e-12)
+
+    def test_replaced_rotation_acts_at_next_step(self):
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(), NO_PUSH, seed=1)
+        _steps(env, 10)
+        from slopetrot.rotations import rot_x
+
+        env.state.rot = rot_x(math.radians(60.0))
+        _, _, done, info = env.step(ZEROS)
+        assert done and info["fall"]
+
+    def test_replaced_joints_act_at_next_step(self):
+        # The joints lag toward the same targets from the replaced value.
+        alpha = 1.0 - math.exp(-0.005 / 0.02)
+        edited, unedited = _walking_env(), _walking_env()
+        _steps(edited, 10, WALK)
+        _steps(unedited, 10, WALK)
+        before = unedited.state.joints
+        edited.state.joints = before + 0.1
+        edited.step(WALK)
+        unedited.step(WALK)
+        assert edited.state.joints - unedited.state.joints == pytest.approx(
+            np.full((4, 3), (1.0 - alpha) * 0.1), abs=1e-12)
+
+    def test_served_arrays_are_read_only(self):
+        env = _walking_env()
+        _steps(env, 5, WALK)
+        for field in ("com", "vel", "omega", "rot", "joints", "feet_body"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(env.state, field)[0] = 0.0
+
+    def test_one_compiled_torso_call_per_half_cycle(self, monkeypatch):
+        from slopetrot import simenv
+
+        calls = []
+        for name in ("step_torso", "plan_half_cycle"):
+            original = getattr(simenv, name)
+            monkeypatch.setattr(simenv, name, lambda *args, _f=original, _n=name: (
+                calls.append(_n), _f(*args))[1])
+        env = _walking_env((45, 55, 90.0))
+        calls.clear()
+        _steps(env, 120, WALK)
+        assert calls == ["plan_half_cycle", "step_torso"] * 3
+
+
 class TestExchangeAndLogging:
     def test_exchange_every_half_cycle(self):
         env = SlopedTerrainEnv()
@@ -623,7 +735,7 @@ class TestExchangeAndLogging:
         env._estimator.update = lambda snap: updates.append(update(snap))
         for _ in range(80):
             obs, _, done, _ = env.step(ZEROS)
-            assert not done and not any(env._in_contact)
+            assert not done and not env._record[IN_CONTACT:TOUCHED].any()
         assert updates == []
         assert env._estimator.estimate == PlaneEstimate.flat()
         assert obs[9] == 0.0 and obs[10] == 0.0

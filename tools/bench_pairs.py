@@ -13,7 +13,11 @@ at that seed for the per-layer metrics.
 
 Prints each side's median, quartiles and the change's win count per
 end-to-end metric, and writes BENCH_<N>.json in the schema of
-BENCH_12.json. A claim is met when the change wins at least 9 of the 10
+BENCH_12.json. Each run's child CPU seconds (user plus system, the
+getrusage(RUSAGE_CHILDREN) difference around it) go into a per-workload
+cpu_s comparison next to the metrics. It is reported, not gated: a 20 s
+run on a loaded host gets less than 20 CPU seconds, which tells a slow
+run on a busy host from a slow program. A claim is met when the change wins at least 9 of the 10
 pairs and the medians differ, in the better direction, by more than the
 parent's interquartile range. A metric is marked OUTSIDE BOUND when the
 change's median is worse than the parent's by more than the bound
@@ -32,6 +36,7 @@ import math
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -67,17 +72,22 @@ def export(rev: str, dest: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: bool) -> dict:
-    """One benchmark run in tree: its JSON result plus the digest line."""
+    """One benchmark run in tree: its JSON result plus the digest line and
+    the CPU seconds its processes used."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", str(int(trace))],
         cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {workload} seed {seed} in {tree} exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     result["digest"] = next((m.groups() for m in map(DIGEST.match, lines) if m), (None, None))
+    result["cpu_s"] = ((after.ru_utime - before.ru_utime)
+                       + (after.ru_stime - before.ru_stime))
     return result
 
 
@@ -87,17 +97,15 @@ def summary(runs) -> dict:
             "min": min(runs), "max": max(runs), "n": len(runs)}
 
 
-def compare(parent_runs, change_runs, better: str, bound: float) -> dict:
+def describe(parent_runs, change_runs, better: str) -> dict:
+    """Both sides' runs and summaries, the change's pair wins and the
+    difference of the medians."""
     sign = 1.0 if better == "higher" else -1.0
     parent, change = summary(parent_runs), summary(change_runs)
     diff = change["median"] - parent["median"]
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
-    iqr = parent["q3"] - parent["q1"]
-    spread = iqr / abs(parent["median"]) if parent["median"] else math.nan
-    better_every_run = all(sign * (c - p) > 0 for p in parent_runs for c in change_runs)
     return {
         "better": better,
-        "bound": bound,
         "parent": parent,
         "change": change,
         "parent_runs": parent_runs,
@@ -105,12 +113,25 @@ def compare(parent_runs, change_runs, better: str, bound: float) -> dict:
         "change_wins": f"{wins}/{len(parent_runs)}",
         "median_change_rel": diff / parent["median"] if parent["median"] else math.nan,
         "median_diff": diff,
-        "parent_iqr": iqr,
-        "within_bound": sign * diff >= -bound * abs(parent["median"]),
+        "parent_iqr": parent["q3"] - parent["q1"],
+    }
+
+
+def compare(parent_runs, change_runs, better: str, bound: float) -> dict:
+    """describe's fields plus the verdicts against the metric's bound."""
+    sign = 1.0 if better == "higher" else -1.0
+    out = describe(parent_runs, change_runs, better)
+    median = out["parent"]["median"]
+    spread = out["parent_iqr"] / abs(median) if median else math.nan
+    better_every_run = all(sign * (c - p) > 0 for p in parent_runs for c in change_runs)
+    out.update({
+        "bound": bound,
+        "within_bound": sign * out["median_diff"] >= -bound * abs(median),
         "parent_spread_rel": spread,
         "change_better_every_run": better_every_run,
         "unresolved": spread > bound and not better_every_run,
-    }
+    })
+    return out
 
 
 def claim_entry(metric_cmp: dict, workload: str, metric: str, sides: dict, note: str) -> dict:
@@ -189,6 +210,8 @@ def main(argv=None) -> int:
                 "seeds": list(SEEDS),
                 "first_side": first,
                 "metrics": metrics,
+                "cpu_s": describe([r["cpu_s"] for r in runs["parent"]],
+                                  [r["cpu_s"] for r in runs["change"]], "lower"),
                 "correct": {s: [r["correct"] for r in runs[s]] for s in runs},
                 "attempted_failed": {s: [[r["attempted"], r["failed"]] for r in runs[s]]
                                      for s in runs},
@@ -218,6 +241,9 @@ def main(argv=None) -> int:
                       f"  change wins {cmp_['change_wins']}  {100 * cmp_['median_change_rel']:+.1f} %"
                       f"{'' if cmp_['within_bound'] else '  OUTSIDE BOUND'}"
                       f"{'  UNRESOLVED' if cmp_['unresolved'] else ''}")
+            cpu = out["workloads"][workload]["cpu_s"]
+            print(f"  {'cpu_s':16s} parent {cpu['parent']['median']:.4g}"
+                  f"  change {cpu['change']['median']:.4g}  (reported, not gated)")
         if args.claim is not None:
             out["claim"] = claim_entry(
                 out["workloads"][claim_workload]["metrics"][claim_metric],
