@@ -541,8 +541,12 @@ class SlopedTerrainEnv:
         action is one LegAction per leg, in LEG_ORDER. It is latched only on
         half-cycle boundary steps (including the first step), keeping the
         foot references continuous. The latch step plans the legs'
-        kinematics for the whole half cycle, so a foot target that IK
-        cannot reach raises Unreachable there.
+        kinematics and runs the torso for the whole half cycle, so a foot
+        target that IK cannot reach raises Unreachable there, and each
+        later step of the half cycle serves its row. The state arrays a
+        step hands out are read-only: replacing one, or the push window,
+        before the next step runs the rest of the half cycle again from
+        there.
         The returned observation array is reused until its inputs change,
         so callers must not modify it in place.
         """

@@ -671,10 +671,15 @@ class TestEditsBetweenSteps:
         from slopetrot import simenv
 
         calls = []
+
+        def counted(name, call):
+            def count(*args):
+                calls.append(name)
+                return call(*args)
+            return count
+
         for name in ("step_torso", "plan_half_cycle"):
-            original = getattr(simenv, name)
-            monkeypatch.setattr(simenv, name, lambda *args, _f=original, _n=name: (
-                calls.append(_n), _f(*args))[1])
+            monkeypatch.setattr(simenv, name, counted(name, getattr(simenv, name)))
         env = _walking_env((45, 55, 90.0))
         calls.clear()
         _steps(env, 120, WALK)

@@ -15,9 +15,10 @@ Prints each side's median, quartiles and the change's win count per
 end-to-end metric, and writes BENCH_<N>.json in the schema of
 BENCH_12.json. Each run's child CPU seconds (user plus system, the
 getrusage(RUSAGE_CHILDREN) difference around it) go into a per-workload
-cpu_s comparison next to the metrics. It is reported, not gated: a 20 s
-run on a loaded host gets less than 20 CPU seconds, which tells a slow
-run on a busy host from a slow program. A claim is met when the change wins at least 9 of the 10
+cpu_s comparison next to the metrics. It is reported, not gated: each
+run lasts 20 s of wall time, so a run that got fewer CPU seconds than its
+side's others shared a busy host, which tells a slow host from a slow
+program. A claim is met when the change wins at least 9 of the 10
 pairs and the medians differ, in the better direction, by more than the
 parent's interquartile range. A metric is marked OUTSIDE BOUND when the
 change's median is worse than the parent's by more than the bound
