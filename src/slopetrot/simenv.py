@@ -188,8 +188,9 @@ class SimParams:
 
 @dataclass
 class SimState:
-    """Full mutable environment state; advances deterministically from the
-    reset seed."""
+    """Full environment state; advances deterministically from the reset
+    seed. The arrays a step hands out are read-only views: an edit
+    replaces an array, and the next step reads it."""
 
     com: np.ndarray
     rot: np.ndarray
