@@ -20,6 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# np.allclose(rot @ rot.T, np.eye(3), atol=1e-6) is this entrywise bound,
+# atol + rtol * |eye| with numpy's default rtol.
+_IDENTITY = np.eye(3)
+_ORTHONORMAL_BOUND = 1e-6 + 1e-5 * _IDENTITY
+
+
 class DegenerateContacts(ValueError):
     """The diagonal contact differences are (near-)parallel."""
 
@@ -38,9 +44,12 @@ class ContactSnapshot:
         rot = np.asarray(self.torso_rotation, dtype=float)
         if rot.shape != (3, 3):
             raise ValueError("torso_rotation must be 3x3")
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-6):
+        if not (np.abs(rot @ rot.T - _IDENTITY) <= _ORTHONORMAL_BOUND).all():
             raise ValueError("torso_rotation must be orthonormal")
-        if np.linalg.det(rot) < 0.0:
+        # The sign of det(rot), a triple product of its rows: within the
+        # bound above |det| is near 1, so rounding cannot flip it.
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rot.tolist()
+        if a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0) < 0.0:
             raise ValueError("torso_rotation must be right-handed")
 
 
@@ -88,8 +97,11 @@ def plane_from_contacts(snapshot: ContactSnapshot) -> PlaneEstimate:
     p_fr = rot @ np.asarray(snapshot.p_fr, dtype=float)
     p_bl = rot @ np.asarray(snapshot.p_bl, dtype=float)
     p_br = rot @ np.asarray(snapshot.p_br, dtype=float)
-    n = np.cross(p_fr - p_bl, p_fl - p_br)
-    norm = float(np.linalg.norm(n))
+    # np.cross's and np.linalg.norm's own steps: products and differences
+    # of floats, then the square root of the vector's dot product.
+    (a0, a1, a2), (b0, b1, b2) = (p_fr - p_bl).tolist(), (p_fl - p_br).tolist()
+    n = np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    norm = math.sqrt(n.dot(n))
     if norm < 1e-9:
         raise DegenerateContacts("diagonal contact vectors are parallel")
     n = n / norm

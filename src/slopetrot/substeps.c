@@ -16,9 +16,14 @@
    floats and numpy calls, one control step at a time (the kinematics as
    legkin's and gaitgen's functions, called once per leg and step):
 
-   - every matrix product calls the cblas routine that ndarray.dot (or
-     np.matmul) calls, from the OpenBLAS numpy has loaded, with numpy's
-     arguments, and the inverse calls LAPACK dgesv as np.linalg.inv does;
+   - every matrix product, and the inverse, is written out with fma() in
+     the rounding order of the OpenBLAS kernels that ndarray.dot (or
+     np.matmul) and np.linalg.inv call: the ddot, dgemv, dgemm and dgesv
+     of numpy's OpenBLAS 0.3.31 on x86-64 with AVX-512 (its SkylakeX
+     kernels). fma() rounds once, so the compiler's FMA instruction and
+     libm's fma give the same bits. tests/test_numeric_forms.py checks
+     each of these helpers against numpy, so a BLAS that rounds otherwise
+     fails a test that names it;
    - the scalar code keeps Python's operand order and rounding: it is
      compiled without FMA contraction, its sums are left to right, and its
      comparisons are those of the Python conditionals, so NaN takes the
@@ -27,34 +32,10 @@
      numpy's sin, cos, sqrt and fmod equal them; atan2 takes math.atan2's
      special cases for NaN, infinities and zeros. */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
-
-typedef int64_t blasint; /* numpy's OpenBLAS uses 64-bit integers */
-
-enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
-
-typedef double (*ddot_fn)(blasint, const double *, blasint, const double *, blasint);
-typedef void (*dgemv_fn)(int, int, blasint, blasint, double, const double *, blasint,
-                         const double *, blasint, double, double *, blasint);
-typedef void (*dgemm_fn)(int, int, int, blasint, blasint, blasint, double, const double *,
-                         blasint, const double *, blasint, double, double *, blasint);
-typedef void (*dgesv_fn)(const blasint *, const blasint *, double *, const blasint *,
-                         blasint *, double *, const blasint *, blasint *);
-
-static ddot_fn ddot;
-static dgemv_fn dgemv;
-static dgemm_fn dgemm;
-static dgesv_fn dgesv;
-
-void bind_routines(ddot_fn dot, dgemv_fn gemv, dgemm_fn gemm, dgesv_fn gesv)
-{
-    ddot = dot;
-    dgemv = gemv;
-    dgemm = gemm;
-    dgesv = gesv;
-}
 
 /* The episode's constants, packed once at reset. */
 enum { NX, NY, NZ, MU, KP, KD, CAP, NEG_DAMPING, GX, GY, GZ, H, H_M, INERTIA };
@@ -69,49 +50,135 @@ enum {
     IN_CONTACT = 23, TOUCHED = 27, POINTS = 31, RECORD = 43
 };
 
-/* ndarray.dot of two 3-vectors with strides inc_x and inc_y: numpy adds
-   the ddot to 0.0. */
-static double dot3(const double *x, blasint inc_x, const double *y, blasint inc_y)
+/* ndarray.dot of two 3-vectors with strides inc_x and inc_y: ddot chains
+   its products from the first, and numpy adds the result to 0.0. */
+static double dot3(const double *x, long inc_x, const double *y, long inc_y)
 {
-    return 0.0 + ddot(3, x, inc_x, y, inc_y);
+    return 0.0 + fma(x[2 * inc_x], y[2 * inc_y], fma(x[inc_x], y[inc_y], x[0] * y[0]));
 }
 
-/* out = a.dot(rot.T) for a C-ordered (rows, 3) a and rot. */
-static void times_rot_t(const double *a, blasint rows, const double *rot, double *out)
+/* y = a.dot(x) for a C-ordered (rows, 3) a: dgemv chains each row's
+   products from the middle one and adds the result to 0.0. */
+static void times_vector(const double *a, long rows, const double *x, double *y)
 {
-    dgemm(ROW_MAJOR, NO_TRANS, TRANS, rows, 3, 3, 1.0, a, 3, rot, 3, 0.0, out, 3);
+    for (long i = 0; i < rows; i++) {
+        const double *r = a + 3 * i;
+        y[i] = 0.0 + fma(r[2], x[2], fma(r[0], x[0], r[1] * x[1]));
+    }
 }
 
-/* y = a.dot(x) for a C-ordered (rows, 3) a with rows > 1. */
-static void times_vector(const double *a, blasint rows, const double *x, double *y)
+/* out = a.dot(rot.T) for a C-ordered (rows, 3) a and rot: dgemm chains
+   each entry's products from 0.0, and with the transposed rot adds the
+   result to 0.0. */
+static void times_rot_t(const double *a, long rows, const double *rot, double *out)
 {
-    dgemv(ROW_MAJOR, NO_TRANS, rows, 3, 1.0, a, 3, x, 1, 0.0, y, 1);
+    for (long i = 0; i < rows; i++)
+        for (int j = 0; j < 3; j++) {
+            const double *r = a + 3 * i, *c = rot + 3 * j;
+            out[3 * i + j] = 0.0 + fma(r[2], c[2], fma(r[1], c[1], fma(r[0], c[0], 0.0)));
+        }
 }
 
-/* inv = np.linalg.inv(a) for a C-ordered 3x3 a: LAPACK dgesv on the
-   column-major copy of a with the identity on the right, as numpy calls
-   it. Returns dgesv's info, which is positive for a singular a. */
-static blasint invert(const double *a, double *inv)
+/* out = a.dot(b) for C-ordered 3x3 a and b: dgemm's chains from 0.0. */
+static void times(const double *a, const double *b, double *out)
 {
-    const blasint n = 3;
-    blasint pivots[3], info;
-    double lu[9], b[9] = {1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0};
+    for (int i = 0; i < 3; i++)
+        for (int j = 0; j < 3; j++) {
+            const double *r = a + 3 * i;
+            out[3 * i + j] = fma(r[2], b[6 + j], fma(r[1], b[3 + j], fma(r[0], b[j], 0.0)));
+        }
+}
+
+/* inv = np.linalg.inv(a) for a C-ordered 3x3 a: dgesv on the column-major
+   copy of a with the identity on the right. Returns dgesv's info, j + 1
+   for a zero pivot in column j, else 0. */
+static int invert(const double *a, double *inv)
+{
+    double lu[9];
+    int pivots[3], info = 0;
     for (int i = 0; i < 3; i++)
         for (int j = 0; j < 3; j++)
             lu[3 * j + i] = a[3 * i + j];
-    dgesv(&n, &n, lu, &n, pivots, b, &n, &info);
-    for (int i = 0; i < 3; i++)
-        for (int j = 0; j < 3; j++)
-            inv[3 * i + j] = b[3 * j + i];
-    return info;
+
+    /* LU, left-looking as getf2: column j takes the earlier row swaps,
+       then the updates by the columns before it, each a chain of products
+       from 0.0 subtracted once (the one-term dot of column 2 adds 0.0 to
+       its chain). Its pivot is the first entry whose |entry| is not below
+       the largest, which can be a NaN, as idamax finds it. A pivot of at
+       least DBL_MIN swaps rows j and jp in columns 0..j and scales the
+       column below it by its reciprocal, a zero reciprocal giving zeros;
+       a smaller or NaN pivot swaps and scales nothing. */
+    for (int j = 0; j < 3; j++) {
+        double *col = lu + 3 * j;
+        for (int i = 0; i < j; i++) {
+            const double t = col[i];
+            col[i] = col[pivots[i]];
+            col[pivots[i]] = t;
+        }
+        if (j == 1) {
+            col[1] = col[1] - fma(lu[1], col[0], 0.0);
+            col[2] = col[2] - fma(lu[2], col[0], 0.0);
+        } else if (j == 2) {
+            col[1] = col[1] - (fma(lu[1], col[0], 0.0) + 0.0);
+            col[2] = col[2] - fma(lu[5], col[1], fma(lu[2], col[0], 0.0));
+        }
+        double largest = fabs(col[j]);
+        for (int i = j + 1; i < 3; i++)
+            largest = fabs(col[i]) > largest ? fabs(col[i]) : largest;
+        int jp = j;
+        while (fabs(col[jp]) < largest)
+            jp++;
+        pivots[j] = jp;
+        const double pivot = col[jp];
+        if (fabs(pivot) >= DBL_MIN) {
+            for (int c = 0; c <= j; c++) {
+                const double t = lu[3 * c + j];
+                lu[3 * c + j] = lu[3 * c + jp];
+                lu[3 * c + jp] = t;
+            }
+            const double reciprocal = 1.0 / pivot;
+            for (int i = j + 1; i < 3; i++)
+                col[i] = reciprocal == 0.0 ? 0.0 : col[i] * reciprocal;
+        } else if (pivot == 0.0 && info == 0) {
+            info = j + 1;
+        }
+    }
+    if (info != 0)
+        return info;
+
+    /* Each column of the identity, swapped by the pivots, through the
+       unit lower triangle, rows 0 and 1 before row 2, then the upper one,
+       row 2 before rows 1 and 0, each diagonal entry applied as its
+       reciprocal, as the dtrsm kernels solve. */
+    const double l10 = lu[1], l20 = lu[2], l21 = lu[5], u01 = lu[3], u02 = lu[6], u12 = lu[7];
+    const double r00 = 1.0 / lu[0], r11 = 1.0 / lu[4], r22 = 1.0 / lu[8];
+    for (int c = 0; c < 3; c++) {
+        double x[3] = {0.0, 0.0, 0.0};
+        x[c] = 1.0;
+        for (int i = 0; i < 3; i++) {
+            const double t = x[i];
+            x[i] = x[pivots[i]];
+            x[pivots[i]] = t;
+        }
+        double x0 = x[0], x1 = x[1], x2 = x[2];
+        x1 = fma(-x0, l10, x1);
+        x2 = (x2 - fma(l21, x1, l20 * x0)) * r22;
+        x0 = x0 - u02 * x2;
+        x1 = (x1 - u12 * x2) * r11;
+        x0 = fma(-x1, u01, x0) * r00;
+        inv[c] = x0;
+        inv[3 + c] = x1;
+        inv[6 + c] = x2;
+    }
+    return 0;
 }
 
 /* Run count substeps on the state in buf. motion holds the (4, 3) feet's
    body-frame rate, then for each substep the (4, 3) feet minus com in the
    body frame at its end; push_y is the lateral push force of this step.
-   Leaves the rotation not yet re-orthonormalized. Returns dgesv's info for
-   the world inertia, and leaves buf as it was if that is not 0. */
-static blasint integrate(const double *episode, double *buf, const double *motion, long count,
+   Leaves the rotation not yet re-orthonormalized. Returns invert's info
+   for the world inertia, and leaves buf as it was if that is not 0. */
+static int integrate(const double *episode, double *buf, const double *motion, long count,
                          double push_y)
 {
     const double *n = episode + NX;
@@ -137,7 +204,7 @@ static blasint integrate(const double *episode, double *buf, const double *motio
     for (int i = 0; i < 9; i++)
         a[i] = rot[i] * episode[INERTIA + i % 3];
     times_rot_t(a, 3, rot, i_world);
-    const blasint info = invert(i_world, i_world_inv);
+    const int info = invert(i_world, i_world_inv);
     if (info != 0)
         return info;
 
@@ -147,8 +214,7 @@ static blasint integrate(const double *episode, double *buf, const double *motio
         const double com_n = dot3(com, 1, n, 1);
         times_vector(rel, 4, n, rel_n);
         /* The feet below the plane, with their signed distances and world
-           velocities. A single row is repeated: numpy would take it alone
-           as a vector dot product, which rounds differently. */
+           velocities. */
         int k = 0;
         for (int i = 0; i < 4; i++) {
             const double rx = rel[3 * i], ry = rel[3 * i + 1], rz = rel[3 * i + 2];
@@ -161,10 +227,7 @@ static blasint integrate(const double *episode, double *buf, const double *motio
             v_feet[3 * k + 2] = (vz + (wx * ry - wy * rx)) + rate_world[3 * i + 2];
             k++;
         }
-        if (k == 1)
-            memcpy(v_feet + 3, v_feet, 3 * sizeof *v_feet);
-        if (k > 0)
-            times_vector(v_feet, k == 1 ? 2 : k, n, v_normal);
+        times_vector(v_feet, k, n, v_normal);
 
         double fx = 0.0, fy = 0.0, fz = 0.0, tx = 0.0, ty = 0.0, tz = 0.0;
         for (int j = 0; j < k; j++) {
@@ -238,7 +301,7 @@ static blasint integrate(const double *episode, double *buf, const double *motio
         a[6] = xz - ky;
         a[7] = yz + kx;
         a[8] = (1.0 - xx) - yy;
-        dgemm(ROW_MAJOR, NO_TRANS, NO_TRANS, 3, 3, 3, 1.0, a, 3, rot, 3, 0.0, next, 3);
+        times(a, rot, next);
         memcpy(rot, next, sizeof rot);
     }
 
@@ -286,7 +349,7 @@ static void update_contact_memory(const double *n, double *buf, const double *of
     for (int i = 0; i < 4; i++) {
         double r[3], foot[3];
         double *point = buf + POINTS + 3 * i;
-        dgemv(ROW_MAJOR, NO_TRANS, 3, 3, 1.0, rot, 3, offsets + 3 * i, 1, 0.0, r, 1);
+        times_vector(rot, 3, offsets + 3 * i, r);
         foot[0] = com[0] + r[0];
         foot[1] = com[1] + r[1];
         foot[2] = com[2] + r[2];
@@ -330,14 +393,14 @@ static void measure_height(const double *n, double *buf, const double *offsets, 
    stance feet stance_a and stance_b. motion holds the (4, 3) feet minus
    com in the body frame after the step, then integrate's motion. With
    count 0 only the state's contact memory, up-axis and height are
-   measured. Returns dgesv's info for the world inertia; when it is not 0
+   measured. Returns invert's info for the world inertia; when it is not 0
    the state in buf is left as it was. */
-static blasint step_row(const double *episode, double *buf, const double *motion, long count,
+static int step_row(const double *episode, double *buf, const double *motion, long count,
                         double push_y, int64_t stance_a, int64_t stance_b)
 {
     const double *n = episode + NX;
     if (count > 0) {
-        const blasint info = integrate(episode, buf, motion + 12, count, push_y);
+        const int info = integrate(episode, buf, motion + 12, count, push_y);
         if (info != 0)
             return info;
         orthonormalize(buf + ROT);
@@ -359,8 +422,10 @@ static blasint step_row(const double *episode, double *buf, const double *motion
    j - 1's record (row 0 from start), reads its (substeps + 2, 4, 3) block
    of motion (see step_row), its push force pushes[j] and its stance pair
    stances[2 j], stances[2 j + 1], and writes its record to out[j]. Returns
-   rows, or the first row whose world inertia dgesv finds singular; out
-   holds the records of the rows before it. */
+   rows, or the first row whose world inertia invert finds singular; out
+   holds the records of the rows before it. The fma clone runs each fma()
+   as one instruction; both clones give the same bits. */
+__attribute__((target_clones("fma", "default"), flatten))
 long step_torso(const double *episode, const double *start, const double *motion,
                 long substeps, const double *pushes, const int64_t *stances, long rows,
                 double *out)

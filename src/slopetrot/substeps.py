@@ -5,13 +5,13 @@ substeps.c's step_torso runs the torso through a run of control steps in
 one call: per step, its contact substeps, the inverse of the world
 inertia they use, the rotation's re-orthonormalization, the feet's
 contact memory and the torso's height, each step starting from the
-record the one before it wrote. Its matrix products call the cblas
-routines of the OpenBLAS that numpy has loaded, with numpy's arguments,
-its inverse calls that library's LAPACK dgesv as np.linalg.inv does, and
-its scalar code rounds as Python's does, so it computes the bits of the
-same code written in numpy and Python floats, one step at a time. The
-torso's angles stay numpy calls in the environment: numpy's arctan2 and
-arcsin may round differently from libm's.
+record the one before it wrote. Its matrix products and its inverse are
+written out in the rounding order of the OpenBLAS kernels that
+ndarray.dot and np.linalg.inv call, and its scalar code rounds as
+Python's does, so it computes the bits of the same code written in numpy
+and Python floats, one step at a time. The torso's angles stay numpy
+calls in the environment: numpy's arctan2 and arcsin may round
+differently from libm's.
 
 Its plan_half_cycle computes, when an action latches, every step's foot
 targets, workspace projection, IK, joint lag, FK and feet motion up to
@@ -21,9 +21,9 @@ on each leg and step.
 
 The first import compiles substeps.c with the C compiler Python was built
 with into this package's __pycache__/, under a name that hashes the
-source and the compile command; later imports load that file. Without a
-compiler, or without numpy's OpenBLAS or one of the routines named below,
-the import raises ImportError naming the cause.
+source and the compile command, and removes the libraries of earlier
+sources there; later imports load that file. Without a compiler the
+import raises ImportError naming the cause.
 """
 
 from __future__ import annotations
@@ -35,23 +35,18 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 SOURCE = Path(__file__).with_name("substeps.c")
 # No FMA contraction, so each product and sum rounds on its own as in
 # Python; sin and cos stay two libm calls, as math's are, not one sincos.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
          "-fno-builtin-sin", "-fno-builtin-cos")
-# The cblas routines ndarray.dot calls for a vector dot product, a
-# matrix-vector and a matrix-matrix product of doubles, and the LAPACK
-# routine np.linalg.inv calls, in the order bind_routines takes them.
-ROUTINES = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_dgemm64_",
-            "scipy_dgesv_64_")
 
 
 def build(source: Path, out_dir: Path) -> Path:
     """The compiled library of source in out_dir, compiled now unless a
-    library of the same source and compile command is already there."""
+    library of the same source and compile command is already there. A
+    new library replaces the others of source's name in out_dir; a
+    process that has one loaded keeps it."""
     cc = sysconfig.get_config_var("CC")
     if not cc:
         raise ImportError(f"{source.name} needs a C compiler, and Python names none (CC)")
@@ -78,32 +73,15 @@ def build(source: Path, out_dir: Path) -> Path:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+    for stale in out_dir.glob(f"{source.stem}-*{target.suffix}"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
     return target
 
 
-def _numpy_blas() -> ctypes.CDLL:
-    """The OpenBLAS library bundled with numpy, the one np.show_config()
-    names; numpy has loaded it already, so this opens the same copy."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*"))
-    if len(found) != 1:
-        raise ImportError(f"expected numpy's one scipy-openblas64 library in {libs}, "
-                          f"found {len(found)}")
-    return ctypes.CDLL(str(found[0]))
-
-
 def _load():
-    """The kernel's step_torso, bound to numpy's BLAS and LAPACK routines,
-    and its plan_half_cycle."""
+    """The kernel's step_torso and plan_half_cycle."""
     kernel = ctypes.CDLL(str(build(SOURCE, SOURCE.parent / "__pycache__")))
-    blas = _numpy_blas()
-    try:
-        routines = [ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in ROUTINES]
-    except AttributeError as err:
-        raise ImportError(f"numpy's OpenBLAS lacks a BLAS or LAPACK routine: {err}") from err
-    kernel.bind_routines.argtypes = [ctypes.c_void_p] * len(ROUTINES)
-    kernel.bind_routines.restype = None
-    kernel.bind_routines(*routines)
     step = kernel.step_torso
     step.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_void_p] * 2
                      + [ctypes.c_long, ctypes.c_void_p])

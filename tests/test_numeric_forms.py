@@ -7,17 +7,22 @@ per-foot products into one np.matmul, reads rows of one product as the
 product of those rows, runs elementwise work on Python floats, and runs
 the torso update (contact substeps, inertia inverse, re-orthonormalization,
 contact memory and height) of a half cycle's steps and its leg kinematics
-in substeps.c, compiled code that calls numpy's own BLAS and LAPACK
-routines and libm's functions, and takes the torso's angles of a whole
-half cycle in one array call each. Each is exact only because numpy and its BLAS make
-it so; the forms are not interchangeable in general (a scalar sum, or a
+in substeps.c, compiled code that calls libm's functions and writes each
+product and the inverse out in the rounding order of the OpenBLAS kernels
+numpy calls, and takes the torso's angles of a whole half cycle in one
+array call each. Each is exact only because numpy and its BLAS make it
+so; the forms are not interchangeable in general (a scalar sum, or a
 vector dot product, rounds differently from a row of a matrix-vector
-product). The oracles below are that torso update written with Python
-floats and numpy calls, the compiled update of one step at a time, and
-that plan written with the kinematics' float calls, one per step and leg.
+product). The oracles below are substeps.c's product and inverse helpers
+checked one by one against ndarray.dot and np.linalg.inv, that torso
+update written with Python floats and numpy calls, the compiled update of
+one step at a time, and that plan written with the kinematics' float
+calls, one per step and leg.
 """
 
+import ctypes
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from slopetrot.policy import DEFAULT_SCALING, scale_clip_action
 from slopetrot.rotations import rot_x, rot_y, rot_z
 from slopetrot.simenv import STANCE_PAIRS, PushEvent, SimParams, SlopedTerrainEnv, TerrainPlane
 from slopetrot.slopeest import angles_from_normal, angles_from_unit_normal
+from slopetrot import substeps
 from slopetrot.substeps import (
     CLEARANCE, COM, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, TOUCHED, UP, VEL, step_torso,
 )
@@ -37,9 +43,11 @@ SAMPLES = 2000
 
 RERECORD = (
     "{what}: this numpy/BLAS build breaks an equality the environment step "
-    "relies on. The goldens (tests/test_simenv.py, the perfbench digests) "
-    "were recorded under these facts, so on this BLAS they must be "
-    "re-recorded from a trusted commit."
+    "relies on. substeps.c writes numpy's products and inverse out in the "
+    "rounding order of numpy's OpenBLAS 0.3.31 SkylakeX kernels, and the "
+    "goldens (tests/test_simenv.py, the perfbench digests) were recorded "
+    "under these facts, so on this BLAS the helpers must follow its kernels "
+    "and the goldens be re-recorded from a trusted commit."
 )
 
 
@@ -171,6 +179,156 @@ def test_math_functions_equal_numpy(name):
         return (getattr(math, name)(x),), (float(getattr(np, name)(x)),)
 
     _assert_forms_agree(f"math.{name}", forms)
+
+
+# substeps.c's product and inverse helpers are static; this file, built
+# beside it, exports each under a probe_ name.
+PROBES = """#include "{source}"
+double probe_dot3(const double *x, long inc_x, const double *y, long inc_y)
+{{ return dot3(x, inc_x, y, inc_y); }}
+void probe_times_vector(const double *a, long rows, const double *x, double *y)
+{{ times_vector(a, rows, x, y); }}
+void probe_times_rot_t(const double *a, long rows, const double *rot, double *out)
+{{ times_rot_t(a, rows, rot, out); }}
+void probe_times(const double *a, const double *b, double *out) {{ times(a, b, out); }}
+int probe_invert(const double *a, double *inv) {{ return invert(a, inv); }}
+"""
+SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1e308)
+
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    out = tmp_path_factory.mktemp("probes")
+    source = out / "probes.c"
+    source.write_text(PROBES.format(source=substeps.SOURCE))
+    lib = ctypes.CDLL(str(substeps.build(source, out)))
+    ptr, long = ctypes.c_void_p, ctypes.c_long
+    for name, argtypes, restype in (
+        ("dot3", [ptr, long, ptr, long], ctypes.c_double),
+        ("times_vector", [ptr, long, ptr, ptr], None),
+        ("times_rot_t", [ptr, long, ptr, ptr], None),
+        ("times", [ptr, ptr, ptr], None),
+        ("invert", [ptr, ptr], ctypes.c_int),
+    ):
+        function = getattr(lib, f"probe_{name}")
+        function.argtypes, function.restype = argtypes, restype
+    return lib
+
+
+def _operands(rng, shape, seen):
+    """Normal draws of shape with one entry in ten a special value: signed
+    zeros, NaN, infinities, subnormals and a huge value."""
+    x = rng.normal(size=shape)
+    picks = rng.random(shape) < 0.1
+    x[picks] = rng.choice(SPECIALS, size=int(picks.sum()))
+    seen["draws"] += 1
+    seen["nan"] += bool(np.isnan(x).any())
+    seen["inf"] += bool(np.isinf(x).any())
+    seen["zero"] += bool((x == 0.0).any())
+    return x
+
+
+def _assert_probe_agrees(what, forms):
+    """forms(rng, seen) draws operands and returns (helper, numpy), each a
+    tuple of results; NaNs compare by place, zeros by sign. The draws of
+    _operands must hold each kind of special value many times."""
+    seen = Counter()
+
+    def canonical(rng):
+        with np.errstate(all="ignore"):
+            fast, reference = forms(rng, seen)
+        return tuple(map(_nan_canonical_bits, fast)), tuple(map(_nan_canonical_bits, reference))
+
+    _assert_forms_agree(f"substeps.c's {what}", canonical)
+    assert seen["draws"] == 0 or min(seen[k] for k in ("nan", "inf", "zero")) > 100, seen
+
+
+@pytest.mark.parametrize("strides", [(1, 1), (3, 3), (3, 1)])
+def test_dot3_equals_ndarray_dot(kernel, strides):
+    # Vectors, the rotation's column views with themselves, and a column
+    # view with a vector.
+    def forms(rng, seen):
+        x, y = _operands(rng, (3, 3), seen), _operands(rng, (3, 3), seen)
+        u, v = x[0] if strides[0] == 1 else x[:, 0], y[0] if strides[1] == 1 else y[:, 1]
+        return ((kernel.probe_dot3(u.ctypes.data, strides[0], v.ctypes.data, strides[1]),),
+                (u.dot(v),))
+
+    _assert_probe_agrees(f"dot3 at strides {strides}", forms)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_times_vector_equals_ndarray_dot(kernel, rows):
+    # numpy takes one row alone as a vector dot product, so a single row's
+    # reference is the first row of the product of that row twice.
+    def forms(rng, seen):
+        a, x = _operands(rng, (rows, 3), seen), _operands(rng, 3, seen)
+        y = np.empty(rows)
+        kernel.probe_times_vector(a.ctypes.data, rows, x.ctypes.data, y.ctypes.data)
+        return (y,), ((np.concatenate((a, a)).dot(x)[:1] if rows == 1 else a.dot(x)),)
+
+    _assert_probe_agrees(f"times_vector of {rows} rows", forms)
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+def test_times_rot_t_equals_ndarray_dot(kernel, rows):
+    def forms(rng, seen):
+        a, rot = _operands(rng, (rows, 3), seen), _operands(rng, (3, 3), seen)
+        out = np.empty((rows, 3))
+        kernel.probe_times_rot_t(a.ctypes.data, rows, rot.ctypes.data, out.ctypes.data)
+        return (out,), (a.dot(rot.T),)
+
+    _assert_probe_agrees(f"times_rot_t of {rows} rows", forms)
+
+
+def test_times_equals_ndarray_dot(kernel):
+    def forms(rng, seen):
+        a, b = _operands(rng, (3, 3), seen), _operands(rng, (3, 3), seen)
+        out = np.empty((3, 3))
+        kernel.probe_times(a.ctypes.data, b.ctypes.data, out.ctypes.data)
+        return (out,), (a.dot(b),)
+
+    _assert_probe_agrees("times", forms)
+
+
+def _inverse_or_singular(a):
+    """np.linalg.inv(a), or None where it raises for a singular a."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
+@pytest.mark.parametrize("kind", ["inertia", "general", "singular", "subnormal pivot"])
+def test_invert_equals_np_linalg_inv(kernel, kind):
+    # World inertias R diag(I) R^T of drifted rotations; general matrices
+    # with special entries; matrices of -1, 0 and 1, many of them
+    # singular, one in five with a zero column; and general matrices whose
+    # first column is subnormal, so the first pivot is one that dgesv
+    # neither swaps nor scales by.
+    singular = []
+
+    def forms(rng, seen):
+        if kind == "inertia":
+            r = _rot(rng)
+            a = (r * rng.uniform(0.05, 0.3, size=3)).dot(r.T)
+        elif kind == "singular":
+            a = rng.integers(-1, 2, size=(3, 3)).astype(float)
+            if rng.random() < 0.2:
+                a[:, int(rng.integers(3))] = 0.0
+        else:
+            a = _operands(rng, (3, 3), seen)
+            if kind == "subnormal pivot":
+                a[:, 0] = rng.normal(size=3) * 1e-310
+        inv = np.empty((3, 3))
+        fast = kernel.probe_invert(a.ctypes.data, inv.ctypes.data) > 0
+        reference = _inverse_or_singular(a)
+        singular.append(reference is None)
+        if fast or reference is None:
+            return (fast,), (reference is None,)
+        return (fast, inv), (False, reference)
+
+    _assert_probe_agrees(f"invert of {kind} matrices", forms)
+    assert (sum(singular) > 200) == (kind == "singular")
 
 
 def _parent_substeps(env, feet_rate, feet_sub, push_y):
@@ -454,7 +612,7 @@ def test_half_cycle_of_torso_steps_equals_single_steps(substeps):
     # the step by step environment gave that step: from a random state
     # and contact memory, any step of an episode that ends mid half cycle,
     # push windows opening and closing inside the run, and one draw in
-    # eight a body inertia with a zero entry, whose world inertia dgesv
+    # eight a body inertia with a zero entry, whose world inertia numpy
     # finds singular at some rotations.
     env = SlopedTerrainEnv(sim=SimParams(substeps=substeps, episode_len=230))
     per_half = env.steps_per_half

@@ -88,6 +88,47 @@ class TestPlaneFromContacts:
         with pytest.raises(DegenerateContacts):
             plane_from_contacts(snap)
 
+    def test_normal_equals_numpy_cross_and_norm(self):
+        # The fit written with np.cross and np.linalg.norm, against the
+        # fit's float products, bit for bit: random rotations and feet, one
+        # draw in five with a signed zero in a foot, and near-collinear
+        # diagonals around the degenerate bound.
+        def numpy_fit(snapshot):
+            rot = snapshot.torso_rotation
+            p_fl, p_fr, p_bl, p_br = (rot @ p for p in (
+                snapshot.p_fl, snapshot.p_fr, snapshot.p_bl, snapshot.p_br))
+            n = np.cross(p_fr - p_bl, p_fl - p_br)
+            norm = float(np.linalg.norm(n))
+            if norm < 1e-9:
+                return None
+            n = n / norm
+            if n[2] < 0.0:
+                n = -n
+            return tuple(float(v) for v in n), angles_from_normal(n)
+
+        rng = np.random.default_rng(1)
+        seen = {"degenerate": 0, "fit": 0}
+        for _ in range(4000):
+            q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            rot = q * np.sign(np.linalg.det(q))
+            feet = rng.uniform(-0.3, 0.3, size=(4, 3))
+            if rng.random() < 0.3:
+                # FL - BR along FR - BL, give or take a few 1e-9.
+                feet[0] = feet[3] + rng.normal() * (feet[1] - feet[2]) + rng.normal(
+                    scale=10.0 ** rng.uniform(-10.0, -8.0), size=3)
+            if rng.random() < 0.2:
+                feet[rng.integers(4), rng.integers(3)] = rng.choice([0.0, -0.0])
+            snapshot = ContactSnapshot(*feet, rot)
+            expected = numpy_fit(snapshot)
+            try:
+                estimate = plane_from_contacts(snapshot)
+                got = (estimate.normal, (estimate.roll, estimate.pitch))
+            except DegenerateContacts:
+                got = None
+            assert got == expected
+            seen["fit" if expected else "degenerate"] += 1
+        assert min(seen.values()) > 100, seen
+
     def test_torso_rotation_invariance(self):
         # same physical plane seen from two different torso attitudes
         terrain = TerrainPlane(7.0, 30.0)
@@ -116,6 +157,39 @@ class TestSnapshotValidation:
                 p_fl=np.zeros(3), p_fr=np.zeros(3), p_bl=np.zeros(3), p_br=np.zeros(3),
                 torso_rotation=np.eye(3) * 2.0,
             )
+
+    def test_accepts_and_rejects_as_allclose_and_det(self):
+        # The checks written as np.allclose(rot @ rot.T, np.eye(3),
+        # atol=1e-6) and np.linalg.det(rot) < 0, against the snapshot's on
+        # random rotations and reflections, perturbed on both sides of the
+        # 1e-6 bound, and with a NaN or an infinity in one draw in ten.
+        def numpy_checks(rot):
+            if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-6):
+                return "orthonormal"
+            if np.linalg.det(rot) < 0.0:
+                return "right-handed"
+            return None
+
+        rng = np.random.default_rng(0)
+        zero = np.zeros(3)
+        seen = {"orthonormal": 0, "right-handed": 0, None: 0, "near": 0, "special": 0}
+        for _ in range(4000):
+            rot = np.linalg.qr(rng.normal(size=(3, 3)))[0] * rng.choice([-1.0, 1.0])
+            rot = rot + rng.normal(scale=10.0 ** rng.uniform(-8.0, -5.0), size=(3, 3))
+            if rng.random() < 0.1:
+                rot[tuple(rng.integers(3, size=2))] = rng.choice([math.nan, math.inf, -math.inf])
+                seen["special"] += 1
+            deviation = np.abs(rot @ rot.T - np.eye(3)) - (1e-6 + 1e-5 * np.eye(3))
+            seen["near"] += bool(np.abs(deviation).min() < 1e-7)
+            expected = numpy_checks(rot)
+            try:
+                ContactSnapshot(zero, zero, zero, zero, rot)
+                got = None
+            except ValueError as err:
+                got = str(err).rsplit(" ", 1)[-1]
+            assert got == expected, rot.tolist()
+            seen[expected] += 1
+        assert min(seen.values()) > 200, seen
 
 
 class TestSlopeEstimator:
