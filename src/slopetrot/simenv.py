@@ -457,9 +457,10 @@ class SlopedTerrainEnv:
         it.
 
         substeps.c keeps the bits of numpy's calls and Python's float
-        arithmetic: it calls the BLAS and LAPACK routines numpy calls,
-        with numpy's arguments, and compiles its scalar code without FMA
-        contraction in Python's operand order."""
+        arithmetic: it computes each product and the inverse in the
+        rounding order of the OpenBLAS kernels numpy calls, and compiles
+        its scalar code without FMA contraction in Python's operand
+        order."""
         s = self.state
         np.concatenate((s.com, s.vel, s.omega, s.rot), axis=None, out=self._start[:UP])
         self._start[TOUCHED:] = memory

@@ -72,21 +72,23 @@ static void times_vector(const double *a, long rows, const double *x, double *y)
    result to 0.0. */
 static void times_rot_t(const double *a, long rows, const double *rot, double *out)
 {
-    for (long i = 0; i < rows; i++)
+    for (long i = 0; i < rows; i++) {
+        const double *r = a + 3 * i;
         for (int j = 0; j < 3; j++) {
-            const double *r = a + 3 * i, *c = rot + 3 * j;
+            const double *c = rot + 3 * j;
             out[3 * i + j] = 0.0 + fma(r[2], c[2], fma(r[1], c[1], fma(r[0], c[0], 0.0)));
         }
+    }
 }
 
 /* out = a.dot(b) for C-ordered 3x3 a and b: dgemm's chains from 0.0. */
 static void times(const double *a, const double *b, double *out)
 {
-    for (int i = 0; i < 3; i++)
-        for (int j = 0; j < 3; j++) {
-            const double *r = a + 3 * i;
+    for (int i = 0; i < 3; i++) {
+        const double *r = a + 3 * i;
+        for (int j = 0; j < 3; j++)
             out[3 * i + j] = fma(r[2], b[6 + j], fma(r[1], b[3 + j], fma(r[0], b[j], 0.0)));
-        }
+    }
 }
 
 /* inv = np.linalg.inv(a) for a C-ordered 3x3 a: dgesv on the column-major
@@ -179,7 +181,7 @@ static int invert(const double *a, double *inv)
    Leaves the rotation not yet re-orthonormalized. Returns invert's info
    for the world inertia, and leaves buf as it was if that is not 0. */
 static int integrate(const double *episode, double *buf, const double *motion, long count,
-                         double push_y)
+                     double push_y)
 {
     const double *n = episode + NX;
     const double nx = episode[NX], ny = episode[NY], nz = episode[NZ];
@@ -396,7 +398,7 @@ static void measure_height(const double *n, double *buf, const double *offsets, 
    measured. Returns invert's info for the world inertia; when it is not 0
    the state in buf is left as it was. */
 static int step_row(const double *episode, double *buf, const double *motion, long count,
-                        double push_y, int64_t stance_a, int64_t stance_b)
+                    double push_y, int64_t stance_a, int64_t stance_b)
 {
     const double *n = episode + NX;
     if (count > 0) {
@@ -423,9 +425,13 @@ static int step_row(const double *episode, double *buf, const double *motion, lo
    of motion (see step_row), its push force pushes[j] and its stance pair
    stances[2 j], stances[2 j + 1], and writes its record to out[j]. Returns
    rows, or the first row whose world inertia invert finds singular; out
-   holds the records of the rows before it. The fma clone runs each fma()
-   as one instruction; both clones give the same bits. */
+   holds the records of the rows before it. On x86-64, where not every
+   CPU has FMA, it is built as an fma clone, which runs each fma() as one
+   instruction, and a default clone, which calls libm's; both give the
+   same bits. */
+#if defined(__x86_64__)
 __attribute__((target_clones("fma", "default"), flatten))
+#endif
 long step_torso(const double *episode, const double *start, const double *motion,
                 long substeps, const double *pushes, const int64_t *stances, long rows,
                 double *out)

@@ -34,9 +34,9 @@ from slopetrot.policy import DEFAULT_SCALING, scale_clip_action
 from slopetrot.rotations import rot_x, rot_y, rot_z
 from slopetrot.simenv import STANCE_PAIRS, PushEvent, SimParams, SlopedTerrainEnv, TerrainPlane
 from slopetrot.slopeest import angles_from_normal, angles_from_unit_normal
-from slopetrot import substeps
 from slopetrot.substeps import (
-    CLEARANCE, COM, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, TOUCHED, UP, VEL, step_torso,
+    CLEARANCE, COM, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, SOURCE, TOUCHED, UP, VEL, build,
+    step_torso,
 )
 
 SAMPLES = 2000
@@ -200,8 +200,8 @@ SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1e308)
 def kernel(tmp_path_factory):
     out = tmp_path_factory.mktemp("probes")
     source = out / "probes.c"
-    source.write_text(PROBES.format(source=substeps.SOURCE))
-    lib = ctypes.CDLL(str(substeps.build(source, out)))
+    source.write_text(PROBES.format(source=SOURCE))
+    lib = ctypes.CDLL(str(build(source, out)))
     ptr, long = ctypes.c_void_p, ctypes.c_long
     for name, argtypes, restype in (
         ("dot3", [ptr, long, ptr, long], ctypes.c_double),
