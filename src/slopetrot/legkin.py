@@ -23,15 +23,6 @@ class Unreachable(ValueError):
     """Target lies outside the reachable annulus of the planar pair."""
 
 
-CYLINDER_MESSAGE = "point inside the abduction offset cylinder"
-
-
-def outside_annulus(r2) -> Unreachable:
-    """The error for a target whose squared planar radius r2 lies outside
-    the annulus of the planar pair."""
-    return Unreachable(f"planar target radius {math.sqrt(r2):.4f} m outside leg annulus")
-
-
 class FootPosition(NamedTuple):
     """Foot position (meters) in the leg frame: origin at the hip mount,
     x forward, y lateral, z up (so a foot below the hip has z < 0)."""
@@ -163,7 +154,7 @@ def _abduction_split(p: FootPosition, geometry: LegGeometry) -> tuple:
     """
     rr = _offset_radius2(p, geometry)
     if rr < -1e-15:
-        raise Unreachable(CYLINDER_MESSAGE)
+        raise Unreachable("point inside the abduction offset cylinder")
     pz = _planar_z(rr)
     abd = math.atan2(p.z, p.y) - math.atan2(pz, geometry.abduction_offset)
     # wrap to (-pi, pi]
@@ -187,7 +178,7 @@ def inverse_kinematics(p: FootPosition, geometry: LegGeometry) -> tuple:
     hi = (l1 + l2) * (l1 + l2)
     # Written as "not (within bounds)" so NaN is outside too.
     if not (r2 <= hi + 1e-12 and r2 >= lo - 1e-12):
-        raise outside_annulus(r2)
+        raise Unreachable(f"planar target radius {math.sqrt(r2):.4f} m outside leg annulus")
     cos_knee = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     cos_knee = cos_knee if cos_knee > -1.0 else -1.0
     knee = math.acos(cos_knee if cos_knee < 1.0 else 1.0)

@@ -27,8 +27,8 @@ from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import rot_z
 from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
 from .substeps import (
-    CLEARANCE, COM, HEIGHT, IN_CONTACT, INSIDE_CYLINDER, OMEGA, OUTSIDE_ANNULUS, POINTS, RECORD,
-    ROT, TOUCHED, UP, VEL, plan_half_cycle, step_torso,
+    CLEARANCE, COM, HEIGHT, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, TOUCHED, UP, VEL,
+    plan_half_cycle, step_torso,
 )
 
 
@@ -184,6 +184,15 @@ class SimParams:
         check_bounds(self)
         if len(self.torso_dims) != 3:
             raise ConfigError("torso_dims must be three lengths")
+        # The box inertias reset computes. Below the smallest normal float
+        # the world inertia's inverse is wrong (a subnormal pivot is
+        # neither swapped nor scaled), and at zero or inf it is not finite.
+        lx, ly, lz = self.torso_dims
+        smallest = np.finfo(float).smallest_normal
+        for a, b in ((ly, lz), (lx, lz), (lx, ly)):
+            if not smallest <= self.torso_mass / 12.0 * (a * a + b * b) < math.inf:
+                raise ConfigError(f"torso_dims {self.torso_dims!r} give a box inertia that is "
+                                  "not a finite normal float")
 
 
 @dataclass
@@ -251,10 +260,9 @@ class SlopedTerrainEnv:
             *(v for edge in geometry._edges for v in edge),
         ))
         self._kinematics_address = self._kinematics.ctypes.data
-        # The plan's inputs: the latched actions, the joints and feet
-        # before the half cycle, and the squared planar radius of a target
-        # IK rejects.
-        self._plan_in = np.zeros(45)
+        # The plan's inputs: the latched actions, then the joints and feet
+        # before the half cycle.
+        self._plan_in = np.zeros(44)
         self._plan_in_address = self._plan_in.ctypes.data
         # The record the compiled torso steps start from (see substeps.c):
         # the state and the feet's contact memory.
@@ -376,8 +384,10 @@ class SlopedTerrainEnv:
         self._last_reward = 0.0
         self._last_dx = 0.0
         # Rebuilt only when its inputs change: the orientation history at
-        # an exchange and the slope estimate at a completed capture.
+        # an exchange and the slope estimate at a completed capture. Until
+        # then every step serves the same array, so it is read-only.
         self._obs = build_observation(self._theta_hist, self._estimator.estimate)
+        self._obs.flags.writeable = False
         return self._obs
 
     def set_push(self, start_step: int, stop_step: int, force_y: float) -> None:
@@ -416,23 +426,18 @@ class SlopedTerrainEnv:
 
         Each element has the bits of the public kinematics' calls on the
         same target: libm's atan2, acos, sin, cos, sqrt and fmod are
-        math's. An action with a non-finite entry has no foot target: its
-        joints are NaN, which makes the state NaN, and the step counts
-        that as a fall. A target IK cannot reach raises Unreachable as
-        legkin.inverse_kinematics does."""
+        math's. An action with a non-finite entry has no foot target, and
+        a target that legkin.inverse_kinematics rejects has no joints:
+        their joints are NaN, for that leg from that row on, which makes
+        the state NaN, and the step counts that as a fall."""
         s, sim = self.state, self.sim
         count = min(self.steps_per_half - s.step_index % self.steps_per_half,
                     sim.episode_len - s.step_index)
-        np.concatenate((self.latched, s.joints, s.feet_body), axis=None,
-                       out=self._plan_in[:44])
+        np.concatenate((self.latched, s.joints, s.feet_body), axis=None, out=self._plan_in)
         # Fresh arrays: the state's joints and feet are views into them.
         out = np.empty(count * (sim.substeps + 4) * 12)
-        status = plan_half_cycle(self._kinematics_address, self._plan_in_address,
-                                 s.step_index + 1, count, out.ctypes.data)
-        if status == INSIDE_CYLINDER:
-            raise legkin.Unreachable(legkin.CYLINDER_MESSAGE)
-        if status == OUTSIDE_ANNULUS:
-            raise legkin.outside_annulus(self._plan_in.item(44))
+        plan_half_cycle(self._kinematics_address, self._plan_in_address, s.step_index + 1, count,
+                        out.ctypes.data)
         out.flags.writeable = False
         rows = count * 12
         return (out[:rows].reshape(count, 4, 3), out[rows:2 * rows].reshape(count, 4, 3),
@@ -443,8 +448,9 @@ class SlopedTerrainEnv:
         (the touched flags and points of a record) through len(stances)
         control steps in one compiled call, the first of them step number
         state.step_index, and return their records (see substeps.py): one
-        read-only row per step, up to the first step whose world inertia
-        is singular.
+        read-only row per step. A step whose world inertia is singular, or
+        whose feet motion is NaN, has a non-finite state, and so have the
+        steps after it.
 
         Each step runs substeps contact substeps, re-orthonormalizes the
         rotation, updates the feet's contact memory and measures the
@@ -471,9 +477,8 @@ class SlopedTerrainEnv:
             pushes[max(push.start_step - s.step_index, 0):
                    max(push.stop_step - s.step_index, 0)] = push.force_y
         block = np.empty((count, RECORD))
-        done = step_torso(self._episode_address, self._start_address, motion, substeps,
-                          pushes.ctypes.data, stances.ctypes.data, count, block.ctypes.data)
-        block = block[:done]
+        step_torso(self._episode_address, self._start_address, motion, substeps,
+                   pushes.ctypes.data, stances.ctypes.data, count, block.ctypes.data)
         block.flags.writeable = False
         return block
 
@@ -543,14 +548,19 @@ class SlopedTerrainEnv:
         action is one LegAction per leg, in LEG_ORDER. It is latched only on
         half-cycle boundary steps (including the first step), keeping the
         foot references continuous. The latch step plans the legs'
-        kinematics and runs the torso for the whole half cycle, so a foot
-        target that IK cannot reach raises Unreachable there, and each
+        kinematics and runs the torso for the whole half cycle, and each
         later step of the half cycle serves its row. The state arrays a
         step hands out are read-only: replacing one, or the push window,
         before the next step runs the rest of the half cycle again from
         there.
+
+        A step never raises for what it cannot compute: a non-finite
+        action, a foot target IK rejects and a singular world inertia each
+        give a non-finite state, and the step that serves it is a fall,
+        with a non-finite reward.
+
         The returned observation array is reused until its inputs change,
-        so callers must not modify it in place.
+        and is read-only.
         """
         if self.state is None or self._done:
             raise NotReset("environment must be reset before stepping")
@@ -563,8 +573,6 @@ class SlopedTerrainEnv:
             self._run_half_cycle()
         rows = self._rows
         k = s.step_index - self._first
-        if k == len(rows):
-            raise np.linalg.LinAlgError("Singular matrix")
         (s.com, s.vel, s.omega, s.rot, s.joints, s.feet_body, self._record,
          theta, clearance, height, cx, dx) = rows[k]
         s.step_index += 1
@@ -576,6 +584,7 @@ class SlopedTerrainEnv:
             self._theta_hist.append(theta)
         if (self._incoming and self._capture()) or exchange:
             self._obs = build_observation(self._theta_hist, self._estimator.estimate)
+            self._obs.flags.writeable = False
 
         standing = self._standing.push(cx)
         # Positional: the torso's roll, pitch and yaw, the plane's roll and

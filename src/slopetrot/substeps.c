@@ -12,6 +12,12 @@
    legs' foot targets, their projection onto the workspace, IK, the
    joints' lag, FK and the feet's motion for every step of the half cycle.
 
+   Neither reports an error: what they cannot compute comes out NaN. A
+   world inertia with a zero pivot has a non-finite inverse, and a foot
+   target IK rejects has NaN joints, whose feet make the state of the
+   torso row that reads them NaN; the environment counts a non-finite
+   state as a fall.
+
    The results are bit for bit those of the same code written with Python
    floats and numpy calls, one control step at a time (the kinematics as
    legkin's and gaitgen's functions, called once per leg and step):
@@ -92,12 +98,13 @@ static void times(const double *a, const double *b, double *out)
 }
 
 /* inv = np.linalg.inv(a) for a C-ordered 3x3 a: dgesv on the column-major
-   copy of a with the identity on the right. Returns dgesv's info, j + 1
-   for a zero pivot in column j, else 0. */
-static int invert(const double *a, double *inv)
+   copy of a with the identity on the right. Where numpy raises for a zero
+   pivot, the pivot's reciprocal in the solve is inf, so inv is not
+   finite. */
+static void invert(const double *a, double *inv)
 {
     double lu[9];
-    int pivots[3], info = 0;
+    int pivots[3];
     for (int i = 0; i < 3; i++)
         for (int j = 0; j < 3; j++)
             lu[3 * j + i] = a[3 * i + j];
@@ -109,7 +116,7 @@ static int invert(const double *a, double *inv)
        the largest, which can be a NaN, as idamax finds it. A pivot of at
        least DBL_MIN swaps rows j and jp in columns 0..j and scales the
        column below it by its reciprocal, a zero reciprocal giving zeros;
-       a smaller or NaN pivot swaps and scales nothing. */
+       a smaller, zero or NaN pivot swaps and scales nothing. */
     for (int j = 0; j < 3; j++) {
         double *col = lu + 3 * j;
         for (int i = 0; i < j; i++) {
@@ -141,12 +148,8 @@ static int invert(const double *a, double *inv)
             const double reciprocal = 1.0 / pivot;
             for (int i = j + 1; i < 3; i++)
                 col[i] = reciprocal == 0.0 ? 0.0 : col[i] * reciprocal;
-        } else if (pivot == 0.0 && info == 0) {
-            info = j + 1;
         }
     }
-    if (info != 0)
-        return info;
 
     /* Each column of the identity, swapped by the pivots, through the
        unit lower triangle, rows 0 and 1 before row 2, then the upper one,
@@ -172,15 +175,14 @@ static int invert(const double *a, double *inv)
         inv[3 + c] = x1;
         inv[6 + c] = x2;
     }
-    return 0;
 }
 
 /* Run count substeps on the state in buf. motion holds the (4, 3) feet's
    body-frame rate, then for each substep the (4, 3) feet minus com in the
    body frame at its end; push_y is the lateral push force of this step.
-   Leaves the rotation not yet re-orthonormalized. Returns invert's info
-   for the world inertia, and leaves buf as it was if that is not 0. */
-static int integrate(const double *episode, double *buf, const double *motion, long count,
+   Leaves the rotation not yet re-orthonormalized. A singular world
+   inertia has a non-finite inverse, which makes the state non-finite. */
+static void integrate(const double *episode, double *buf, const double *motion, long count,
                      double push_y)
 {
     const double *n = episode + NX;
@@ -206,9 +208,7 @@ static int integrate(const double *episode, double *buf, const double *motion, l
     for (int i = 0; i < 9; i++)
         a[i] = rot[i] * episode[INERTIA + i % 3];
     times_rot_t(a, 3, rot, i_world);
-    const int info = invert(i_world, i_world_inv);
-    if (info != 0)
-        return info;
+    invert(i_world, i_world_inv);
 
     times_rot_t(motion, 4, rot, rate_world);
     for (long s = 0; s < count; s++) {
@@ -313,7 +313,6 @@ static int integrate(const double *episode, double *buf, const double *motion, l
     buf[VEL + 2] = vz;
     memcpy(buf + OMEGA, omega, sizeof omega);
     memcpy(buf + ROT, rot, sizeof rot);
-    return 0;
 }
 
 /* Re-orthonormalize a drifting rotation matrix in place, Gram-Schmidt on
@@ -395,16 +394,13 @@ static void measure_height(const double *n, double *buf, const double *offsets, 
    stance feet stance_a and stance_b. motion holds the (4, 3) feet minus
    com in the body frame after the step, then integrate's motion. With
    count 0 only the state's contact memory, up-axis and height are
-   measured. Returns invert's info for the world inertia; when it is not 0
-   the state in buf is left as it was. */
-static int step_row(const double *episode, double *buf, const double *motion, long count,
+   measured. */
+static void step_row(const double *episode, double *buf, const double *motion, long count,
                     double push_y, int64_t stance_a, int64_t stance_b)
 {
     const double *n = episode + NX;
     if (count > 0) {
-        const int info = integrate(episode, buf, motion + 12, count, push_y);
-        if (info != 0)
-            return info;
+        integrate(episode, buf, motion + 12, count, push_y);
         orthonormalize(buf + ROT);
     }
     update_contact_memory(n, buf, motion);
@@ -416,23 +412,22 @@ static int step_row(const double *episode, double *buf, const double *motion, lo
     buf[UP] = up[0] / norm;
     buf[UP + 1] = up[1] / norm;
     buf[UP + 2] = up[2] / norm;
-    return 0;
 }
 
 /* Run rows control steps, each with substeps contact substeps, from the
    state and contact memory in the record start. Row j starts from row
    j - 1's record (row 0 from start), reads its (substeps + 2, 4, 3) block
    of motion (see step_row), its push force pushes[j] and its stance pair
-   stances[2 j], stances[2 j + 1], and writes its record to out[j]. Returns
-   rows, or the first row whose world inertia invert finds singular; out
-   holds the records of the rows before it. On x86-64, where not every
+   stances[2 j], stances[2 j + 1], and writes its record to out[j]. A row
+   whose world inertia is singular, or whose motion is NaN, writes a
+   non-finite state, and so do the rows after it. On x86-64, where not every
    CPU has FMA, it is built as an fma clone, which runs each fma() as one
    instruction, and a default clone, which calls libm's; both give the
    same bits. */
 #if defined(__x86_64__)
 __attribute__((target_clones("fma", "default"), flatten))
 #endif
-long step_torso(const double *episode, const double *start, const double *motion,
+void step_torso(const double *episode, const double *start, const double *motion,
                 long substeps, const double *pushes, const int64_t *stances, long rows,
                 double *out)
 {
@@ -440,12 +435,10 @@ long step_torso(const double *episode, const double *start, const double *motion
     for (long j = 0; j < rows; j++) {
         double *buf = out + RECORD * j;
         memcpy(buf, prev, RECORD * sizeof *buf);
-        if (step_row(episode, buf, motion + 12 * (substeps + 2) * j, substeps, pushes[j],
-                     stances[2 * j], stances[2 * j + 1]) != 0)
-            return j;
+        step_row(episode, buf, motion + 12 * (substeps + 2) * j, substeps, pushes[j],
+                 stances[2 * j], stances[2 * j + 1]);
         prev = buf;
     }
-    return rows;
 }
 
 /* The half cycle's kinematics: the constants, packed once by the
@@ -458,15 +451,11 @@ enum {
 };
 
 /* The plan buffer: the latched actions (step_len, steer, shift_x,
-   shift_y, shift_z per leg), the joints and body-frame feet before the
-   half cycle, and the squared planar radius of a target IK rejects. */
-enum { ACTIONS = 0, JOINTS = 20, FEET = 32, REJECTED_R2 = 44 };
+   shift_y, shift_z per leg), then the joints and body-frame feet before
+   the half cycle. */
+enum { ACTIONS = 0, JOINTS = 20, FEET = 32 };
 
 enum { STEP_LEN, STEER, SHIFT_X, SHIFT_Y, SHIFT_Z };
-
-/* What plan_half_cycle returns: the plan, or the error that
-   legkin.inverse_kinematics raises for a target it rejects. */
-enum { PLANNED, INSIDE_CYLINDER, OUTSIDE_ANNULUS };
 
 /* math.atan2: CPython's special cases for NaN, infinities and zeros,
    then libm's atan2. */
@@ -566,24 +555,24 @@ static void foot_target(const double *kin, const double *action, double tau, dou
 }
 
 /* legkin.inverse_kinematics of one target p into q = (abd, hip, knee),
-   clipped into the joint limits. Returns INSIDE_CYLINDER or
-   OUTSIDE_ANNULUS for a target it rejects, with the squared planar
-   radius in r2, and PLANNED otherwise. */
-static long inverse_kinematics(const double *kin, const double *p, double *q, double *r2)
+   clipped into the joint limits; NaN joints for a target it rejects,
+   inside the offset cylinder or outside the annulus. */
+static void inverse_kinematics(const double *kin, const double *p, double *q)
 {
     const double d = kin[ABD_OFFSET], l1 = kin[UPPER], l2 = kin[LOWER];
     const double *limits = kin + LIMITS;
+    q[0] = q[1] = q[2] = NAN;
     const double rr = (p[1] * p[1] + p[2] * p[2]) - d * d;
     if (rr < -1e-15)
-        return INSIDE_CYLINDER;
+        return;
     const double pz = -sqrt(0.0 > rr ? 0.0 : rr);
     double abd = py_atan2(p[2], p[1]) - py_atan2(pz, d);
     abd = py_atan2(sin(abd), cos(abd));
-    *r2 = p[0] * p[0] + pz * pz;
+    const double r2 = p[0] * p[0] + pz * pz;
     const double lo = (l1 - l2) * (l1 - l2), hi = (l1 + l2) * (l1 + l2);
-    if (!(*r2 <= hi + 1e-12 && *r2 >= lo - 1e-12))
-        return OUTSIDE_ANNULUS;
-    double cos_knee = ((*r2 - l1 * l1) - l2 * l2) / ((2.0 * l1) * l2);
+    if (!(r2 <= hi + 1e-12 && r2 >= lo - 1e-12))
+        return;
+    double cos_knee = ((r2 - l1 * l1) - l2 * l2) / ((2.0 * l1) * l2);
     cos_knee = cos_knee > -1.0 ? cos_knee : -1.0;
     const double knee = acos(cos_knee < 1.0 ? cos_knee : 1.0);
     const double hip = py_atan2(p[0], -pz) - py_atan2(l2 * sin(knee), l1 + l2 * cos(knee));
@@ -593,7 +582,6 @@ static long inverse_kinematics(const double *kin, const double *p, double *q, do
         double a = lo_j > angles[j] ? lo_j : angles[j];
         q[j] = hi_j < a ? hi_j : a;
     }
-    return PLANNED;
 }
 
 /* Plan the legs for count control steps, the first of them step number
@@ -602,11 +590,10 @@ static long inverse_kinematics(const double *kin, const double *p, double *q, do
    (substeps + 2, 4, 3) block of feet motion step_torso reads. out holds
    the (count, 4, 3) joints, then the (count, 4, 3) feet, then the
    (count, substeps + 2, 4, 3) motion. An action with a non-finite entry
-   has no foot target: its joint targets are NaN. Returns PLANNED, or the
-   error legkin.inverse_kinematics raises for the first target it rejects,
-   checking every target for the offset cylinder before any for the
-   annulus, with that target's squared planar radius in the plan buffer. */
-long plan_half_cycle(const double *kin, double *plan, long first, long count, double *out)
+   has no foot target, and a target legkin.inverse_kinematics rejects has
+   no joints: their joint targets are NaN, and so are that leg's joints,
+   feet and motion from that step on. */
+void plan_half_cycle(const double *kin, const double *plan, long first, long count, double *out)
 {
     const long substeps = (long)kin[SUBSTEPS];
     const double dt = kin[DT], alpha = kin[TRACK_ALPHA];
@@ -617,29 +604,20 @@ long plan_half_cycle(const double *kin, double *plan, long first, long count, do
     int finite = 1;
     for (int i = 0; i < 20; i++)
         finite = finite && isfinite(plan[ACTIONS + i]);
-    long outside = -1;
     for (long k = 0; k < count; k++) {
         const double t = (double)(first + k) * dt;
         for (int leg = 0; leg < 4; leg++) {
             double *q = joints + 12 * k + 3 * leg;
-            double p[3], r2;
+            double p[3];
             if (!finite) {
                 q[0] = q[1] = q[2] = NAN;
                 continue;
             }
             const double tau = fmod(t / kin[PERIOD] + kin[PHASE + leg], 1.0);
             foot_target(kin, plan + ACTIONS + 5 * leg, tau, p);
-            const long status = inverse_kinematics(kin, p, q, &r2);
-            if (status == INSIDE_CYLINDER)
-                return INSIDE_CYLINDER;
-            if (status == OUTSIDE_ANNULUS && outside < 0) {
-                outside = 4 * k + leg;
-                plan[REJECTED_R2] = r2;
-            }
+            inverse_kinematics(kin, p, q);
         }
     }
-    if (outside >= 0)
-        return OUTSIDE_ANNULUS;
 
     /* The joints track their targets with a first-order lag, then FK plus
        the hip mounts, then the motion rows: the feet minus com after the
@@ -673,5 +651,4 @@ long plan_half_cycle(const double *kin, double *plan, long first, long count, do
         q_prev = q;
         before = foot;
     }
-    return PLANNED;
 }

@@ -19,6 +19,12 @@ the end of the half cycle, with libm's atan2, acos, sin, cos, sqrt and
 fmod, which are math's: the bits of legkin's and gaitgen's float calls
 on each leg and step.
 
+Neither returns anything or raises. What they cannot compute comes out
+NaN: a singular world inertia makes that step's state non-finite, and a
+foot target that legkin's IK rejects (where it raises Unreachable) gives
+NaN joints for that leg from that step on, and so a NaN state. The
+environment counts a non-finite state as a fall.
+
 The first import compiles substeps.c with the C compiler Python was built
 with into this package's __pycache__/, under a name that hashes the
 source and the compile command, and removes the libraries of earlier
@@ -85,10 +91,10 @@ def _load():
     step = kernel.step_torso
     step.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_void_p] * 2
                      + [ctypes.c_long, ctypes.c_void_p])
-    step.restype = ctypes.c_long
+    step.restype = None
     plan = kernel.plan_half_cycle
     plan.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2 + [ctypes.c_void_p]
-    plan.restype = ctypes.c_long
+    plan.restype = None
     return step, plan
 
 
@@ -96,12 +102,9 @@ def _load():
 # substeps.c for their layouts. step_torso(episode, start, motion,
 # substeps, pushes, stances, rows, out) runs rows control steps from the
 # record start, with stances an int64 (rows, 2) array, and writes one
-# record per step to out; it returns rows, or the first row whose world
-# inertia is singular. plan_half_cycle(kinematics, plan, first, count, out)
-# returns 0 for a plan, or INSIDE_CYLINDER or OUTSIDE_ANNULUS for a target
-# that IK rejects.
+# record per step to out. plan_half_cycle(kinematics, plan, first, count,
+# out) writes the plan of count steps to out.
 step_torso, plan_half_cycle = _load()
-INSIDE_CYLINDER, OUTSIDE_ANNULUS = 1, 2
 # A step's record, RECORD floats: the state (com, vel, omega and the
 # row-major rotation) up to UP, the torso's unit up-axis, its clearance
 # and height, then per foot whether it is in contact, whether it has

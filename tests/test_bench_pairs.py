@@ -4,9 +4,11 @@ run reads better than every parent run, and a claim is met only when the
 change wins at least 9 of 10 pairs and the medians differ by more than
 the parent's interquartile range. A --claim that names no known workload
 and metric is a usage error before any revision is exported. A run
-records the CPU seconds its processes used."""
+records the CPU seconds its processes used. A workload whose pairs show
+differing digests, a wrong result or failed operations is marked so."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -138,3 +140,47 @@ def test_run_records_its_child_cpu_seconds(tmp_path):
     got = bench_pairs.describe([busy["cpu_s"]], [idle["cpu_s"]], "lower")
     assert got["change_wins"] == "1/1"
     assert not {"bound", "within_bound", "unresolved"} & got.keys()
+
+
+def test_faults_are_marked_per_workload(tmp_path, monkeypatch, capsys):
+    # train_desk's pairs are clean; eval_grid's change digest differs at
+    # seed 3; one rollout_log change run reports a wrong result and 2
+    # failed operations.
+    spec = (bench_pairs.ROOT / "BENCHMARK.json").read_text()
+
+    def export(rev, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "README.md").write_text("")
+        (dest / "BENCHMARK.json").write_text(spec)
+        return rev
+
+    def run_once(tree, workload, seed, trace):
+        faulty = tree.name == "change" and (workload, seed) in {("eval_grid", 3),
+                                                                ("rollout_log", 2)}
+        return {
+            "metrics": {m["name"]: {"value": 1.0} for m in json.loads(spec)["end_to_end"]},
+            "correct": not (faulty and workload == "rollout_log"),
+            "attempted": 10,
+            "failed": 2 if faulty and workload == "rollout_log" else 0,
+            "digest": ("b" if faulty and workload == "eval_grid" else "a", "fake"),
+            "cpu_s": 1.0,
+        }
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main(["p", "c", "--pr", "0"]) == 0
+    found = {w: entry["faults"] for w, entry in
+             json.loads((tmp_path / "BENCH_0.json").read_text())["workloads"].items()}
+    assert found == {
+        "train_desk": [],
+        "eval_grid": ["DIGESTS DIFFER at seeds 3"],
+        "rollout_log": ["INCORRECT: parent 0/10 runs, change 1/10 runs",
+                        "FAILED OPERATIONS: parent 0/100, change 2/100"],
+    }
+    # Each workload's summary lists its own faults.
+    marks = {fault for faults in found.values() for fault in faults}
+    shown = [line.strip() for line in capsys.readouterr().out.splitlines()
+             if line.split(":")[0] in found or line.strip() in marks]
+    assert shown == [line for workload, faults in found.items()
+                     for line in (f"{workload}: parent p, change c", *faults)]

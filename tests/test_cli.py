@@ -132,6 +132,9 @@ class TestFlagsAreSettings:
         "sim.motor_moment_arm=0",
         "sim.track_time_const=0",
         "sim.torso_dims=0,0,0",
+        "sim.torso_dims=1e-160,1e-160,1e-160",
+        "sim.torso_dims=1e-200,1e-200,1e-200",
+        "sim.torso_dims=1e200,0.3,0.1",
         "rand.added_mass_range=-6,-5",
         "rand.motor_torque_range=-5,-4",
         "rand.friction_range=-0.5,-0.4",

@@ -28,11 +28,13 @@ import numpy as np
 import pytest
 
 from slopetrot import gaitgen, legkin
-from slopetrot.gaitgen import LEG_ORDER, LegAction
+from slopetrot.gaitgen import LEG_ORDER, ZERO_ACTION, LegAction
 from slopetrot.legkin import LegGeometry, Unreachable
 from slopetrot.policy import DEFAULT_SCALING, scale_clip_action
 from slopetrot.rotations import rot_x, rot_y, rot_z
-from slopetrot.simenv import STANCE_PAIRS, PushEvent, SimParams, SlopedTerrainEnv, TerrainPlane
+from slopetrot.simenv import (
+    STANCE_PAIRS, PushEvent, RandomizationConfig, SimParams, SlopedTerrainEnv, TerrainPlane,
+)
 from slopetrot.slopeest import angles_from_normal, angles_from_unit_normal
 from slopetrot.substeps import (
     CLEARANCE, COM, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, SOURCE, TOUCHED, UP, VEL, build,
@@ -191,7 +193,7 @@ void probe_times_vector(const double *a, long rows, const double *x, double *y)
 void probe_times_rot_t(const double *a, long rows, const double *rot, double *out)
 {{ times_rot_t(a, rows, rot, out); }}
 void probe_times(const double *a, const double *b, double *out) {{ times(a, b, out); }}
-int probe_invert(const double *a, double *inv) {{ return invert(a, inv); }}
+void probe_invert(const double *a, double *inv) {{ invert(a, inv); }}
 """
 SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1e308)
 
@@ -208,7 +210,7 @@ def kernel(tmp_path_factory):
         ("times_vector", [ptr, long, ptr, ptr], None),
         ("times_rot_t", [ptr, long, ptr, ptr], None),
         ("times", [ptr, ptr, ptr], None),
-        ("invert", [ptr, ptr], ctypes.c_int),
+        ("invert", [ptr, ptr], None),
     ):
         function = getattr(lib, f"probe_{name}")
         function.argtypes, function.restype = argtypes, restype
@@ -304,7 +306,8 @@ def test_invert_equals_np_linalg_inv(kernel, kind):
     # with special entries; matrices of -1, 0 and 1, many of them
     # singular, one in five with a zero column; and general matrices whose
     # first column is subnormal, so the first pivot is one that dgesv
-    # neither swaps nor scales by.
+    # neither swaps nor scales by. Where numpy raises for a singular
+    # matrix, invert's result is not finite.
     singular = []
 
     def forms(rng, seen):
@@ -320,12 +323,12 @@ def test_invert_equals_np_linalg_inv(kernel, kind):
             if kind == "subnormal pivot":
                 a[:, 0] = rng.normal(size=3) * 1e-310
         inv = np.empty((3, 3))
-        fast = kernel.probe_invert(a.ctypes.data, inv.ctypes.data) > 0
+        kernel.probe_invert(a.ctypes.data, inv.ctypes.data)
         reference = _inverse_or_singular(a)
         singular.append(reference is None)
-        if fast or reference is None:
-            return (fast,), (reference is None,)
-        return (fast, inv), (False, reference)
+        if reference is None:
+            return (np.isfinite(inv).all(),), (False,)
+        return (inv,), (reference,)
 
     _assert_probe_agrees(f"invert of {kind} matrices", forms)
     assert (sum(singular) > 200) == (kind == "singular")
@@ -522,13 +525,12 @@ def _state_record(state, memory=0.0) -> np.ndarray:
 
 def _one_step(env, start, motion, substeps, push_y, stance):
     """One control step of the compiled torso update, a call of one row,
-    from the record start: its record, or None when its world inertia is
-    singular."""
+    from the record start: its record."""
     out = np.empty((1, RECORD))
-    rows = step_torso(env._episode.ctypes.data, start.ctypes.data, motion.ctypes.data,
-                      substeps, np.array([push_y]).ctypes.data,
-                      np.array(stance, dtype=np.int64).ctypes.data, 1, out.ctypes.data)
-    return out[0] if rows == 1 else None
+    step_torso(env._episode.ctypes.data, start.ctypes.data, motion.ctypes.data, substeps,
+               np.array([push_y]).ctypes.data, np.array(stance, dtype=np.int64).ctypes.data, 1,
+               out.ctypes.data)
+    return out[0]
 
 
 def _record_state(record):
@@ -613,7 +615,8 @@ def test_half_cycle_of_torso_steps_equals_single_steps(substeps):
     # and contact memory, any step of an episode that ends mid half cycle,
     # push windows opening and closing inside the run, and one draw in
     # eight a body inertia with a zero entry, whose world inertia numpy
-    # finds singular at some rotations.
+    # finds singular at some rotations. A singular row's state is not
+    # finite, and every row is compared.
     env = SlopedTerrainEnv(sim=SimParams(substeps=substeps, episode_len=230))
     per_half = env.steps_per_half
     seen = {"touching": set(), "push": set(), "still": 0, "nan": 0, "nan_rows": 0,
@@ -632,6 +635,7 @@ def test_half_cycle_of_torso_steps_equals_single_steps(substeps):
                     if rng.random() < 0.7 else None)
         if rng.random() < 0.125:
             env._episode[-3] = 0.0  # the body inertia's x entry
+        inertia = env._episode[-3:]
         touched = rng.random(4) < 0.5
         memory = np.concatenate((touched, rng.normal(size=(4, 3))), axis=None)
         stances = env._stances[first % len(env._stances):][:count]
@@ -645,23 +649,23 @@ def test_half_cycle_of_torso_steps_equals_single_steps(substeps):
             push = env.push
             push_y = (push.force_y if push is not None and push.start_step <= first + k
                       < push.stop_step else 0.0)
+            rot = record[ROT:UP].reshape(3, 3)
+            singular = _inverse_or_singular((rot * inertia).dot(rot.T)) is None
             record = _one_step(env, record, motion[k], substeps, push_y,
                                STANCE_PAIRS[(first + k + 1) // per_half % 2])
-            if record is None:
-                break
+            if singular:
+                assert not np.isfinite(record[:UP]).all()
+                seen["singular_later" if k else "singular_first"] += 1
             records.append(record)
-        records = np.array(records).reshape(-1, RECORD)
+        records = np.array(records)
 
-        seen["switch"] += len(block) == count and count == per_half - first % per_half
+        seen["switch"] += count == per_half - first % per_half
         seen["cut"] += count < per_half - first % per_half
         seen["window_inside"] += (env.push is not None
                                   and first < env.push.start_step < env.push.stop_step
                                   < first + count)
         seen["nan_rows"] += int(np.isnan(block).any(axis=1).sum())
-        if len(block) < count:
-            seen["singular_later" if len(block) else "singular_first"] += 1
-        return ((len(block), _nan_canonical_bits(block)),
-                (len(records), _nan_canonical_bits(records)))
+        return (_nan_canonical_bits(block),), (_nan_canonical_bits(records),)
 
     _assert_forms_agree(f"the half cycle's torso steps at {substeps} substeps", forms)
     assert seen["touching"] == {0, 1, 2, 3, 4}
@@ -709,20 +713,19 @@ def test_reset_measures_the_spawn_pose_as_python_did(terrain):
         assert env._last_theta == theta
 
 
-def test_singular_inertia_raises_as_numpy_does():
+def test_singular_inertia_is_a_fall():
     # A zero rotation makes the world inertia zero: numpy's inv raises,
-    # and so does the step, which leaves the state as it was.
+    # and the step's inverse is not finite, so the step serves a
+    # non-finite state and ends the episode as a fall.
     env = SlopedTerrainEnv()
     env.reset(TerrainPlane(7, 30), seed=3)
     env.state.rot = np.zeros((3, 3))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(env.state.rot * env.inertia_body)
-    before = [np.copy(getattr(env.state, k)) for k in ("com", "vel", "omega", "rot")]
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        env.step((LegAction(0.0, 0.0, 0.0, 0.0, 0.0),) * 4)
-    after = [getattr(env.state, k) for k in ("com", "vel", "omega", "rot")]
-    assert all(np.array_equal(a, b) for a, b in zip(after, before))
-    assert env.state.step_index == 0
+    _, reward, done, info = env.step((LegAction(0.0, 0.0, 0.0, 0.0, 0.0),) * 4)
+    assert done and info["fall"] and not math.isfinite(reward)
+    assert not np.isfinite(env.state.omega).all()
+    assert env.state.step_index == 1
 
 
 def test_torso_angles_stay_numpy_calls():
@@ -765,25 +768,21 @@ def _parent_plan(env):
     """The reference for substeps.c's plan_half_cycle: the half-cycle plan
     written with the kinematics' float calls, one per step and leg, and
     the joints' lag as a loop over the steps. Returns the joints, the
-    body-frame feet and the motion block, or raises Unreachable as the
-    kernel does: for a target inside the offset cylinder if there is one,
-    else for the first target outside the annulus."""
+    body-frame feet and the motion block. A target where IK raises
+    Unreachable has NaN joint targets, as in the kernel."""
     s, sim, gait, geometry = env.state, env.sim, env.gait, env.geometry
     count = min(env.steps_per_half - s.step_index % env.steps_per_half,
                 sim.episode_len - s.step_index)
     if not np.isfinite(env.latched).all():
         targets = np.full((count, 4, 3), math.nan)
     else:
-        targets, errors = [], []
+        targets = []
         for tau, action in _plan_phases(env, count):
             foot = gaitgen.checked_foot_target(tau, action, gait, geometry)
             try:
                 targets.append(legkin.inverse_kinematics(foot, geometry))
-            except Unreachable as err:
-                errors.append(err)
-        if errors:
-            cylinder = [e for e in errors if str(e) == legkin.CYLINDER_MESSAGE]
-            raise (cylinder or errors)[0]
+            except Unreachable:
+                targets.append((math.nan,) * 3)
         targets = np.array(targets).reshape(count, 4, 3)
     joints = np.empty_like(targets)
     q, alpha = s.joints, 1.0 - math.exp(-sim.dt / sim.track_time_const)
@@ -840,14 +839,13 @@ def _draw_plan(env, rng, seen):
     return s.step_index
 
 
-def _plan_or_error(plan):
-    """The plan's arrays as NaN-canonical bits, or the message of the
-    Unreachable it raises."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(map(_nan_canonical_bits, plan()))
-    except Unreachable as err:
-        return (str(err),)
+def _plan_bits(plan):
+    """The arrays of plan() as NaN-canonical bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(map(_nan_canonical_bits, plan()))
+
+
+NAN_BITS = _nan_canonical_bits(math.nan)
 
 
 @pytest.mark.parametrize("geometry", [LegGeometry(), LegGeometry(abduction_offset=0.02)],
@@ -860,11 +858,12 @@ def test_compiled_plan_equals_float_plan(geometry):
 
     def forms(rng):
         _draw_plan(env, rng, seen)
-        reference = _plan_or_error(lambda: _parent_plan(env))
-        fast = _plan_or_error(env._plan_half_cycle)
-        if len(reference) == 1:
-            seen["unreachable"] += 1
-        elif np.isfinite(env.latched).all():
+        reference = _plan_bits(lambda: _parent_plan(env))
+        fast = _plan_bits(env._plan_half_cycle)
+        finite = np.isfinite(env.latched).all()
+        rejected = finite and (reference[0] == NAN_BITS).any()
+        seen["unreachable"] += rejected
+        if finite and not rejected:
             for tau, action in _plan_phases(env, len(fast[0])):
                 foot = gaitgen.foot_target(tau, action, env.gait)
                 seen["clamped"] += not legkin.in_workspace(foot, geometry)
@@ -924,9 +923,9 @@ def test_compiled_plan_equals_float_plan_on_edge_tolerance(polygon):
                 env.reset(TerrainPlane(), seed=0)
                 env.state.step_index = row
                 env.latched = (LegAction(0.0, 0.0, shift_x, 0.0, shift_z),) * 4
-                fast = _plan_or_error(env._plan_half_cycle)
-                reference = _plan_or_error(lambda: _parent_plan(env))
-                assert len(fast) == 3, fast
+                fast = _plan_bits(env._plan_half_cycle)
+                reference = _plan_bits(lambda: _parent_plan(env))
+                assert not (fast[0] == NAN_BITS).any()
                 assert all(map(np.array_equal, fast, reference)), (
                     RERECORD.format(what=f"the plan at edge {index}'s tolerance"))
     assert len(on_band) == 2
@@ -948,15 +947,68 @@ def test_compiled_plan_equals_float_plan_inside_offset_cylinder():
                       rng.choice([-1.0, 1.0]) * rng.uniform(0.04, 0.09), rng.uniform(-0.01, 0.01),
                       env.gait.desired_height + rng.uniform(-0.015, 0.015))
             for _ in range(4))
-        reference = _plan_or_error(lambda: _parent_plan(env))
+        reference = _plan_bits(lambda: _parent_plan(env))
         count = min(env.steps_per_half - env.state.step_index % env.steps_per_half,
                     env.sim.episode_len - env.state.step_index)
         for tau, action in _plan_phases(env, count):
             foot = gaitgen.foot_target(tau, action, env.gait)
             if foot.y * foot.y + foot.z * foot.z < geometry.abduction_offset ** 2:
                 seen["above" if foot.z > 0.0 else "below"] += 1
-        seen["unreachable"] += len(reference) == 1
-        return _plan_or_error(env._plan_half_cycle), reference
+        seen["unreachable"] += bool((reference[0] == NAN_BITS).any())
+        return _plan_bits(env._plan_half_cycle), reference
 
     _assert_forms_agree("the compiled plan inside the offset cylinder", forms)
     assert seen["above"] > 20000 and seen["below"] > 20000 and seen["unreachable"] < 100
+
+
+@pytest.mark.parametrize("latch_step", [0, 40])
+def test_target_rejected_at_a_later_row_is_a_fall_there(latch_step):
+    # On legs whose polygon reaches above the hip, a stance target a foot
+    # clearance below the hip is reachable, and the swing lifts it into
+    # the leg's unreachable core, where IK rejects it some rows into the
+    # half cycle. The steps before that row keep the bits of an episode
+    # that ends just before it, and that row's step is the fall.
+    geometry = LegGeometry(abduction_offset=0.02, workspace_polygon=HIGH_POLYGON)
+    no_push = RandomizationConfig(push_enabled=False)
+    env = SlopedTerrainEnv(geometry=geometry)
+    gait = env.gait
+    lifted = (ZERO_ACTION._replace(shift_z=gait.desired_height - gait.foot_clearance),) * 4
+
+    def rejected(tau, action):
+        try:
+            legkin.inverse_kinematics(gaitgen.checked_foot_target(tau, action, gait, geometry),
+                                      geometry)
+        except Unreachable:
+            return True
+        return False
+
+    env.reset(TerrainPlane(), no_push, seed=1)
+    env.state.step_index = latch_step
+    env.latched = lifted
+    row = next(i // 4 for i, (tau, action) in enumerate(_plan_phases(env, env.steps_per_half))
+               if rejected(tau, action))
+    assert row > 0
+
+    def served(episode_len):
+        env = SlopedTerrainEnv(geometry=geometry, sim=SimParams(episode_len=episode_len))
+        env.reset(TerrainPlane(), no_push, seed=1)
+        steps = []
+        while True:
+            _, reward, done, info = env.step(lifted if env.state.step_index >= latch_step
+                                             else (ZERO_ACTION,) * 4)
+            s = env.state
+            state = np.concatenate((s.com, s.vel, s.omega, s.rot, s.joints, s.feet_body),
+                                   axis=None)
+            steps.append((reward, info["fall"], state))
+            if done:
+                return steps
+
+    cut = served(latch_step + row)
+    steps = served(env.sim.episode_len)
+    assert len(steps) == latch_step + row + 1
+    for (reward, fall, state), (reward_cut, fall_cut, state_cut) in zip(steps, cut):
+        assert not fall and not fall_cut and np.isfinite(state).all()
+        assert reward.hex() == reward_cut.hex()
+        assert np.array_equal(_nan_canonical_bits(state), _nan_canonical_bits(state_cut))
+    reward, fall, state = steps[-1]
+    assert fall and not math.isfinite(reward) and not np.isfinite(state).all()

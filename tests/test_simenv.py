@@ -177,6 +177,10 @@ class TestParamValidation:
         {"fall_height_frac": NAN},
         {"estimator_smoothing": 1.5},
         {"episode_len": 0},
+        # Box inertias below the smallest normal float, zero, and inf.
+        {"torso_dims": (1e-160, 1e-160, 1e-160)},
+        {"torso_dims": (1e-200, 1e-200, 1e-200)},
+        {"torso_dims": (1e200, 0.3, 0.1)},
     ])
     def test_sim_params_rejected(self, kwargs):
         from slopetrot.simenv import ConfigError
@@ -466,15 +470,16 @@ class TestBehavior:
     def test_huge_finite_action_is_unreachable(self, field, value, latch_step):
         # The foot target's squared distances to the workspace edges
         # overflow to inf, no edge is nearer than inf, and the projected
-        # target is NaN, which IK rejects at the step that latches it.
+        # target is NaN, which IK rejects. The plan gives it NaN joints, so
+        # the step that latches it ends the episode as a fall with a
+        # non-finite reward.
         env = SlopedTerrainEnv()
         env.reset(TerrainPlane(7, 30), NO_PUSH, seed=1)
         for _ in range(latch_step):
-            env.step(ZEROS)
-        with pytest.raises(legkin.Unreachable) as err:
-            env.step((ZERO_ACTION._replace(**{field: value}),) * 4)
-        assert str(err.value) == "planar target radius nan m outside leg annulus"
-        assert env.state.step_index == latch_step
+            assert not env.step(ZEROS)[2]
+        _, reward, done, info = env.step((ZERO_ACTION._replace(**{field: value}),) * 4)
+        assert done and info["fall"] and not math.isfinite(reward)
+        assert env.state.step_index == latch_step + 1
 
     def test_huge_steer_steps_normally(self):
         # cos and sin of a huge angle are finite, so the target is too.
@@ -666,6 +671,20 @@ class TestEditsBetweenSteps:
         for field in ("com", "vel", "omega", "rot", "joints", "feet_body"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(env.state, field)[0] = 0.0
+
+    def test_served_observation_is_read_only(self):
+        # reset's observation, one a step serves unchanged and one a step
+        # rebuilt at an exchange.
+        env = SlopedTerrainEnv()
+        observations = [env.reset(TerrainPlane(7, 30), NO_PUSH, seed=1)]
+        for _ in range(40):
+            observations.append(env.step(ZEROS)[0])
+        assert observations[1] is observations[0] and observations[40] is not observations[0]
+        for obs in (observations[0], observations[40]):
+            with pytest.raises(ValueError, match="read-only"):
+                obs[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                obs += 1.0
 
     def test_one_compiled_torso_call_per_half_cycle(self, monkeypatch):
         from slopetrot import simenv

@@ -25,7 +25,10 @@ change's median is worse than the parent's by more than the bound
 BENCHMARK.json sets, and UNRESOLVED when the parent's interquartile range
 exceeds that bound (relative to its median) and not every change run reads
 better than every parent run: such a spread cannot show the change is no
-worse.
+worse. A workload whose pairs show differing digests, a run that reports a
+wrong result or failed operations is marked DIGESTS DIFFER, INCORRECT or
+FAILED OPERATIONS, whatever its metrics read: the benchmark rejects a
+change for each of them.
 """
 
 from __future__ import annotations
@@ -135,6 +138,28 @@ def compare(parent_runs, change_runs, better: str, bound: float) -> dict:
     return out
 
 
+def faults(seeds, parent_runs, change_runs) -> list:
+    """What the pairs, one per seed, show that rejects a change whatever its
+    metrics: seeds whose two digests differ, runs that report a wrong
+    result, and failed operations, each with its counts per side; empty
+    when none shows."""
+    found = []
+    differ = [str(seed) for seed, p, c in zip(seeds, parent_runs, change_runs)
+              if p["digest"][0] != c["digest"][0]]
+    if differ:
+        found.append(f"DIGESTS DIFFER at seeds {', '.join(differ)}")
+    sides = (("parent", parent_runs), ("change", change_runs))
+    if not all(r["correct"] for r in parent_runs + change_runs):
+        found.append("INCORRECT: " + ", ".join(
+            f"{side} {sum(not r['correct'] for r in runs)}/{len(runs)} runs"
+            for side, runs in sides))
+    if any(r["failed"] for r in parent_runs + change_runs):
+        found.append("FAILED OPERATIONS: " + ", ".join(
+            f"{side} {sum(r['failed'] for r in runs)}/{sum(r['attempted'] for r in runs)}"
+            for side, runs in sides))
+    return found
+
+
 def claim_entry(metric_cmp: dict, workload: str, metric: str, sides: dict, note: str) -> dict:
     wins = int(metric_cmp["change_wins"].split("/")[0])
     sign = 1.0 if metric_cmp["better"] == "higher" else -1.0
@@ -218,6 +243,7 @@ def main(argv=None) -> int:
                                      for s in runs},
                 "digests": {s: [f"digest {d} ({v})" for d, v in (r["digest"] for r in runs[s])]
                             for s in runs},
+                "faults": faults(SEEDS, runs["parent"], runs["change"]),
             }
             out["results_checksum"]["digests"][workload] = [
                 {"seed": seed, "parent": p["digest"][0], "change": c["digest"][0],
@@ -245,6 +271,8 @@ def main(argv=None) -> int:
             cpu = out["workloads"][workload]["cpu_s"]
             print(f"  {'cpu_s':16s} parent {cpu['parent']['median']:.4g}"
                   f"  change {cpu['change']['median']:.4g}  (reported, not gated)")
+            for fault in out["workloads"][workload]["faults"]:
+                print(f"  {fault}")
         if args.claim is not None:
             out["claim"] = claim_entry(
                 out["workloads"][claim_workload]["metrics"][claim_metric],
