@@ -571,10 +571,8 @@ class SlopedTerrainEnv:
             self.latched = tuple(action)
         if latch or not self._rows_go_on():
             self._run_half_cycle()
-        rows = self._rows
-        k = s.step_index - self._first
         (s.com, s.vel, s.omega, s.rot, s.joints, s.feet_body, self._record,
-         theta, clearance, height, cx, dx) = rows[k]
+         theta, clearance, height, cx, dx) = self._rows[s.step_index - self._first]
         s.step_index += 1
 
         exchange = s.step_index % self.steps_per_half == 0

@@ -183,7 +183,7 @@ static void invert(const double *a, double *inv)
    Leaves the rotation not yet re-orthonormalized. A singular world
    inertia has a non-finite inverse, which makes the state non-finite. */
 static void integrate(const double *episode, double *buf, const double *motion, long count,
-                     double push_y)
+                      double push_y)
 {
     const double *n = episode + NX;
     const double nx = episode[NX], ny = episode[NY], nz = episode[NZ];
@@ -396,7 +396,7 @@ static void measure_height(const double *n, double *buf, const double *offsets, 
    count 0 only the state's contact memory, up-axis and height are
    measured. */
 static void step_row(const double *episode, double *buf, const double *motion, long count,
-                    double push_y, int64_t stance_a, int64_t stance_b)
+                     double push_y, int64_t stance_a, int64_t stance_b)
 {
     const double *n = episode + NX;
     if (count > 0) {
@@ -420,8 +420,8 @@ static void step_row(const double *episode, double *buf, const double *motion, l
    of motion (see step_row), its push force pushes[j] and its stance pair
    stances[2 j], stances[2 j + 1], and writes its record to out[j]. A row
    whose world inertia is singular, or whose motion is NaN, writes a
-   non-finite state, and so do the rows after it. On x86-64, where not every
-   CPU has FMA, it is built as an fma clone, which runs each fma() as one
+   non-finite state, and so do the rows after it. On x86-64, where not
+   every CPU has FMA, it is built as an fma clone, which runs each fma() as one
    instruction, and a default clone, which calls libm's; both give the
    same bits. */
 #if defined(__x86_64__)
