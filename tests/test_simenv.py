@@ -13,6 +13,7 @@ from slopetrot.policy import (
     scale_clip_action,
     zero_policy,
 )
+from slopetrot.reward import StandingMonitor
 from slopetrot.simenv import (
     STANCE_PAIRS,
     NotReset,
@@ -630,6 +631,48 @@ class TestEditsBetweenSteps:
             setattr(env.state, field, getattr(env.state, field).copy())
         steps += _steps(env, 100 - env.state.step_index, WALK)
         assert steps == _steps(_walking_env((45, 55, 90.0)), 100, WALK)
+
+    def test_shifted_com_moves_dx_but_not_the_standing_window(self):
+        # Standing in place on flat ground, the com is replaced in mid half
+        # cycle by a copy 5 cm ahead. The next step's forward displacement
+        # is measured from the edited com, while the standing window keeps
+        # the positions the steps served, as a StandingMonitor fed each
+        # served com x does: the shift keeps the flag down for the 50 steps
+        # after the edit.
+        env = SlopedTerrainEnv()
+        env.reset(TerrainPlane(), NO_PUSH, seed=1)
+        monitor = StandingMonitor()
+        monitor.reset(env.state.com.item(0))
+        before, flags, expected = env.state.com.item(0), [], []
+        for step in range(150):
+            if step == 60:  # row 20 of the half cycle from step 40
+                env.state.com = env.state.com + np.array([0.05, 0.0, 0.0])
+                before = env.state.com.item(0)
+            _, _, _, info = env.step(ZEROS)
+            x = env.state.com.item(0)
+            assert env.log_row()["dx"] == x - before, step
+            before = x
+            flags.append(info["standing"])
+            expected.append(monitor.push(x))
+        assert flags == expected
+        assert flags[49:60] == [True] * 11 and not any(flags[60:110]) and flags[110]
+
+    def test_assigned_step_index_reruns_the_half_cycle(self):
+        # At row 3 of a half cycle the step index jumps ahead by two. The
+        # next step runs the rest of the half cycle again from the state
+        # served at step 43, with the plan's clock at step 45, exactly as
+        # when the com is replaced too; it does not serve the row the
+        # torso steps had computed for step 45.
+        jumped, replaced, unedited = _walking_env(), _walking_env(), _walking_env()
+        for env in (jumped, replaced, unedited):
+            _steps(env, 43, WALK)
+        jumped.state.step_index = 45
+        replaced.state.step_index = 45
+        replaced.state.com = replaced.state.com.copy()
+        steps = _steps(jumped, 30, WALK)
+        assert steps == _steps(replaced, 30, WALK)
+        assert jumped.state.step_index == replaced.state.step_index == 75
+        assert steps[0] != _steps(unedited, 3, WALK)[2]
 
     def test_replaced_velocity_acts_at_next_step(self):
         env = SlopedTerrainEnv()
