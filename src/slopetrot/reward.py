@@ -13,7 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .bounds import bounded, check_bounds
+from .substeps import rewards
 
 
 class InvalidWidth(ValueError):
@@ -60,22 +63,35 @@ def gaussian_kernel(width: float, x: float) -> float:
     return math.exp(-width * x * x)
 
 
-def compute_reward(inputs: RewardInputs, weights: RewardWeights, max_step: float) -> float:
-    """Scalar reward for one control step.
+def compute_reward(inputs: RewardInputs, weights: RewardWeights, max_step: float):
+    """Reward of one control step, or of a run of them.
 
-    max_step is the largest possible forward displacement per step; forward
-    progress enters normalized by it so the weight is unit-free.
+    inputs holds floats, one step, and the reward is a float; or 1-D
+    arrays of one length, a float among them standing for every step,
+    and the rewards are an array. Each step's reward is gaussian_kernel
+    of the torso's roll and pitch relative to the plane's, of the yaw
+    and of the height relative to their desired values, summed in that
+    order, plus the weighted forward progress, minus the standing penalty
+    when the step stands. max_step is the largest possible forward
+    displacement per step; forward progress enters normalized by it so
+    the weight is unit-free.
+
+    Both forms run one compiled loop (substeps.c) whose bits are those
+    of the same sum on Python floats: libm's exp is math.exp.
     """
     if max_step <= 0.0:
         raise ValueError("max_step must be > 0")
-    r = gaussian_kernel(weights.roll_width, inputs.torso_roll - inputs.plane_roll)
-    r += gaussian_kernel(weights.pitch_width, inputs.torso_pitch - inputs.plane_pitch)
-    r += gaussian_kernel(weights.yaw_width, inputs.torso_yaw - weights.desired_yaw)
-    r += gaussian_kernel(weights.height_width, inputs.height - weights.desired_height)
-    r += weights.forward_weight * (inputs.forward_disp / max_step)
-    if inputs.standing:
-        r -= weights.standing_penalty
-    return r
+    steps = np.shape(inputs.torso_roll)
+    columns = np.empty((len(inputs), *steps))
+    for field, values in enumerate(inputs):
+        columns[field] = values
+    out = np.empty(steps)
+    w = weights
+    constants = np.array((w.roll_width, w.pitch_width, w.yaw_width, w.height_width,
+                          w.forward_weight, w.standing_penalty, w.desired_yaw,
+                          w.desired_height, max_step))
+    rewards(constants.ctypes.data, columns.ctypes.data, out.size, out.ctypes.data)
+    return out if steps else out.item()
 
 
 class StandingMonitor:

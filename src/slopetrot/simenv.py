@@ -27,8 +27,8 @@ from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import rot_z
 from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
 from .substeps import (
-    CLEARANCE, COM, HEIGHT, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, TOUCHED, UP, VEL,
-    plan_half_cycle, step_torso,
+    COM, HEIGHT, OMEGA, POINTS, RECORD, ROT, SERVE_FLAGS, STANDING, TOUCHED, UP, VEL,
+    plan_half_cycle, serve_half_cycle, step_torso,
 )
 
 
@@ -195,19 +195,60 @@ class SimParams:
                                   "not a finite normal float")
 
 
-@dataclass
+def _served(name: str, view):
+    """A SimState array: the one assigned since the last step, else
+    view(state), a read-only view of the row the last step served, made
+    when it is read. Assigning one is an edit."""
+
+    def get(state):
+        array = state._assigned.get(name)
+        return view(state) if array is None else array
+
+    def assign(state, array):
+        state._assigned[name] = array
+        state.edited = True
+
+    return property(get, assign)
+
+
 class SimState:
     """Full environment state; advances deterministically from the reset
-    seed. The arrays a step hands out are read-only views: an edit
-    replaces an array, and the next step reads it."""
+    seed.
 
-    com: np.ndarray
-    rot: np.ndarray
-    vel: np.ndarray
-    omega: np.ndarray
-    joints: np.ndarray       # (4, 3) abd/hip/knee per leg, FL FR BL BR
-    feet_body: np.ndarray    # (4, 3) leg-frame FK + hip mounts, body origin
-    step_index: int
+    After a step each array is a read-only view of the row that step
+    served, made when it is read; after reset they are the spawn pose's
+    own arrays, which the caller may also change in place before the
+    first step. Assigning any of the six arrays or step_index is an edit
+    (so is SlopedTerrainEnv.set_push): the next step runs the rest of its
+    half cycle again from the state as edited."""
+
+    __slots__ = ("_assigned", "_block", "_joints", "_feet", "_row", "_step_index", "edited")
+
+    com = _served("com", lambda s: s._block[s._row, COM:VEL])
+    vel = _served("vel", lambda s: s._block[s._row, VEL:OMEGA])
+    omega = _served("omega", lambda s: s._block[s._row, OMEGA:ROT])
+    rot = _served("rot", lambda s: s._block[s._row, ROT:UP].reshape(3, 3))
+    joints = _served("joints", lambda s: s._joints[s._row])  # (4, 3) abd/hip/knee, FL FR BL BR
+    feet_body = _served("feet_body", lambda s: s._feet[s._row])  # (4, 3) FK + hip mounts
+
+    def __init__(self, com, rot, vel, omega, joints, feet_body, step_index: int):
+        self._assigned = dict(com=com, rot=rot, vel=vel, omega=omega, joints=joints,
+                              feet_body=feet_body)
+        # The records of the run the rows come from (see substeps.py), its
+        # planned joints and feet, and the row last served.
+        self._block = self._joints = self._feet = None
+        self._row = 0
+        self._step_index = step_index
+        self.edited = False
+
+    @property
+    def step_index(self) -> int:
+        return self._step_index
+
+    @step_index.setter
+    def step_index(self, value: int) -> None:
+        self._step_index = value
+        self.edited = True
 
 
 class SlopedTerrainEnv:
@@ -279,10 +320,24 @@ class SlopedTerrainEnv:
             2.0 * self.gait.max_step_len / self.gait.cycle_period * self.sim.dt
         )
 
+        # The serve pass's constants, in the order substeps.c reads them:
+        # the fall's bounds, the standing window and threshold, which
+        # StandingMonitor's defaults define, and the steps of a half cycle
+        # and of an episode. positions holds the com x of the standing
+        # window and of the current run (see serve_half_cycle).
+        standing = StandingMonitor()
+        self._serve = np.array((
+            sim.fall_height_frac * gait.desired_height, sim.fall_angle, standing.window,
+            standing.threshold, steps, sim.episode_len,
+        ))
+        self._serve_address = self._serve.ctypes.data
+        self._window = standing.window
+        self._positions = np.empty(standing.window + steps)
+        self._positions_address = self._positions.ctypes.data
+
         self._estimator = SlopeEstimator(smoothing=self.sim.estimator_smoothing)
         # Torso orientation at the last three policy steps, oldest first.
         self._theta_hist = deque(maxlen=3)
-        self._standing = StandingMonitor()
         self.state: SimState | None = None
         self._done = True
 
@@ -364,25 +419,22 @@ class SlopedTerrainEnv:
         # step without substeps, from no contact memory, above the first
         # half cycle's stance pair, which the table gives a cycle's last
         # step. The state arrays stay the caller's to edit: the first step
-        # reads them.
-        offsets = self.state.feet_body - self.com_offset_body
-        block = self._advance(offsets.ctypes.data, 0, self._stances[-1:], 0.0)
-        self._record = block[0]
-        (self._last_theta,), _, (self._last_height,), _ = self._measure(block)
-        # The rows the steps of the current half cycle serve, the first of
-        # them for step number _first; none until the first step runs them.
-        self._rows = []
+        # reads them. Its one row is what log_row serves until then.
+        offsets = feet_body - self.com_offset_body
+        self.state._block = block = self._advance(offsets.ctypes.data, 0, self._stances[-1:], 0.0)
+        theta = tuple(float(a[0]) for a in self._angles(block))
+        self._rows = [(theta, block.item(0, HEIGHT), 0.0, 0.0) + (False,) * SERVE_FLAGS]
         self._first = 0
+        # The standing window: the spawn com x, and NaN before it.
+        self._positions.fill(math.nan)
+        self._positions[self._window] = self.state.com[0]
 
         self._estimator.reset()
         self._theta_hist.clear()
-        self._theta_hist.append(self._last_theta)
-        self._standing.reset(float(self.state.com[0]))
+        self._theta_hist.append(theta)
         # The touch-down pair the pending contact capture waits for; empty
         # when no capture is pending.
         self._incoming = ()
-        self._last_reward = 0.0
-        self._last_dx = 0.0
         # Rebuilt only when its inputs change: the orientation history at
         # an exchange and the slope estimate at a completed capture. Until
         # then every step serves the same array, so it is read-only.
@@ -391,8 +443,12 @@ class SlopedTerrainEnv:
         return self._obs
 
     def set_push(self, start_step: int, stop_step: int, force_y: float) -> None:
-        """Override the sampled push with a scripted one (CLI rollouts)."""
+        """Override the sampled push with a scripted one (CLI rollouts).
+        In mid half cycle this is an edit, as assigning a state array is:
+        the next step runs the rest of the half cycle again under it."""
         self.push = PushEvent(start_step, stop_step, force_y)
+        if self.state is not None:
+            self.state.edited = True
 
     # ------------------------------------------------------------------
     # helpers
@@ -472,7 +528,7 @@ class SlopedTerrainEnv:
         self._start[TOUCHED:] = memory
         count = len(stances)
         pushes = np.zeros(count)
-        self._push_read = push = self.push
+        push = self.push
         if push is not None:
             pushes[max(push.start_step - s.step_index, 0):
                    max(push.stop_step - s.step_index, 0)] = push.force_y
@@ -483,52 +539,56 @@ class SlopedTerrainEnv:
         return block
 
     @staticmethod
-    def _measure(block: np.ndarray) -> tuple:
-        """The records' torso (roll, pitch, yaw), clearances and heights as
-        lists of Python floats, and their com x. The angles are numpy's
-        arctan2 and arcsin over the whole block, whose bits the goldens
-        hold: they equal the calls on each record's floats, though they may
-        round differently from libm's."""
-        ux, uy, uz, r10, r00, clearance, height, x = block.T[
-            [UP, UP + 1, UP + 2, ROT + 3, ROT, CLEARANCE, HEIGHT, COM]]
-        theta = zip(np.arctan2(uy, uz).tolist(),
-                    (-np.arcsin(np.minimum(np.maximum(ux, -1.0), 1.0))).tolist(),
-                    np.arctan2(r10, r00).tolist())
-        return list(theta), clearance.tolist(), height.tolist(), x.tolist()
+    def _angles(block: np.ndarray) -> tuple:
+        """The records' torso roll, pitch and yaw, three arrays. They are
+        numpy's arctan2 and arcsin over the whole block, whose bits the
+        goldens hold: they equal the calls on each record's floats, though
+        they may round differently from libm's."""
+        ux, uy, uz, r10, r00 = block.T[[UP, UP + 1, UP + 2, ROT + 3, ROT]]
+        return (np.arctan2(uy, uz), -np.arcsin(np.minimum(np.maximum(ux, -1.0), 1.0)),
+                np.arctan2(r10, r00))
+
+    @property
+    def _record(self) -> np.ndarray:
+        """The record of the step last served, after reset the spawn
+        pose's."""
+        s = self.state
+        return s._block[s._row]
 
     def _run_half_cycle(self) -> None:
         """Plan the legs and run the torso from this step to the end of its
-        half cycle (or of the episode), and keep one row per step: the
-        com, vel, omega and rot it serves (read-only views of its record),
-        the planned joints and feet, the record, the angles, clearance,
-        height, com x and forward displacement."""
+        half cycle (or of the episode), and keep what each step serves: the
+        state's rows, and per step its torso angles, height, forward
+        displacement, reward and flags (see substeps.serve_half_cycle),
+        the rewards in one compute_reward call. The standing window moves
+        past the rows the steps of the last run served."""
         s = self.state
+        served = s._row + 1
+        memory = self._record[TOUCHED:]
         joints, feet, motion = self._plan_half_cycle()
-        i = s.step_index % len(self._stances)
-        block = self._advance(motion.ctypes.data, self.sim.substeps,
-                              self._stances[i:i + len(joints)], self._record[TOUCHED:])
-        theta, clearance, height, x = self._measure(block)
-        dx = [after - before for before, after in zip((s.com.item(0), *x), x)]
-        self._rows = list(zip(
-            block[:, COM:VEL], block[:, VEL:OMEGA], block[:, OMEGA:ROT],
-            block[:, ROT:UP].reshape(len(block), 3, 3), joints, feet, block,
-            theta, clearance, height, x, dx))
-        self._first = s.step_index
-
-    def _rows_go_on(self) -> bool:
-        """True when this step's row follows the last step's: the state
-        holds the arrays the last step served and the push window is the
-        one the torso steps read. A caller who replaced any of them, or
-        the step index, since then has the rest of the half cycle run
-        again from this step."""
-        s = self.state
-        k = s.step_index - self._first
-        if not 0 < k <= len(self._rows):
-            return False
-        last = self._rows[k - 1]
-        return (s.com is last[0] and s.vel is last[1] and s.omega is last[2] and s.rot is last[3]
-                and s.joints is last[4] and s.feet_body is last[5]
-                and self.push is self._push_read)
+        first = s._step_index
+        i = first % len(self._stances)
+        stances = self._stances[i:i + len(joints)]
+        block = self._advance(motion.ctypes.data, self.sim.substeps, stances, memory)
+        roll, pitch, yaw = self._angles(block)
+        count = len(block)
+        dx = np.empty(count)
+        flags = np.empty((SERVE_FLAGS, count), dtype=bool)
+        serve_half_cycle(self._serve_address, self._start_address, block.ctypes.data,
+                         roll.ctypes.data, pitch.ctypes.data, stances.ctypes.data, first, count,
+                         served, *(self._incoming or (-1, -1)), self._positions_address,
+                         dx.ctypes.data, flags.ctypes.data)
+        height = block[:, HEIGHT]
+        rewards = compute_reward(
+            RewardInputs(roll, pitch, yaw, self.plane_roll, self.plane_pitch, height, dx,
+                         flags[STANDING]),
+            self.reward_weights, self.max_step_per_control)
+        self._rows = list(zip(zip(roll.tolist(), pitch.tolist(), yaw.tolist()), height.tolist(),
+                              dx.tolist(), rewards.tolist(), *flags.tolist()))
+        self._first = first
+        s._assigned.clear()
+        s._block, s._joints, s._feet = block, joints, feet
+        s.edited = False
 
     def mechanical_energy(self) -> float:
         s = self.state
@@ -548,11 +608,13 @@ class SlopedTerrainEnv:
         action is one LegAction per leg, in LEG_ORDER. It is latched only on
         half-cycle boundary steps (including the first step), keeping the
         foot references continuous. The latch step plans the legs'
-        kinematics and runs the torso for the whole half cycle, and each
-        later step of the half cycle serves its row. The state arrays a
-        step hands out are read-only: replacing one, or the push window,
-        before the next step runs the rest of the half cycle again from
-        there.
+        kinematics, runs the torso for the whole half cycle and computes
+        each of its steps' reward and flags, and every step of the half
+        cycle then serves its row: the estimator captures and the
+        observation is rebuilt only on the rows that change them. The
+        state arrays a step hands out are read-only: assigning one or the
+        step index, or setting the push window, before the next step runs
+        the rest of the half cycle again from there.
 
         A step never raises for what it cannot compute: a non-finite
         action, a foot target IK rejects and a singular world inertia each
@@ -562,55 +624,30 @@ class SlopedTerrainEnv:
         The returned observation array is reused until its inputs change,
         and is read-only.
         """
-        if self.state is None or self._done:
-            raise NotReset("environment must be reset before stepping")
         s = self.state
-        sim = self.sim
-        latch = s.step_index % self.steps_per_half == 0
-        if latch:
+        if s is None or self._done:
+            raise NotReset("environment must be reset before stepping")
+        index = s._step_index
+        if index % self.steps_per_half == 0:
             self.latched = tuple(action)
-        if latch or not self._rows_go_on():
             self._run_half_cycle()
-        (s.com, s.vel, s.omega, s.rot, s.joints, s.feet_body, self._record,
-         theta, clearance, height, cx, dx) = self._rows[s.step_index - self._first]
-        s.step_index += 1
-
-        exchange = s.step_index % self.steps_per_half == 0
-        if exchange:
-            # Wait for the touch-down pair to land before snapshotting.
-            self._incoming = STANCE_PAIRS[s.step_index // self.steps_per_half % 2]
-            self._theta_hist.append(theta)
-        if (self._incoming and self._capture()) or exchange:
+        elif s.edited:
+            self._run_half_cycle()
+        s._row = row = index - self._first
+        s._step_index = index + 1
+        theta, _, _, reward, standing, fall, done, exchange, capture = self._rows[row]
+        if exchange or capture:
+            if exchange:
+                self._theta_hist.append(theta)
+                # The touch-down pair, which the capture waits for.
+                self._incoming = STANCE_PAIRS[(index + 1) // self.steps_per_half % 2]
+            if capture:
+                self._capture()
             self._obs = build_observation(self._theta_hist, self._estimator.estimate)
             self._obs.flags.writeable = False
-
-        standing = self._standing.push(cx)
-        # Positional: the torso's roll, pitch and yaw, the plane's roll and
-        # pitch, the height, the forward displacement and the standing flag.
-        reward_val = compute_reward(
-            RewardInputs(*theta, self.plane_roll, self.plane_pitch, height, dx, standing),
-            self.reward_weights, self.max_step_per_control)
-
-        # Written as "not (within bounds)" so a non-finite state, whose
-        # comparisons are all false, counts as a fall.
-        self.fall = not (
-            clearance >= self.sim.fall_height_frac * self.gait.desired_height
-            and abs(theta[0]) <= self.sim.fall_angle
-            and abs(theta[1]) <= self.sim.fall_angle
-        )
-        done = self.fall or s.step_index >= sim.episode_len
+        self.fall = fall
         self._done = done
-        self._last_reward = reward_val
-        self._last_dx = dx
-        self._last_theta = theta
-        self._last_height = height
-
-        info = {
-            "standing": standing,
-            "fall": self.fall,
-            "exchange": exchange,
-        }
-        return self._obs, reward_val, done, info
+        return self._obs, reward, done, {"standing": standing, "fall": fall, "exchange": exchange}
 
     def run(self, obs: np.ndarray, controller):
         """Drive the episode that reset() began, yielding (reward, info)
@@ -630,10 +667,9 @@ class SlopedTerrainEnv:
             if info["exchange"]:
                 action = controller(obs)
 
-    def _capture(self) -> bool:
-        """Finish the pending snapshot, which the step asks for while one
-        is pending, once the touch-down pair has made contact; True when an
-        estimator update ran.
+    def _capture(self) -> None:
+        """Finish the pending snapshot on the step whose row has the
+        touch-down pair in contact, and update the estimator.
 
         Every foot contributes, in LEG_ORDER, its last world contact point
         (a foot that never touched, its world position now),
@@ -642,15 +678,12 @@ class SlopedTerrainEnv:
         lift-off pair's points stay valid even though they were touched
         earlier.
         """
-        record = self._record
-        if not all(record[IN_CONTACT + i] for i in self._incoming):
-            return False
         s = self.state
-        body_origin = s.com - s.rot @ self.com_offset_body
-        points = [s.rot.T @ (point - body_origin) for point in record[POINTS:].reshape(4, 3)]
-        self._estimator.update(ContactSnapshot(*points, s.rot))
+        rot = s.rot
+        body_origin = s.com - rot @ self.com_offset_body
+        points = [rot.T @ (point - body_origin) for point in self._record[POINTS:].reshape(4, 3)]
+        self._estimator.update(ContactSnapshot(*points, rot))
         self._incoming = ()
-        return True
 
     # ------------------------------------------------------------------
     # logging
@@ -665,17 +698,18 @@ class SlopedTerrainEnv:
         """Per-step CSV row mirroring the logged experiment channels."""
         s = self.state
         est = self._estimator.estimate
+        (roll, pitch, yaw), height, dx, reward = self._rows[s._row][:4]
         row = {
             "step": s.step_index,
             "time": s.step_index * self.sim.dt,
-            "torso_roll": self._last_theta[0],
-            "torso_pitch": self._last_theta[1],
-            "torso_yaw": self._last_theta[2],
+            "torso_roll": roll,
+            "torso_pitch": pitch,
+            "torso_yaw": yaw,
             "plane_roll": est.roll,
             "plane_pitch": est.pitch,
-            "height": self._last_height,
-            "dx": self._last_dx,
-            "reward": self._last_reward,
+            "height": height,
+            "dx": dx,
+            "reward": reward,
         }
         # The latched actions fill the remaining columns, leg by leg.
         row.update(zip(self.LOG_COLUMNS[len(row):], (v for act in self.latched for v in act)))

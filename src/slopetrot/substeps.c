@@ -12,6 +12,12 @@
    legs' foot targets, their projection onto the workspace, IK, the
    joints' lag, FK and the feet's motion for every step of the half cycle.
 
+   serve_half_cycle runs after the torso rows and their angles: per row,
+   the forward displacement, the standing, fall and done flags, whether
+   the row is a stance exchange and whether it completes the pending
+   contact capture. rewards is reward.compute_reward over a run of
+   steps.
+
    Neither reports an error: what they cannot compute comes out NaN. A
    world inertia with a zero pivot has a non-finite inverse, and a foot
    target IK rejects has NaN joints, whose feet make the state of the
@@ -34,9 +40,10 @@
      compiled without FMA contraction, its sums are left to right, and its
      comparisons are those of the Python conditionals, so NaN takes the
      same branches;
-   - sin, cos, sqrt, fmod, atan2 and acos are libm's, as math's are, and
-     numpy's sin, cos, sqrt and fmod equal them; atan2 takes math.atan2's
-     special cases for NaN, infinities and zeros. */
+   - sin, cos, sqrt, fmod, atan2, acos and exp are libm's, as math's are,
+     and numpy's sin, cos, sqrt and fmod equal them (numpy's exp does not:
+     it differs from math.exp in about 5 % of values); atan2 takes
+     math.atan2's special cases for NaN, infinities and zeros. */
 
 #include <float.h>
 #include <math.h>
@@ -650,5 +657,105 @@ void plan_half_cycle(const double *kin, const double *plan, long first, long cou
         }
         q_prev = q;
         before = foot;
+    }
+}
+
+/* The serve pass's constants, packed once by the environment: the fall's
+   clearance threshold and angle bound, StandingMonitor's window and
+   threshold, the steps of a half cycle and of an episode. */
+enum { FALL_CLEARANCE, FALL_ANGLE, WINDOW, THRESHOLD, STEPS_PER_HALF, EPISODE_LEN };
+
+/* The rows of flags serve_half_cycle writes, one byte per step. */
+enum { STANDING, FALL, DONE, EXCHANGE, CAPTURE, SERVE_FLAGS };
+
+/* What each of the count rows of block, the records of the steps from
+   step number first on, serves besides its record, as SlopedTerrainEnv's
+   step computed it one step at a time; roll and pitch are the rows' torso
+   angles.
+
+   positions holds the com x the steps served since reset, as
+   StandingMonitor keeps them: the window before the run, then the run's
+   rows. On entry the window before the previous run is followed by that
+   run, of which the first shift rows were served; the window is moved up
+   by shift and the run's com x follow it. Entries from before reset are
+   NaN, so a window not yet full never stands. A row's forward
+   displacement is its com x minus the one before, the first row's from
+   start, the record the run started from (an edited com included).
+
+   A row falls unless its clearance and both angles are within bounds,
+   which a NaN is not, and is done if it falls or ends the episode. A row
+   whose step ends a half cycle is an exchange: its stance pair, from
+   stances, becomes the pending capture's pair, which pending_a and
+   pending_b hold at the start (-1 for none). A row on which both feet of
+   the pending pair are in contact (a NaN entry counts, as it does for
+   Python's all()) completes the capture. */
+void serve_half_cycle(const double *serve, const double *start, const double *block,
+                      const double *roll, const double *pitch, const int64_t *stances,
+                      long first, long count, long shift, long pending_a, long pending_b,
+                      double *positions, double *dx, unsigned char *flags)
+{
+    const long window = (long)serve[WINDOW], per_half = (long)serve[STEPS_PER_HALF];
+    const long episode_len = (long)serve[EPISODE_LEN];
+    const double fall_clearance = serve[FALL_CLEARANCE], fall_angle = serve[FALL_ANGLE];
+    memmove(positions, positions + shift, window * sizeof *positions);
+    double before = start[COM];
+    for (long k = 0; k < count; k++) {
+        const double *record = block + RECORD * k;
+        const double x = record[COM];
+        const long after = first + k + 1; /* the step index once row k is served */
+        positions[window + k] = x;
+        dx[k] = x - before;
+        before = x;
+        const int fall = !(record[CLEARANCE] >= fall_clearance && fabs(roll[k]) <= fall_angle
+                           && fabs(pitch[k]) <= fall_angle);
+        const int exchange = after % per_half == 0;
+        if (exchange) {
+            pending_a = stances[2 * k];
+            pending_b = stances[2 * k + 1];
+        }
+        const int capture = pending_a >= 0 && record[IN_CONTACT + pending_a] != 0.0
+                            && record[IN_CONTACT + pending_b] != 0.0;
+        if (capture)
+            pending_a = pending_b = -1;
+        flags[STANDING * count + k] = fabs(x - positions[k]) < serve[THRESHOLD];
+        flags[FALL * count + k] = fall;
+        flags[DONE * count + k] = fall || after >= episode_len;
+        flags[EXCHANGE * count + k] = exchange;
+        flags[CAPTURE * count + k] = capture;
+    }
+}
+
+/* reward.RewardWeights' fields (TARGET_YAW and TARGET_HEIGHT are its
+   desired_yaw and desired_height), then the step length the forward
+   displacement is normalized by. */
+enum {
+    ROLL_WIDTH, PITCH_WIDTH, YAW_WIDTH, HEIGHT_WIDTH, FORWARD_WEIGHT, STANDING_PENALTY,
+    TARGET_YAW, TARGET_HEIGHT, MAX_STEP
+};
+
+/* reward.gaussian_kernel: (-width * x) * x, as Python groups it. */
+static double kernel(double width, double x)
+{
+    return exp(-width * x * x);
+}
+
+/* reward.compute_reward of count steps: inputs holds reward.RewardInputs'
+   eight fields, one row of count per field, the standing flag as 0 or
+   1. */
+void rewards(const double *weights, const double *inputs, long count, double *out)
+{
+    const double *torso_roll = inputs, *torso_pitch = inputs + count,
+                 *torso_yaw = inputs + 2 * count, *plane_roll = inputs + 3 * count,
+                 *plane_pitch = inputs + 4 * count, *height = inputs + 5 * count,
+                 *forward = inputs + 6 * count, *standing = inputs + 7 * count;
+    for (long k = 0; k < count; k++) {
+        double r = kernel(weights[ROLL_WIDTH], torso_roll[k] - plane_roll[k]);
+        r += kernel(weights[PITCH_WIDTH], torso_pitch[k] - plane_pitch[k]);
+        r += kernel(weights[YAW_WIDTH], torso_yaw[k] - weights[TARGET_YAW]);
+        r += kernel(weights[HEIGHT_WIDTH], height[k] - weights[TARGET_HEIGHT]);
+        r += weights[FORWARD_WEIGHT] * (forward[k] / weights[MAX_STEP]);
+        if (standing[k] != 0.0)
+            r -= weights[STANDING_PENALTY];
+        out[k] = r;
     }
 }

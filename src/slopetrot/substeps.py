@@ -1,5 +1,6 @@
-"""The compiled torso steps of each half cycle, and the compiled plan of
-each half cycle's leg kinematics.
+"""The compiled torso steps of each half cycle, the compiled plan of each
+half cycle's leg kinematics, and the compiled pass that serves each half
+cycle's rows.
 
 substeps.c's step_torso runs the torso through a run of control steps in
 one call: per step, its contact substeps, the inverse of the world
@@ -19,7 +20,13 @@ the end of the half cycle, with libm's atan2, acos, sin, cos, sqrt and
 fmod, which are math's: the bits of legkin's and gaitgen's float calls
 on each leg and step.
 
-Neither returns anything or raises. What they cannot compute comes out
+Its serve_half_cycle computes, after the torso rows and their angles,
+what each step of the half cycle serves besides its record: the forward
+displacement, the standing, fall and done flags, the stance exchange and
+the completed contact capture. Its rewards is reward.compute_reward's
+loop, with libm's exp, which is math's (numpy's exp is not).
+
+None of them returns anything or raises. What they cannot compute comes out
 NaN: a singular world inertia makes that step's state non-finite, and a
 foot target that legkin's IK rejects (where it raises Unreachable) gives
 NaN joints for that leg from that step on, and so a NaN state. The
@@ -86,28 +93,39 @@ def build(source: Path, out_dir: Path) -> Path:
 
 
 def _load():
-    """The kernel's step_torso and plan_half_cycle."""
+    """The kernel's step_torso, plan_half_cycle, serve_half_cycle and
+    rewards."""
     kernel = ctypes.CDLL(str(build(SOURCE, SOURCE.parent / "__pycache__")))
-    step = kernel.step_torso
-    step.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_long] + [ctypes.c_void_p] * 2
-                     + [ctypes.c_long, ctypes.c_void_p])
-    step.restype = None
-    plan = kernel.plan_half_cycle
-    plan.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 2 + [ctypes.c_void_p]
-    plan.restype = None
-    return step, plan
+    address, count = ctypes.c_void_p, ctypes.c_long
+    functions = []
+    for name, argtypes in (
+        ("step_torso", [address] * 3 + [count] + [address] * 2 + [count, address]),
+        ("plan_half_cycle", [address] * 2 + [count] * 2 + [address]),
+        ("serve_half_cycle", [address] * 6 + [count] * 5 + [address] * 3),
+        ("rewards", [address] * 2 + [count, address]),
+    ):
+        function = getattr(kernel, name)
+        function.argtypes, function.restype = argtypes, None
+        functions.append(function)
+    return functions
 
 
-# Both take the addresses of C-ordered arrays, float64 unless named, see
+# All take the addresses of C-ordered arrays, float64 unless named, see
 # substeps.c for their layouts. step_torso(episode, start, motion,
 # substeps, pushes, stances, rows, out) runs rows control steps from the
 # record start, with stances an int64 (rows, 2) array, and writes one
 # record per step to out. plan_half_cycle(kinematics, plan, first, count,
-# out) writes the plan of count steps to out.
-step_torso, plan_half_cycle = _load()
+# out) writes the plan of count steps to out. serve_half_cycle(serve,
+# start, block, roll, pitch, stances, first, count, shift, pending_a,
+# pending_b, positions, dx, flags) writes the count rows' forward
+# displacements to dx and their flags to the bool (5, count) flags.
+# rewards(weights, inputs, count, out) writes count rewards to out.
+step_torso, plan_half_cycle, serve_half_cycle, rewards = _load()
 # A step's record, RECORD floats: the state (com, vel, omega and the
 # row-major rotation) up to UP, the torso's unit up-axis, its clearance
 # and height, then per foot whether it is in contact, whether it has
 # touched since reset, and the world point the slope estimator takes.
 COM, VEL, OMEGA, ROT, UP, CLEARANCE, HEIGHT = 0, 3, 6, 9, 18, 21, 22
 IN_CONTACT, TOUCHED, POINTS, RECORD = 23, 27, 31, 43
+# The rows of serve_half_cycle's flags, SERVE_FLAGS of them.
+STANDING, FALL, DONE, EXCHANGE, CAPTURE, SERVE_FLAGS = range(6)

@@ -111,6 +111,12 @@ def ars_update(state: ArsIterationState, hp: ArsHyperparams) -> np.ndarray:
     hp.sigma_returns. When sigma_r collapses, or is NaN because a return in
     the set is not finite, the update is skipped and the state is flagged
     degenerate, so one failed rollout cannot turn theta into NaN.
+
+    A non-finite return outside that set is neither used nor flagged. With
+    sigma_returns="kept", a NaN return makes its direction's score NaN,
+    which ranks last, so unless every direction is kept the direction is
+    dropped and the update runs on the others. Counting such returns
+    belongs to the training log (ROADMAP item 7), not to this update.
     """
     b = hp.top()
     score = np.maximum(state.returns_pos, state.returns_neg)

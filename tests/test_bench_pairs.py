@@ -5,7 +5,8 @@ change wins at least 9 of 10 pairs and the medians differ by more than
 the parent's interquartile range. A --claim that names no known workload
 and metric is a usage error before any revision is exported. A run
 records the CPU seconds its processes used. A workload whose pairs show
-differing digests, a wrong result or failed operations is marked so."""
+differing digests, a wrong result or failed operations is marked so. Set-up
+probe pairs alternate their order and record both sides."""
 
 import importlib.util
 import json
@@ -170,8 +171,9 @@ def test_faults_are_marked_per_workload(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     assert bench_pairs.main(["p", "c", "--pr", "0"]) == 0
-    found = {w: entry["faults"] for w, entry in
-             json.loads((tmp_path / "BENCH_0.json").read_text())["workloads"].items()}
+    written = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert "setup_probes" not in written  # no --setup-pairs
+    found = {w: entry["faults"] for w, entry in written["workloads"].items()}
     assert found == {
         "train_desk": [],
         "eval_grid": ["DIGESTS DIFFER at seeds 3"],
@@ -184,3 +186,59 @@ def test_faults_are_marked_per_workload(tmp_path, monkeypatch, capsys):
              if line.split(":")[0] in found or line.strip() in marks]
     assert shown == [line for workload, faults in found.items()
                      for line in (f"{workload}: parent p, change c", *faults)]
+
+
+FAKE_SETUP = '''\
+import sys, time
+from pathlib import Path
+tree = Path(__file__).resolve().parent.parent
+time.sleep(float((tree / "delay").read_text()))
+with open({log!r}, "a") as fh:
+    print(tree.name, *(sys.argv[sys.argv.index(flag) + 1] for flag in ("--setup-probe", "--seed")),
+          file=fh)
+print("ready", flush=True)
+'''
+
+
+def test_setup_pairs_alternate_and_record_both_sides(tmp_path, monkeypatch):
+    # Each tree's fake run.py answers a set-up probe after its own delay,
+    # none in the parent and 0.3 s in the change, and logs the probe. Two
+    # pairs per workload run in alternating order, one seed per pair, and
+    # each side's probe times, median and quartiles are recorded.
+    spec = (bench_pairs.ROOT / "BENCHMARK.json").read_text()
+    log = tmp_path / "probes.log"
+
+    def export(rev, dest):
+        (dest / "perfbench").mkdir(parents=True)
+        (dest / "perfbench" / "README.md").write_text("")
+        (dest / "perfbench" / "run.py").write_text(FAKE_SETUP.format(log=str(log)))
+        (dest / "delay").write_text("0.0" if dest.name == "parent" else "0.3")
+        (dest / "BENCHMARK.json").write_text(spec)
+        return rev
+
+    def run_once(tree, workload, seed, trace):
+        return {"metrics": {m["name"]: {"value": 1.0} for m in json.loads(spec)["end_to_end"]},
+                "correct": True, "attempted": 1, "failed": 0, "digest": ("a", "fake"),
+                "cpu_s": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main(["p", "c", "--pr", "0", "--setup-pairs", "2"]) == 0
+    probes = json.loads((tmp_path / "BENCH_0.json").read_text())["setup_probes"]
+    assert list(probes) == list(bench_pairs.WORKLOADS)
+    for entry in probes.values():
+        assert len(entry["parent_runs"]) == len(entry["change_runs"]) == 2
+        assert entry["change_wins"] == "0/2"
+        assert max(entry["parent_runs"]) < 0.3 <= min(entry["change_runs"])
+        for side in ("parent", "change"):
+            assert entry[side]["q1"] <= entry[side]["median"] <= entry[side]["q3"]
+    assert log.read_text().splitlines() == [
+        f"{side} {workload} {seed}" for workload in bench_pairs.WORKLOADS
+        for side, seed in (("parent", 1), ("change", 1), ("change", 2), ("parent", 2))]
+
+
+def test_negative_setup_pairs_is_a_usage_error():
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["HEAD", "HEAD", "--pr", "0", "--setup-pairs", "-1"])
+    assert exit_.value.code == 2

@@ -31,14 +31,17 @@ from slopetrot import gaitgen, legkin
 from slopetrot.gaitgen import LEG_ORDER, ZERO_ACTION, LegAction
 from slopetrot.legkin import LegGeometry, Unreachable
 from slopetrot.policy import DEFAULT_SCALING, scale_clip_action
+from slopetrot.reward import (
+    RewardInputs, RewardWeights, StandingMonitor, compute_reward, gaussian_kernel,
+)
 from slopetrot.rotations import rot_x, rot_y, rot_z
 from slopetrot.simenv import (
     STANCE_PAIRS, PushEvent, RandomizationConfig, SimParams, SlopedTerrainEnv, TerrainPlane,
 )
 from slopetrot.slopeest import angles_from_normal, angles_from_unit_normal
 from slopetrot.substeps import (
-    CLEARANCE, COM, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, SOURCE, TOUCHED, UP, VEL, build,
-    step_torso,
+    CLEARANCE, COM, HEIGHT, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, SERVE_FLAGS, SOURCE,
+    STANDING, TOUCHED, UP, VEL, build, serve_half_cycle, step_torso,
 )
 
 SAMPLES = 2000
@@ -591,7 +594,8 @@ def test_compiled_tail_equals_python_tail(substeps):
         start = _state_record((s.com, s.vel, s.omega, s.rot),
                               np.concatenate((touched, points), axis=None))
         record = _one_step(env, start, motion, count, push_y, stance)
-        (theta_c,), (clearance_c,), (height_c,), _ = env._measure(record[None])
+        theta_c = tuple(angle.item() for angle in env._angles(record[None]))
+        clearance_c, height_c = record.item(CLEARANCE), record.item(HEIGHT)
         fast = (*_record_state(record), record[IN_CONTACT:TOUCHED] != 0.0,
                 record[POINTS:].reshape(4, 3), clearance_c, height_c, record[UP:CLEARANCE],
                 theta_c)
@@ -709,8 +713,147 @@ def test_reset_measures_the_spawn_pose_as_python_did(terrain):
             env, s.com, s.rot, s.feet_body, STANCE_PAIRS[0], [None] * 4)
         assert (env._record[IN_CONTACT:TOUCHED] != 0.0).tolist() == in_contact
         assert np.array_equal(env._record[POINTS:].reshape(4, 3), np.array(points))
-        assert env.log_row()["height"] == height
-        assert env._last_theta == theta
+        row = env.log_row()
+        assert row["height"] == height
+        assert (row["torso_roll"], row["torso_pitch"], row["torso_yaw"]) == theta
+
+
+def _former_reward(inputs, weights, max_step):
+    """compute_reward as the step computed it on Python floats: the four
+    kernels and the progress, summed in order, less the penalty."""
+    r = gaussian_kernel(weights.roll_width, inputs.torso_roll - inputs.plane_roll)
+    r += gaussian_kernel(weights.pitch_width, inputs.torso_pitch - inputs.plane_pitch)
+    r += gaussian_kernel(weights.yaw_width, inputs.torso_yaw - weights.desired_yaw)
+    r += gaussian_kernel(weights.height_width, inputs.height - weights.desired_height)
+    r += weights.forward_weight * (inputs.forward_disp / max_step)
+    if inputs.standing:
+        r -= weights.standing_penalty
+    return r
+
+
+def _with_specials(rng, values, p, specials=(math.nan, math.inf, -math.inf, 0.0, -0.0)):
+    """values with about one entry in 1/p replaced by a special value."""
+    values = np.array(values, dtype=float)
+    picks = rng.random(values.shape) < p
+    values[picks] = rng.choice(specials, size=int(picks.sum()))
+    return values
+
+
+def test_serve_pass_equals_the_former_step():
+    # The compiled pass that serves a half cycle's rows, and compute_reward
+    # over the run, against what the step computed one row at a time: a
+    # StandingMonitor fed each served com x, compute_reward's kernels on
+    # Python floats, the fall test written as "not (within bounds)", and
+    # the pending capture checked with all() on each row after an
+    # exchange has set its pair. The draws are runs from a latch or from
+    # mid half cycle (an edit), some cut by the episode's end, after 0 to
+    # 150 served steps whose window the pass moves up by the rows the last
+    # run served, with NaN, infinite and signed-zero angles, heights,
+    # clearances and com x, and NaN contact flags, which all() counts as
+    # touching.
+    envs = [SlopedTerrainEnv(sim=SimParams(episode_len=length)) for length in (400, 230, 57)]
+    monitor_defaults = StandingMonitor()
+    window = monitor_defaults.window
+    seen = Counter()
+
+    def forms(rng):
+        env = envs[int(rng.integers(len(envs)))]
+        per_half, length = env.steps_per_half, env.sim.episode_len
+        fall_clearance = env.sim.fall_height_frac * env.gait.desired_height
+        fall_angle = env.sim.fall_angle
+        first = int(rng.integers(length))
+        if rng.random() < 0.7:
+            first -= first % per_half
+        count = min(per_half - first % per_half, length - first)
+
+        # The com x of the served steps so far (x0 the spawn's), then the
+        # run's rows: steps of a millimetre, some of several centimetres.
+        pushes = int(rng.integers(150))
+        moves = rng.normal(scale=1e-3, size=pushes + count)
+        moves[rng.random(moves.shape) < 0.03] = rng.choice((-0.05, 0.05))
+        xs = _with_specials(rng, np.cumsum(np.concatenate(([0.0], moves))), 0.003)
+        monitor = StandingMonitor()
+        monitor.reset(xs[0].item())
+        for x in xs[1:pushes + 1].tolist():
+            monitor.push(x)
+        shift = int(rng.integers(1, per_half + 1))
+        positions = rng.normal(size=window + per_half)
+        positions[shift:shift + window] = [xs[p] if p >= 0 else math.nan
+                                           for p in range(pushes + 1 - window, pushes + 1)]
+
+        block = rng.normal(size=(count, RECORD))
+        block[:, COM] = xs[pushes + 1:]
+        clearance = fall_clearance + rng.normal(scale=0.01, size=count)
+        clearance[rng.random(count) < 0.05] = fall_clearance
+        block[:, CLEARANCE] = _with_specials(rng, clearance, 0.02)
+        block[:, HEIGHT] = _with_specials(
+            rng, env.reward_weights.desired_height + rng.normal(scale=0.03, size=count), 0.03)
+        block[:, IN_CONTACT:TOUCHED] = rng.choice((0.0, -0.0, 1.0, 1.0, 1.0, math.nan),
+                                                  size=(count, 4))
+        angles = rng.normal(scale=0.6 * fall_angle, size=(3, count))
+        angles[rng.random((3, count)) < 0.03] = fall_angle * rng.choice((-1.0, 1.0))
+        roll, pitch, yaw = _with_specials(rng, angles, 0.02)
+        start = rng.normal(size=RECORD)
+        start[COM] = xs[pushes] + (0.0 if rng.random() < 0.8 else rng.normal(scale=0.05))
+        pending = (STANCE_PAIRS[int(rng.integers(2))],) if rng.random() < 0.4 else ()
+        stances = env._stances[first % len(env._stances):][:count]
+        weights = env.reward_weights if rng.random() < 0.5 else RewardWeights(
+            *rng.uniform(1.0, 1000.0, size=4), *rng.uniform(0.1, 5.0, size=2),
+            *rng.normal(scale=0.2, size=2))
+        max_step = env.max_step_per_control * rng.uniform(0.5, 2.0)
+        plane_roll, plane_pitch = rng.normal(scale=0.2, size=2).tolist()
+
+        dx = np.empty(count)
+        flags = np.empty((SERVE_FLAGS, count), dtype=bool)
+        serve_half_cycle(env._serve.ctypes.data, start.ctypes.data, block.ctypes.data,
+                         roll.ctypes.data, pitch.ctypes.data, stances.ctypes.data, first, count,
+                         shift, *(pending[0] if pending else (-1, -1)), positions.ctypes.data,
+                         dx.ctypes.data, flags.ctypes.data)
+        rewards = compute_reward(RewardInputs(roll, pitch, yaw, plane_roll, plane_pitch,
+                                              block[:, HEIGHT], dx, flags[STANDING]),
+                                 weights, max_step)
+
+        reference, one_step = [], []
+        before, incoming = start.item(COM), pending[0] if pending else ()
+        for k, record in enumerate(block.tolist()):
+            x, after = record[COM], first + k + 1
+            forward, before = x - before, x
+            exchange = after % per_half == 0
+            if exchange:
+                incoming = STANCE_PAIRS[after // per_half % 2]
+            capture = bool(incoming) and all(record[IN_CONTACT + i] for i in incoming)
+            if capture:
+                incoming = ()
+            standing = monitor.push(x)
+            r, p, y = roll[k].item(), pitch[k].item(), yaw[k].item()
+            inputs = RewardInputs(r, p, y, plane_roll, plane_pitch, record[HEIGHT], forward,
+                                  standing)
+            fall = not (record[CLEARANCE] >= fall_clearance and abs(r) <= fall_angle
+                        and abs(p) <= fall_angle)
+            reference.append((_former_reward(inputs, weights, max_step), forward, standing,
+                              fall, fall or after >= length, exchange, capture))
+            one_step.append(compute_reward(inputs, weights, max_step))
+            seen["capture_on_exchange"] += capture and exchange
+            seen["standing"] += standing
+            seen["fall"] += fall
+        seen["cut"] += count < per_half - first % per_half
+        seen["edited"] += first % per_half != 0
+        seen["nan_contact"] += bool(np.isnan(block[:, IN_CONTACT:TOUCHED]).any())
+        seen["nan_reward"] += bool(np.isnan(rewards).any())
+        seen["done"] += reference[-1][4]
+        former, forward, *reference_flags = zip(*reference)
+        return ((_nan_canonical_bits(rewards), _nan_canonical_bits(one_step),
+                 _nan_canonical_bits(dx), flags),
+                (_nan_canonical_bits(former), _nan_canonical_bits(former),
+                 _nan_canonical_bits(forward), np.array(reference_flags, dtype=bool)))
+
+    rng = np.random.default_rng(0)
+    for draw in range(SAMPLES):
+        fast, reference = forms(rng)
+        assert all(np.array_equal(f, r) for f, r in zip(fast, reference, strict=True)), draw
+    assert min(seen[k] for k in ("capture_on_exchange", "cut", "edited")) > 20, seen
+    assert min(seen[k] for k in ("nan_contact", "nan_reward", "done")) > 100, seen
+    assert seen["standing"] > 2000 and seen["fall"] > 2000, seen
 
 
 def test_singular_inertia_is_a_fall():

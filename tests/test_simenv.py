@@ -747,6 +747,23 @@ class TestEditsBetweenSteps:
         _steps(env, 120, WALK)
         assert calls == ["plan_half_cycle", "step_torso"] * 3
 
+    def test_one_reward_call_per_half_cycle(self, monkeypatch):
+        # The latch computes the rewards of the whole half cycle in one
+        # call, and the later steps of an unedited half cycle serve them.
+        from slopetrot import simenv
+
+        calls = []
+
+        def counted(*args):
+            calls.append(np.size(args[0].torso_roll))
+            return simenv_reward(*args)
+
+        simenv_reward = simenv.compute_reward
+        monkeypatch.setattr(simenv, "compute_reward", counted)
+        env = _walking_env()
+        _steps(env, 120, WALK)
+        assert calls == [env.steps_per_half] * 3
+
 
 class TestExchangeAndLogging:
     def test_exchange_every_half_cycle(self):

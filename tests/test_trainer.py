@@ -73,6 +73,24 @@ class TestArsUpdate:
         assert state.degenerate
         assert np.array_equal(new_theta, theta)
 
+    def test_nan_return_outside_the_kept_directions_is_dropped_unflagged(self):
+        # With the default sigma_returns="kept", 8 of 16 directions kept, a
+        # NaN return ranks its direction last: the update runs on the other
+        # directions, as if that one had scored lowest, and the iteration is
+        # not flagged. Counting such returns is ROADMAP item 7's job.
+        hp = ArsHyperparams()
+        rng = np.random.default_rng(3)
+        theta, deltas = rng.normal(size=6), rng.normal(size=(16, 6))
+        returns_pos, returns_neg = rng.normal(size=16), rng.normal(size=16)
+        returns_pos[5] = np.nan
+        state = make_state(theta, deltas, returns_pos, returns_neg)
+        new_theta = ars_update(state, hp)
+        assert state.degenerate is False
+        assert np.isfinite(new_theta).all()
+        returns_pos[5] = returns_neg[5] = -1e9
+        assert np.array_equal(new_theta,
+                              ars_update(make_state(theta, deltas, returns_pos, returns_neg), hp))
+
     def test_sign_symmetry(self):
         hp = ArsHyperparams(num_directions=4, top_directions=2)
         rng = np.random.default_rng(0)

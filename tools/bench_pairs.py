@@ -1,7 +1,8 @@
 """Compare two revisions on the benchmark in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --pr N
-        [--claim WORKLOAD:METRIC] [--trace-seed S] [--note TEXT] [--seeds-note TEXT]
+        [--claim WORKLOAD:METRIC] [--trace-seed S] [--setup-pairs K]
+        [--note TEXT] [--seeds-note TEXT]
 
 Run from the repository root. Each revision is exported with `git archive`
 into its own temporary directory, so both run the same way from committed
@@ -9,7 +10,13 @@ files. For each of the three workloads, pair i (seed i, i = 1..10) runs
 `perfbench/run.py --workload W --seed i --seconds 20 --trace 0` once in
 each tree, the parent first in odd pairs and the change first in even
 ones. With --trace-seed, each tree also runs one traced round per workload
-at that seed for the per-layer metrics.
+at that seed for the per-layer metrics. With --setup-pairs K, each
+workload's pairs are followed by K alternating pairs of single set-up
+probes, `perfbench/run.py --setup-probe W --seed i`: the wall time from
+starting a fresh interpreter to its "ready" line, one of the five probes
+whose median the benchmark reports as setup_s. Their medians and
+quartiles per side go under setup_probes, reported and not gated: 5
+probes per run spread too widely to tell a few percent of set-up time.
 
 Prints each side's median, quartiles and the change's win count per
 end-to-end metric, and writes BENCH_<N>.json in the schema of
@@ -46,6 +53,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +101,22 @@ def run_once(tree: Path, workload: str, seed: int, trace: bool) -> dict:
     result["cpu_s"] = ((after.ru_utime - before.ru_utime)
                        + (after.ru_stime - before.ru_stime))
     return result
+
+
+def setup_probe(tree: Path, workload: str, seed: int) -> float:
+    """Seconds from starting `perfbench/run.py --setup-probe` in tree to
+    its "ready" line, as the benchmark times each of setup_s's probes."""
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "perfbench/run.py", "--setup-probe", workload,
+                           "--seed", str(seed)], cwd=tree, stdout=subprocess.PIPE,
+                          text=True) as proc:
+        line = proc.stdout.readline()
+        elapsed = time.perf_counter() - start
+        proc.stdout.read()
+    if line.strip() != "ready" or proc.returncode != 0:
+        sys.exit(f"error: set-up probe of {workload} seed {seed} in {tree} failed "
+                 f"(exit code {proc.returncode})")
+    return elapsed
 
 
 def summary(runs) -> dict:
@@ -185,9 +209,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--trace-seed", type=int, help="seed of one traced run per side")
+    parser.add_argument("--setup-pairs", type=int, default=0,
+                        help="alternating pairs of single set-up probes per workload")
     parser.add_argument("--note", default="", help="machine note recorded in the output")
     parser.add_argument("--seeds-note", default="", help="which seeds the change was written on")
     args = parser.parse_args(argv)
+    if args.setup_pairs < 0:
+        parser.error("--setup-pairs must be >= 0")
     if args.claim is not None:
         # Checked before the runs, which take over half an hour.
         claim_workload, _, claim_metric = args.claim.partition(":")
@@ -212,6 +240,7 @@ def main(argv=None) -> int:
             "command": COMMAND,
             "workloads": {},
             "per_layer_traced": {},
+            "setup_probes": {},
             "results_checksum": {"digests": {}},
         }
         for workload in WORKLOADS:
@@ -260,6 +289,14 @@ def main(argv=None) -> int:
                     "metrics": {k: {s: traced[s]["metrics"][k]["value"] for s in traced}
                                 for k in traced["change"]["metrics"]},
                 }
+            if args.setup_pairs:
+                probes = {"parent": [], "change": []}
+                for i in range(args.setup_pairs):
+                    seed = SEEDS[i % len(SEEDS)]
+                    for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                        probes[side].append(setup_probe(trees[side], workload, seed))
+                out["setup_probes"][workload] = describe(probes["parent"], probes["change"],
+                                                         "lower")
             print(f"\n{workload}: parent {sides['parent']}, change {sides['change']}")
             for name, cmp_ in metrics.items():
                 p, c = cmp_["parent"], cmp_["change"]
@@ -271,6 +308,13 @@ def main(argv=None) -> int:
             cpu = out["workloads"][workload]["cpu_s"]
             print(f"  {'cpu_s':16s} parent {cpu['parent']['median']:.4g}"
                   f"  change {cpu['change']['median']:.4g}  (reported, not gated)")
+            if workload in out["setup_probes"]:
+                probe = out["setup_probes"][workload]
+                print(f"  {'setup probes':16s} parent {probe['parent']['median']:.4g}"
+                      f" [{probe['parent']['q1']:.4g}, {probe['parent']['q3']:.4g}]"
+                      f"  change {probe['change']['median']:.4g}"
+                      f" [{probe['change']['q1']:.4g}, {probe['change']['q3']:.4g}]"
+                      f"  over {args.setup_pairs} pairs (reported, not gated)")
             for fault in out["workloads"][workload]["faults"]:
                 print(f"  {fault}")
         if args.claim is not None:
@@ -278,8 +322,9 @@ def main(argv=None) -> int:
                 out["workloads"][claim_workload]["metrics"][claim_metric],
                 claim_workload, claim_metric, sides, args.seeds_note)
             print(f"\nclaim {args.claim}: met = {out['claim']['met']}")
-        if not out["per_layer_traced"]:
-            del out["per_layer_traced"]
+        for optional in ("per_layer_traced", "setup_probes"):
+            if not out[optional]:
+                del out[optional]
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path.name}")
