@@ -673,11 +673,12 @@ enum { STANDING, FALL, DONE, EXCHANGE, CAPTURE, SERVE_FLAGS };
    step computed it one step at a time; roll and pitch are the rows' torso
    angles.
 
-   positions holds the com x the steps served since reset, as
-   StandingMonitor keeps them: the window before the run, then the run's
-   rows. On entry the window before the previous run is followed by that
-   run, of which the first shift rows were served; the window is moved up
-   by shift and the run's com x follow it. Entries from before reset are
+   positions, WINDOW + STEPS_PER_HALF floats, holds the com x the steps
+   served since reset, as StandingMonitor keeps them: the window before
+   the run, then the run's rows. On entry the window before the previous
+   run is followed by that run, of which the first shift rows were served;
+   the window moves forward past those rows and the run's com x follow
+   it. Entries from before reset are
    NaN, so a window not yet full never stands. A row's forward
    displacement is its com x minus the one before, the first row's from
    start, the record the run started from (an edited com included).
