@@ -101,7 +101,8 @@ def _load_run_config(args) -> config_mod.RunConfig:
 
     Building the run's environment here checks the settings that clash
     only across sections (gait period against time step, stance height
-    against leg geometry), so they fail before any output is written.
+    against leg geometry), so they fail before any output is written. The
+    run's episodes in this process then reuse it (see trainer.bundle_env).
     """
     cfg = config_mod.RunConfig()
     if args.config:
@@ -113,7 +114,7 @@ def _load_run_config(args) -> config_mod.RunConfig:
             raise config_mod.ConfigFileError(f"--set needs SEC.KEY=VAL, got {setting!r}")
         key, _, value = setting.partition("=")
         cfg = config_mod.apply_setting(cfg, key.strip(), value)
-    cfg.bundle().make_env()
+    trainer.bundle_env(cfg.bundle())
     return cfg
 
 
@@ -244,7 +245,7 @@ def cmd_rollout(args) -> int:
     else:
         matrix = trainer.fit_guided(bundle, cfg.rand, cfg.run.master_seed, cfg.train).matrix
 
-    env = bundle.make_env()
+    env = trainer.bundle_env(bundle)
     seed = derive_seed(cfg.run.master_seed, trainer._ROLLOUT_CLI_STREAM)
     obs = env.reset(terrain=terrain, rand=cfg.rand_without_pushes(), seed=seed)
     push_note = "none"

@@ -81,17 +81,34 @@ def compute_reward(inputs: RewardInputs, weights: RewardWeights, max_step: float
     """
     if max_step <= 0.0:
         raise ValueError("max_step must be > 0")
-    steps = np.shape(inputs.torso_roll)
-    columns = np.empty((len(inputs), *steps))
+    steps, fields = np.shape(inputs.torso_roll), len(inputs)
+    # The input columns, then the rewards: one array, one address.
+    columns = np.empty((fields + 1, *steps))
     for field, values in enumerate(inputs):
         columns[field] = values
-    out = np.empty(steps)
-    w = weights
-    constants = np.array((w.roll_width, w.pitch_width, w.yaw_width, w.height_width,
-                          w.forward_weight, w.standing_penalty, w.desired_yaw,
-                          w.desired_height, max_step))
-    rewards(constants.ctypes.data, columns.ctypes.data, out.size, out.ctypes.data)
-    return out if steps else out.item()
+    size, address = columns[0].size, columns.ctypes.data
+    rewards(_constants(weights, max_step), address, size, address + 8 * fields * size)
+    return columns[fields] if steps else columns.item(fields)
+
+
+# The constants of the last weights and max_step the reward loop read,
+# and their address: a run of episodes reads the same ones.
+_packed = (None, None, None, 0)
+
+
+def _constants(weights: RewardWeights, max_step: float) -> int:
+    """The address of weights' fields and max_step in the order the
+    compiled loop reads them."""
+    global _packed
+    last, last_step, _, address = _packed
+    if weights is not last or max_step != last_step:
+        w = weights
+        constants = np.array((w.roll_width, w.pitch_width, w.yaw_width, w.height_width,
+                              w.forward_weight, w.standing_penalty, w.desired_yaw,
+                              w.desired_height, max_step))
+        address = constants.ctypes.data
+        _packed = (weights, max_step, constants, address)
+    return address
 
 
 class StandingMonitor:

@@ -25,9 +25,9 @@ from .gaitgen import LEG_ORDER, GaitParams
 from .policy import CHANNELS, build_observation
 from .reward import RewardInputs, RewardWeights, StandingMonitor, compute_reward
 from .rotations import rot_z
-from .slopeest import ContactSnapshot, SlopeEstimator, angles_from_normal
+from .slopeest import CaptureBuffer, SlopeEstimator, angles_from_normal
 from .substeps import (
-    COM, HEIGHT, OMEGA, POINTS, RECORD, ROT, SERVE_FLAGS, STANDING, TOUCHED, UP, VEL,
+    COM, HEIGHT, OMEGA, RECORD, ROT, SERVE_FLAGS, STANDING, TOUCHED, UP, VEL, capture_plane,
     plan_half_cycle, serve_half_cycle, step_torso,
 )
 
@@ -255,7 +255,9 @@ class SlopedTerrainEnv:
     """Episode loop producing (observation, reward, done, info); run()
     drives a whole episode from a controller.
 
-    One instance is single-owner: create one per rollout worker.
+    One instance is single-owner. A process reuses one for all its
+    episodes of the same settings (see trainer.bundle_env): reset fixes
+    everything an episode computes, so what ran before does not matter.
     """
 
     def __init__(
@@ -301,10 +303,13 @@ class SlopedTerrainEnv:
             *(v for edge in geometry._edges for v in edge),
         ))
         self._kinematics_address = self._kinematics.ctypes.data
-        # The plan's inputs: the latched actions, then the joints and feet
-        # before the half cycle.
+        # The plan's inputs: the latched actions, which latched writes, then
+        # the joints and feet before the half cycle.
         self._plan_in = np.zeros(44)
         self._plan_in_address = self._plan_in.ctypes.data
+        self._latched = None
+        # The legs' posture at spawn, the same at every reset.
+        self._spawn = self._spawn_posture()
         # The record the compiled torso steps start from (see substeps.c):
         # the state and the feet's contact memory.
         self._start = np.zeros(RECORD)
@@ -313,6 +318,7 @@ class SlopedTerrainEnv:
         # two half cycles: the pair of the half cycle the step ends in.
         self._stances = np.array([STANCE_PAIRS[(i + 1) // steps % 2] for i in range(2 * steps)],
                                  dtype=np.int64)
+        self._stances_address = self._stances.ctypes.data
         # Largest possible forward displacement per control step, used to
         # normalize the progress reward: top speed is one max step per half
         # cycle.
@@ -336,6 +342,9 @@ class SlopedTerrainEnv:
         self._positions_address = self._positions.ctypes.data
 
         self._estimator = SlopeEstimator(smoothing=self.sim.estimator_smoothing)
+        # What the compiled contact capture writes (see
+        # substeps.capture_plane).
+        self._captured = CaptureBuffer()
         # Torso orientation at the last three policy steps, oldest first.
         self._theta_hist = deque(maxlen=3)
         self.state: SimState | None = None
@@ -396,13 +405,16 @@ class SlopedTerrainEnv:
         ))
         self._episode_address = self._episode.ctypes.data
         self._kinematics[:3] = self.com_offset_body  # the plan's com offset
+        # The plane-aligned rotation: bx, n x bx and n as columns. The
+        # cross product is np.cross's, written out on floats.
         bx = np.array([1.0, 0.0, 0.0]) - n[0] * n
-        bx = bx / np.linalg.norm(bx)
-        rot = np.column_stack((bx, np.cross(n, bx), n))
+        bx = bx / math.sqrt(bx.dot(bx))
+        (a0, a1, a2), (b0, b1, b2) = n.tolist(), bx.tolist()
+        rot = np.column_stack((bx, (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), n))
 
         body_origin = self.gait.desired_height * n
         self.latched = (gaitgen.ZERO_ACTION,) * 4
-        joints, feet_body = self._spawn_posture()
+        joints, feet_body = (a.copy() for a in self._spawn)
         self.state = SimState(
             com=body_origin + rot @ self.com_offset_body,
             rot=rot,
@@ -421,9 +433,15 @@ class SlopedTerrainEnv:
         # step. The state arrays stay the caller's to edit: the first step
         # reads them. Its one row is what log_row serves until then.
         offsets = feet_body - self.com_offset_body
-        self.state._block = block = self._advance(offsets.ctypes.data, 0, self._stances[-1:], 0.0)
-        theta = tuple(float(a[0]) for a in self._angles(block))
-        self._rows = [(theta, block.item(0, HEIGHT), 0.0, 0.0) + (False,) * SERVE_FLAGS]
+        block = np.empty(RECORD + 1)
+        self._advance(offsets.ctypes.data, 0, len(self._stances) - 1, 0.0, block,
+                      block.ctypes.data)
+        block.flags.writeable = False
+        self.state._block = block = block[None, :RECORD]
+        self._rows = [(0.0,) + (False,) * SERVE_FLAGS]
+        self._measured = (*(a.tolist() for a in self._angles(block)), [block.item(0, HEIGHT)],
+                          [0.0])
+        theta = tuple(values[0] for values in self._measured[:3])
         self._first = 0
         # The standing window: the spawn com x, and NaN before it.
         self._positions.fill(math.nan)
@@ -441,6 +459,19 @@ class SlopedTerrainEnv:
         self._obs = build_observation(self._theta_hist, self._estimator.estimate)
         self._obs.flags.writeable = False
         return self._obs
+
+    @property
+    def latched(self) -> tuple:
+        """The actions latched for the current half cycle, one LegAction
+        per leg in LEG_ORDER. Latching writes them into the plan's inputs,
+        where every plan of the half cycle reads them."""
+        return self._latched
+
+    @latched.setter
+    def latched(self, actions) -> None:
+        actions = tuple(actions)
+        self._plan_in[:20] = [v for action in actions for v in action]
+        self._latched = actions
 
     def set_push(self, start_step: int, stop_step: int, force_y: float) -> None:
         """Override the sampled push with a scripted one (CLI rollouts).
@@ -469,16 +500,25 @@ class SlopedTerrainEnv:
             feet.append(legkin.forward_kinematics(q, geometry))
         return np.array(joints), self._hips + np.array(feet)
 
-    def _plan_half_cycle(self) -> tuple:
+    def _run_length(self) -> int:
+        """The control steps from this one to the end of its half cycle, or
+        of the episode; one for a step index at or past the episode's end,
+        whose one step ends it."""
+        index = self.state.step_index
+        return max(min(self.steps_per_half - index % self.steps_per_half,
+                       self.sim.episode_len - index), 1)
+
+    def _plan_half_cycle(self, out: np.ndarray | None = None, address: int = 0) -> tuple:
         """The kinematics of every control step from this one to the end of
-        its half cycle (or of the episode), which the latched actions fix,
-        in one compiled call (see substeps.c): joints and body-frame feet
-        after the step, and the feet's motion that the compiled torso
-        steps read, one C-ordered (substeps + 2, 4, 3) block per step: the
-        feet minus com after the step, the feet's rate, then the feet minus
-        com at the end of each contact substep, all in the body frame. Row
-        k belongs to the step k steps after this one. The arrays are
-        read-only.
+        its half cycle (or of the episode, see _run_length), which the
+        latched actions fix, in one compiled call (see substeps.c): joints
+        and body-frame feet after the step, and the feet's motion that the
+        compiled torso steps read, one C-ordered (substeps + 2, 4, 3) block
+        per step: the feet minus com after the step, the feet's rate, then
+        the feet minus com at the end of each contact substep, all in the
+        body frame. Row k belongs to the step k steps after this one. They
+        are written to the front of out, whose data starts at address, or
+        to a fresh read-only array.
 
         Each element has the bits of the public kinematics' calls on the
         same target: libm's atan2, acos, sin, cos, sqrt and fmod are
@@ -487,66 +527,73 @@ class SlopedTerrainEnv:
         their joints are NaN, for that leg from that row on, which makes
         the state NaN, and the step counts that as a fall."""
         s, sim = self.state, self.sim
-        count = min(self.steps_per_half - s.step_index % self.steps_per_half,
-                    sim.episode_len - s.step_index)
-        np.concatenate((self.latched, s.joints, s.feet_body), axis=None, out=self._plan_in)
-        # Fresh arrays: the state's joints and feet are views into them.
-        out = np.empty(count * (sim.substeps + 4) * 12)
-        plan_half_cycle(self._kinematics_address, self._plan_in_address, s.step_index + 1, count,
-                        out.ctypes.data)
-        out.flags.writeable = False
+        count = self._run_length()
+        np.concatenate((s.joints, s.feet_body), axis=None, out=self._plan_in[20:])
         rows = count * 12
+        if out is None:
+            out = np.empty(rows * (sim.substeps + 4))
+            address = out.ctypes.data
+            out.flags.writeable = False
+        plan_half_cycle(self._kinematics_address, self._plan_in_address, s.step_index + 1, count,
+                        address)
         return (out[:rows].reshape(count, 4, 3), out[rows:2 * rows].reshape(count, 4, 3),
-                out[2 * rows:].reshape(count, sim.substeps + 2, 4, 3))
+                out[2 * rows:(sim.substeps + 4) * rows].reshape(count, sim.substeps + 2, 4, 3))
 
-    def _advance(self, motion: int, substeps: int, stances: np.ndarray, memory) -> np.ndarray:
-        """Advance the torso from the state and the contact memory memory
-        (the touched flags and points of a record) through len(stances)
-        control steps in one compiled call, the first of them step number
-        state.step_index, and return their records (see substeps.py): one
-        read-only row per step. A step whose world inertia is singular, or
-        whose feet motion is NaN, has a non-finite state, and so have the
-        steps after it.
+    def _advance(self, motion: int, substeps: int, stance: int, memory, out: np.ndarray,
+                 address: int) -> None:
+        """Advance the torso through count control steps in one compiled
+        call, the first of them step number state.step_index. out, whose
+        data start at address, holds count * (RECORD + 1) floats: the
+        steps' records (see substeps.py) go to its front, and each step's
+        push force from the push window after them. A step whose world
+        inertia is singular, or whose feet motion is NaN, has a non-finite
+        state, and so have the steps after it.
 
-        Each step runs substeps contact substeps, re-orthonormalizes the
+        The steps start from the state and the contact memory memory (the
+        touched flags and points of a record) when the state's arrays were
+        assigned since the last step, or from the record last served.
+        Each runs substeps contact substeps, re-orthonormalizes the
         rotation, updates the feet's contact memory and measures the
         torso's unit up-axis, its clearance above the plane (com @ n) and
         its height along the normal above the lower of its stance pair,
-        the step's row of stances. motion is the address of the steps'
-        blocks of feet motion (see _plan_half_cycle); each step's push
-        force comes from the push window. With substeps 0 the block holds
-        only the feet minus com, and the state is measured without moving
-        it.
+        the stance table's row stance and on. motion is the address of the
+        steps' blocks of feet motion (see _plan_half_cycle). With
+        substeps 0 the block holds only the feet minus com, and the state
+        is measured without moving it.
 
         substeps.c keeps the bits of numpy's calls and Python's float
         arithmetic: it computes each product and the inverse in the
         rounding order of the OpenBLAS kernels numpy calls, and compiles
         its scalar code without FMA contraction in Python's operand
         order."""
-        s = self.state
-        np.concatenate((s.com, s.vel, s.omega, s.rot), axis=None, out=self._start[:UP])
-        self._start[TOUCHED:] = memory
-        count = len(stances)
-        pushes = np.zeros(count)
+        s, start = self.state, self._start
+        if s._assigned:
+            np.concatenate((s.com, s.vel, s.omega, s.rot), axis=None, out=start[:UP])
+            start[TOUCHED:] = memory
+        else:
+            start[:] = s._block[s._row]
+        count = len(out) // (RECORD + 1)
+        pushes = out[count * RECORD:]
+        pushes.fill(0.0)
         push = self.push
         if push is not None:
             pushes[max(push.start_step - s.step_index, 0):
                    max(push.stop_step - s.step_index, 0)] = push.force_y
-        block = np.empty((count, RECORD))
         step_torso(self._episode_address, self._start_address, motion, substeps,
-                   pushes.ctypes.data, stances.ctypes.data, count, block.ctypes.data)
-        block.flags.writeable = False
-        return block
+                   address + 8 * count * RECORD,
+                   self._stances_address + stance * self._stances.strides[0], count, address)
 
     @staticmethod
-    def _angles(block: np.ndarray) -> tuple:
-        """The records' torso roll, pitch and yaw, three arrays. They are
-        numpy's arctan2 and arcsin over the whole block, whose bits the
-        goldens hold: they equal the calls on each record's floats, though
-        they may round differently from libm's."""
+    def _angles(block: np.ndarray, out: np.ndarray | None = None) -> tuple:
+        """The records' torso roll, pitch and yaw, three arrays, the rows of
+        out if given. They are numpy's arctan2 and arcsin over the whole
+        block, whose bits the goldens hold: they equal the calls on each
+        record's floats, though they may round differently from libm's."""
         ux, uy, uz, r10, r00 = block.T[[UP, UP + 1, UP + 2, ROT + 3, ROT]]
-        return (np.arctan2(uy, uz), -np.arcsin(np.minimum(np.maximum(ux, -1.0), 1.0)),
-                np.arctan2(r10, r00))
+        roll, pitch, yaw = (None,) * 3 if out is None else out
+        pitch = np.arcsin(np.minimum(np.maximum(ux, -1.0), 1.0), out=pitch)
+        return (np.arctan2(uy, uz, out=roll), np.negative(pitch, out=pitch),
+                np.arctan2(r10, r00, out=yaw))
 
     @property
     def _record(self) -> np.ndarray:
@@ -561,33 +608,51 @@ class SlopedTerrainEnv:
         state's rows, and per step its torso angles, height, forward
         displacement, reward and flags (see substeps.serve_half_cycle),
         the rewards in one compute_reward call. The standing window moves
-        past the rows the steps of the last run served."""
-        s = self.state
+        past the rows the steps of the last run served.
+
+        Everything the run computes goes into one fresh array, whose
+        address is looked up once: the plan, the records, the push forces,
+        the angles, the forward displacements and the flags. It is
+        read-only once they are written, and so are the views of it the
+        state hands out."""
+        s, substeps = self.state, self.sim.substeps
         served = s._row + 1
-        memory = self._record[TOUCHED:]
-        joints, feet, motion = self._plan_half_cycle()
+        count = self._run_length()
+        plan = count * (substeps + 4) * 12
+        rows = plan + count * RECORD
+        buf = np.empty(rows + 6 * count + (SERVE_FLAGS * count + 7) // 8)
+        base = buf.ctypes.data
+        self._plan_half_cycle(buf, base)
         first = s._step_index
-        i = first % len(self._stances)
-        stances = self._stances[i:i + len(joints)]
-        block = self._advance(motion.ctypes.data, self.sim.substeps, stances, memory)
-        roll, pitch, yaw = self._angles(block)
-        count = len(block)
-        dx = np.empty(count)
-        flags = np.empty((SERVE_FLAGS, count), dtype=bool)
-        serve_half_cycle(self._serve_address, self._start_address, block.ctypes.data,
-                         roll.ctypes.data, pitch.ctypes.data, stances.ctypes.data, first, count,
+        stance = first % len(self._stances)
+        block = buf[plan:rows].reshape(count, RECORD)
+        self._advance(base + 8 * count * 24, substeps, stance, self._record[TOUCHED:],
+                      buf[plan:rows + count], base + 8 * plan)
+        angles = buf[rows + count:rows + 4 * count].reshape(3, count)
+        roll, pitch, yaw = self._angles(block, angles)
+        dx = buf[rows + 4 * count:rows + 5 * count]
+        flags = buf[rows + 5 * count:].view(np.bool_)[:SERVE_FLAGS * count].reshape(
+            SERVE_FLAGS, count)
+        serve_half_cycle(self._serve_address, self._start_address, base + 8 * plan,
+                         base + 8 * (rows + count), base + 8 * (rows + 2 * count),
+                         self._stances_address + stance * self._stances.strides[0], first, count,
                          served, *(self._incoming or (-1, -1)), self._positions_address,
-                         dx.ctypes.data, flags.ctypes.data)
+                         base + 8 * (rows + 4 * count), base + 8 * (rows + 5 * count))
+        buf.flags.writeable = False
         height = block[:, HEIGHT]
         rewards = compute_reward(
             RewardInputs(roll, pitch, yaw, self.plane_roll, self.plane_pitch, height, dx,
                          flags[STANDING]),
             self.reward_weights, self.max_step_per_control)
-        self._rows = list(zip(zip(roll.tolist(), pitch.tolist(), yaw.tolist()), height.tolist(),
-                              dx.tolist(), rewards.tolist(), *flags.tolist()))
+        self._rows = list(zip(rewards.tolist(), *flags.tolist()))
+        self._measured = (roll.tolist(), pitch.tolist(), yaw.tolist(), height.tolist(), dx.tolist())
         self._first = first
+        self._block_address = base + 8 * plan
         s._assigned.clear()
-        s._block, s._joints, s._feet = block, joints, feet
+        # Views made now that buf is read-only, so they are too.
+        s._block = buf[plan:rows].reshape(count, RECORD)
+        s._joints, s._feet = (buf[:count * 12].reshape(count, 4, 3),
+                              buf[count * 12:count * 24].reshape(count, 4, 3))
         s.edited = False
 
     def mechanical_energy(self) -> float:
@@ -629,20 +694,21 @@ class SlopedTerrainEnv:
             raise NotReset("environment must be reset before stepping")
         index = s._step_index
         if index % self.steps_per_half == 0:
-            self.latched = tuple(action)
+            self.latched = action
             self._run_half_cycle()
         elif s.edited:
             self._run_half_cycle()
         s._row = row = index - self._first
         s._step_index = index + 1
-        theta, _, _, reward, standing, fall, done, exchange, capture = self._rows[row]
+        reward, standing, fall, done, exchange, capture = self._rows[row]
         if exchange or capture:
             if exchange:
-                self._theta_hist.append(theta)
+                roll, pitch, yaw = self._measured[:3]
+                self._theta_hist.append((roll[row], pitch[row], yaw[row]))
                 # The touch-down pair, which the capture waits for.
                 self._incoming = STANCE_PAIRS[(index + 1) // self.steps_per_half % 2]
             if capture:
-                self._capture()
+                self._capture(row)
             self._obs = build_observation(self._theta_hist, self._estimator.estimate)
             self._obs.flags.writeable = False
         self.fall = fall
@@ -667,7 +733,7 @@ class SlopedTerrainEnv:
             if info["exchange"]:
                 action = controller(obs)
 
-    def _capture(self) -> None:
+    def _capture(self, row: int) -> None:
         """Finish the pending snapshot on the step whose row has the
         touch-down pair in contact, and update the estimator.
 
@@ -676,13 +742,13 @@ class SlopedTerrainEnv:
         re-expressed in the body frame at this single instant: a stance
         foot does not move in the world (zero-slip leg odometry), so the
         lift-off pair's points stay valid even though they were touched
-        earlier.
+        earlier. substeps.capture_plane takes the snapshot from the row's
+        record and fits its plane in one call, with numpy's bits.
         """
-        s = self.state
-        rot = s.rot
-        body_origin = s.com - rot @ self.com_offset_body
-        points = [rot.T @ (point - body_origin) for point in self._record[POINTS:].reshape(4, 3)]
-        self._estimator.update(ContactSnapshot(*points, rot))
+        captured = self._captured
+        status = capture_plane(self._block_address + 8 * RECORD * row, self._kinematics_address,
+                               captured.address)
+        self._estimator.update(captured.snapshot(status))
         self._incoming = ()
 
     # ------------------------------------------------------------------
@@ -698,18 +764,19 @@ class SlopedTerrainEnv:
         """Per-step CSV row mirroring the logged experiment channels."""
         s = self.state
         est = self._estimator.estimate
-        (roll, pitch, yaw), height, dx, reward = self._rows[s._row][:4]
+        k = s._row
+        roll, pitch, yaw, height, dx = self._measured
         row = {
             "step": s.step_index,
             "time": s.step_index * self.sim.dt,
-            "torso_roll": roll,
-            "torso_pitch": pitch,
-            "torso_yaw": yaw,
+            "torso_roll": roll[k],
+            "torso_pitch": pitch[k],
+            "torso_yaw": yaw[k],
             "plane_roll": est.roll,
             "plane_pitch": est.pitch,
-            "height": height,
-            "dx": dx,
-            "reward": reward,
+            "height": height[k],
+            "dx": dx[k],
+            "reward": self._rows[k][0],
         }
         # The latched actions fill the remaining columns, leg by leg.
         row.update(zip(self.LOG_COLUMNS[len(row):], (v for act in self.latched for v in act)))

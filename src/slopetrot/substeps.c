@@ -448,6 +448,113 @@ void step_torso(const double *episode, const double *start, const double *motion
     }
 }
 
+/* What check_rotation, fit_plane and capture_plane find. */
+enum { FITTED, NOT_ORTHONORMAL, LEFT_HANDED, DEGENERATE };
+
+/* The layouts numpy's matmul tells apart in rot @ p: a rotation with
+   unit-stride rows (dgemv, times_vector's order), one with unit-stride
+   columns (dgemv on the transpose: a dot3 per row), and any other
+   rotation or a vector whose stride is not a positive multiple of its
+   item (numpy's own loop: a sum from 0.0, left to right, unfused). */
+enum { ROWS, COLUMNS, STRIDED };
+
+/* slopeest.ContactSnapshot's checks of a C-ordered rotation: every entry
+   of np.abs(rot @ rot.T - I) within 1e-6 + 1e-5 * I, which a NaN is not
+   (matmul takes each entry as the dot3 of two rows), then the sign of
+   det(rot) as the triple product of its rows. */
+long check_rotation(const double *rot)
+{
+    for (int i = 0; i < 3; i++)
+        for (int j = 0; j < 3; j++) {
+            const double g = dot3(rot + 3 * i, 1, rot + 3 * j, 1) - (i == j ? 1.0 : 0.0);
+            if (!(fabs(g) <= (i == j ? 1e-6 + 1e-5 : 1e-6)))
+                return NOT_ORTHONORMAL;
+        }
+    const double *a = rot, *b = rot + 3, *c = rot + 6;
+    if (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]) < 0.0)
+        return LEFT_HANDED;
+    return FITTED;
+}
+
+/* rot @ p for a C-ordered copy of a rotation that numpy sees in the given
+   layout. */
+static void rotate(const double *rot, int64_t layout, const double *p, double *out)
+{
+    for (int i = 0; i < 3; i++) {
+        const double *r = rot + 3 * i;
+        if (layout == ROWS)
+            out[i] = 0.0 + fma(r[2], p[2], fma(r[0], p[0], r[1] * p[1]));
+        else if (layout == COLUMNS)
+            out[i] = dot3(r, 1, p, 1);
+        else
+            out[i] = ((0.0 + r[0] * p[0]) + r[1] * p[1]) + r[2] * p[2];
+    }
+}
+
+/* slopeest.plane_from_contacts: the four body-frame feet (FL, FR, BL, BR)
+   rotated into the world frame, each by the layout layouts[i], the cross
+   product of the diagonals FR - BL and FL - BR, and its norm sqrt(n.dot(n));
+   below 1e-9 the contacts are DEGENERATE. Else out gets the unit normal,
+   negated when its z is below 0, then that normal divided by its own
+   norm, as slopeest.angles_from_normal takes it. */
+long fit_plane(const double *rot, const int64_t *layouts, const double *feet, double *out)
+{
+    double w[12];
+    for (int i = 0; i < 4; i++)
+        rotate(rot, layouts[i], feet + 3 * i, w + 3 * i);
+    const double a0 = w[3] - w[6], a1 = w[4] - w[7], a2 = w[5] - w[8];
+    const double b0 = w[0] - w[9], b1 = w[1] - w[10], b2 = w[2] - w[11];
+    double n[3] = {a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0};
+    const double norm = sqrt(dot3(n, 1, n, 1));
+    if (norm < 1e-9)
+        return DEGENERATE;
+    for (int i = 0; i < 3; i++)
+        n[i] = n[i] / norm;
+    if (n[2] < 0.0)
+        for (int i = 0; i < 3; i++)
+            n[i] = -n[i];
+    const double length = sqrt(dot3(n, 1, n, 1));
+    for (int i = 0; i < 3; i++) {
+        out[i] = n[i];
+        out[3 + i] = n[i] / length;
+    }
+    return FITTED;
+}
+
+/* The environment's contact capture from the record of the step that
+   completes it: the record's rotation into out[0..8]; the body origin
+   com - rot @ offset (offset the com in the body frame) and each foot's
+   contact point as rot.T @ (point - origin) into out[9..20], which matmul
+   takes as a dot3 down each column of rot; then check_rotation of rot
+   and, if it passes, fit_plane of those feet into out[21..26] and the
+   x of its unit normal clipped into [-1, 1] as Python's
+   min(max(x, -1.0), 1.0) clips it, NaN kept, into out[27]. Returns what
+   the check or the fit found. */
+long capture_plane(const double *record, const double *offset, double *out)
+{
+    static const int64_t rows[4] = {ROWS, ROWS, ROWS, ROWS};
+    const double *rot = record + ROT, *com = record + COM, *points = record + POINTS;
+    double *feet = out + 9, r[3];
+    memcpy(out, rot, 9 * sizeof *out);
+    times_vector(rot, 3, offset, r);
+    const double origin[3] = {com[0] - r[0], com[1] - r[1], com[2] - r[2]};
+    for (int i = 0; i < 4; i++) {
+        const double d[3] = {points[3 * i] - origin[0], points[3 * i + 1] - origin[1],
+                             points[3 * i + 2] - origin[2]};
+        for (int j = 0; j < 3; j++)
+            feet[3 * i + j] = dot3(rot + j, 3, d, 1);
+    }
+    long status = check_rotation(rot);
+    if (status == FITTED)
+        status = fit_plane(rot, rows, feet, out + 21);
+    if (status == FITTED) {
+        const double x = -1.0 > out[24] ? -1.0 : out[24];
+        out[27] = 1.0 < x ? 1.0 : x;
+    }
+    return status;
+}
+
 /* The half cycle's kinematics: the constants, packed once by the
    environment (the com offset at each reset), then the workspace
    polygon's vertices and its oriented edges (legkin._oriented_edges). */
@@ -520,18 +627,20 @@ static void closest_on_polygon(const double *vertices, long n, double px, double
 
 /* gaitgen.checked_foot_target of one leg's action at phase tau: the
    transformed semi-elliptic reference, projected onto the workspace
-   polygon by legkin.clamp_to_workspace's rule when it lies outside. */
-static void foot_target(const double *kin, const double *action, double tau, double *p)
+   polygon by legkin.clamp_to_workspace's rule when it lies outside.
+   steer holds the cos and sin of the action's steer, phase those of the
+   reference's angle 2 pi (1 - tau), the sin read only in swing. */
+static void foot_target(const double *kin, const double *action, const double *steer,
+                        double tau, const double *phase, double *p)
 {
     const double d = kin[ABD_OFFSET], height = kin[DESIRED_HEIGHT];
     const long n = (long)kin[VERTEX_COUNT];
     const double *vertices = kin + VERTICES, *edges = vertices + 2 * n;
 
-    const double ang = (2.0 * M_PI) * (1.0 - tau);
-    const double bx = (0.5 * action[STEP_LEN]) * cos(ang);
-    const double bz = tau < 0.5 ? -height : -height + kin[FOOT_CLEARANCE] * sin(ang);
-    const double x = action[SHIFT_X] + bx * cos(action[STEER]);
-    const double y = action[SHIFT_Y] + bx * sin(action[STEER]);
+    const double bx = (0.5 * action[STEP_LEN]) * phase[0];
+    const double bz = tau < 0.5 ? -height : -height + kin[FOOT_CLEARANCE] * phase[1];
+    const double x = action[SHIFT_X] + bx * steer[0];
+    const double y = action[SHIFT_Y] + bx * steer[1];
     const double z = action[SHIFT_Z] + bz;
     p[0] = x;
     p[1] = y;
@@ -607,10 +716,23 @@ void plan_half_cycle(const double *kin, const double *plan, long first, long cou
     const double l1 = kin[UPPER], l2 = kin[LOWER], d = kin[ABD_OFFSET];
     double *joints = out, *feet = out + 12 * count, *motion = out + 24 * count;
 
-    /* The IK joint targets, into joints. */
+    /* The IK joint targets, into joints. The actions are fixed for the
+       half cycle, so each leg's steer cos and sin are taken once; legs of
+       equal phase offset share each step's phase and its cos and sin,
+       which the first of them computes. */
     int finite = 1;
     for (int i = 0; i < 20; i++)
         finite = finite && isfinite(plan[ACTIONS + i]);
+    double steer[4][2], tau[4], phase[4][2];
+    int first_of_phase[4];
+    for (int leg = 0; leg < 4; leg++) {
+        steer[leg][0] = cos(plan[ACTIONS + 5 * leg + STEER]);
+        steer[leg][1] = sin(plan[ACTIONS + 5 * leg + STEER]);
+        first_of_phase[leg] = leg;
+        for (int other = leg - 1; other >= 0; other--)
+            if (kin[PHASE + other] == kin[PHASE + leg])
+                first_of_phase[leg] = other;
+    }
     for (long k = 0; k < count; k++) {
         const double t = (double)(first + k) * dt;
         for (int leg = 0; leg < 4; leg++) {
@@ -620,8 +742,18 @@ void plan_half_cycle(const double *kin, const double *plan, long first, long cou
                 q[0] = q[1] = q[2] = NAN;
                 continue;
             }
-            const double tau = fmod(t / kin[PERIOD] + kin[PHASE + leg], 1.0);
-            foot_target(kin, plan + ACTIONS + 5 * leg, tau, p);
+            const int shared = first_of_phase[leg];
+            if (shared == leg) {
+                tau[leg] = fmod(t / kin[PERIOD] + kin[PHASE + leg], 1.0);
+                const double ang = (2.0 * M_PI) * (1.0 - tau[leg]);
+                phase[leg][0] = cos(ang);
+                phase[leg][1] = tau[leg] < 0.5 ? 0.0 : sin(ang);
+            } else {
+                tau[leg] = tau[shared];
+                phase[leg][0] = phase[shared][0];
+                phase[leg][1] = phase[shared][1];
+            }
+            foot_target(kin, plan + ACTIONS + 5 * leg, steer[leg], tau[leg], phase[leg], p);
             inverse_kinematics(kin, p, q);
         }
     }

@@ -1,6 +1,7 @@
 """The compiled torso steps of each half cycle, the compiled plan of each
-half cycle's leg kinematics, and the compiled pass that serves each half
-cycle's rows.
+half cycle's leg kinematics, the compiled pass that serves each half
+cycle's rows, and the compiled contact capture and plane fit of the
+slope estimator.
 
 substeps.c's step_torso runs the torso through a run of control steps in
 one call: per step, its contact substeps, the inverse of the world
@@ -26,11 +27,18 @@ displacement, the standing, fall and done flags, the stance exchange and
 the completed contact capture. Its rewards is reward.compute_reward's
 loop, with libm's exp, which is math's (numpy's exp is not).
 
-None of them returns anything or raises. What they cannot compute comes out
-NaN: a singular world inertia makes that step's state non-finite, and a
-foot target that legkin's IK rejects (where it raises Unreachable) gives
-NaN joints for that leg from that step on, and so a NaN state. The
-environment counts a non-finite state as a fall.
+Its check_rotation and fit_plane are slopeest's checks of a snapshot's
+rotation and its plane fit, and capture_plane is the environment's
+contact capture followed by both: the products in the OpenBLAS order
+numpy's matmul takes for the rotation's layout, the norms and the flip.
+They return what they found (a failed check, degenerate contacts) as a
+status; the angles of the plane stay numpy calls in slopeest.
+
+None of the others returns anything, and none raises. What they cannot
+compute comes out NaN: a singular world inertia makes that step's state
+non-finite, and a foot target that legkin's IK rejects (where it raises
+Unreachable) gives NaN joints for that leg from that step on, and so a
+NaN state. The environment counts a non-finite state as a fall.
 
 The first import compiles substeps.c with the C compiler Python was built
 with into this package's __pycache__/, under a name that hashes the
@@ -93,19 +101,22 @@ def build(source: Path, out_dir: Path) -> Path:
 
 
 def _load():
-    """The kernel's step_torso, plan_half_cycle, serve_half_cycle and
-    rewards."""
+    """The kernel's step_torso, plan_half_cycle, serve_half_cycle,
+    rewards, check_rotation, fit_plane and capture_plane."""
     kernel = ctypes.CDLL(str(build(SOURCE, SOURCE.parent / "__pycache__")))
     address, count = ctypes.c_void_p, ctypes.c_long
     functions = []
-    for name, argtypes in (
-        ("step_torso", [address] * 3 + [count] + [address] * 2 + [count, address]),
-        ("plan_half_cycle", [address] * 2 + [count] * 2 + [address]),
-        ("serve_half_cycle", [address] * 6 + [count] * 5 + [address] * 3),
-        ("rewards", [address] * 2 + [count, address]),
+    for name, argtypes, restype in (
+        ("step_torso", [address] * 3 + [count] + [address] * 2 + [count, address], None),
+        ("plan_half_cycle", [address] * 2 + [count] * 2 + [address], None),
+        ("serve_half_cycle", [address] * 6 + [count] * 5 + [address] * 3, None),
+        ("rewards", [address] * 2 + [count, address], None),
+        ("check_rotation", [address], count),
+        ("fit_plane", [address] * 4, count),
+        ("capture_plane", [address] * 3, count),
     ):
         function = getattr(kernel, name)
-        function.argtypes, function.restype = argtypes, None
+        function.argtypes, function.restype = argtypes, restype
         functions.append(function)
     return functions
 
@@ -120,7 +131,14 @@ def _load():
 # pending_b, positions, dx, flags) writes the count rows' forward
 # displacements to dx and their flags to the bool (5, count) flags.
 # rewards(weights, inputs, count, out) writes count rewards to out.
-step_torso, plan_half_cycle, serve_half_cycle, rewards = _load()
+# check_rotation(rot) checks a 3x3 rotation as slopeest.ContactSnapshot
+# does; fit_plane(rot, layouts, feet, out) fits the plane through four
+# body-frame feet, each rotated in the int64 layouts entry's form, into
+# the 6 floats of out; capture_plane(record, offset, out) takes the
+# contact capture of a record into the 28 floats of out. The three
+# return FITTED or what they found instead.
+(step_torso, plan_half_cycle, serve_half_cycle, rewards, check_rotation, fit_plane,
+ capture_plane) = _load()
 # A step's record, RECORD floats: the state (com, vel, omega and the
 # row-major rotation) up to UP, the torso's unit up-axis, its clearance
 # and height, then per foot whether it is in contact, whether it has
@@ -129,3 +147,7 @@ COM, VEL, OMEGA, ROT, UP, CLEARANCE, HEIGHT = 0, 3, 6, 9, 18, 21, 22
 IN_CONTACT, TOUCHED, POINTS, RECORD = 23, 27, 31, 43
 # The rows of serve_half_cycle's flags, SERVE_FLAGS of them.
 STANDING, FALL, DONE, EXCHANGE, CAPTURE, SERVE_FLAGS = range(6)
+# What check_rotation, fit_plane and capture_plane find, and the forms in
+# which numpy's matmul rotates a vector (see substeps.c).
+FITTED, NOT_ORTHONORMAL, LEFT_HANDED, DEGENERATE = range(4)
+ROWS, COLUMNS, STRIDED = range(3)

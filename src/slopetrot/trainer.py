@@ -215,19 +215,38 @@ def rollout_stats(
     rand: RandomizationConfig,
     seed: int,
 ):
-    """One policy episode of bundle.sim.episode_len steps in a fresh
-    environment.
+    """One policy episode of bundle.sim.episode_len steps, in this
+    process's environment for bundle (see bundle_env).
 
     Returns (total reward, forward displacement, steps survived). Fully
-    determined by the arguments.
+    determined by the arguments: reset fixes the whole episode, so it
+    does not matter what the environment ran before.
     """
-    env = bundle.make_env()
+    env = bundle_env(bundle)
     obs = env.reset(terrain=terrain, rand=rand, seed=seed)
     x0 = float(env.state.com[0])
     total = 0.0
     for r, _ in env.run(obs, policy_mod.linear_controller(matrix, bundle.scaling)):
         total += r
     return total, float(env.state.com[0]) - x0, env.state.step_index
+
+
+# The bundle bundle_env last served and the environment it built for it.
+_bundle_env = (None, None)
+
+
+def bundle_env(bundle: EnvBundle) -> SlopedTerrainEnv:
+    """This process's environment for bundle: the one the last call built,
+    if it was for an equal bundle, else a new one, which later calls
+    reuse. Each episode begins with reset, which fixes all of it, so a
+    rollout, a demonstration run or an evaluation may follow any other in
+    one environment."""
+    global _bundle_env
+    last, env = _bundle_env
+    if bundle is not last and bundle != last:
+        env = bundle.make_env()
+    _bundle_env = (bundle, env)
+    return env
 
 
 class RolloutPool:
@@ -454,7 +473,7 @@ def generate_strut_demos(
     if combos is None:
         combos = stage_combos(1)
     bundle = bundle.with_episode_len(params.episode_len)
-    env = bundle.make_env()
+    env = bundle_env(bundle)
     demos = []
 
     def scripted(obs):

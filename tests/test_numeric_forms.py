@@ -40,10 +40,13 @@ from slopetrot.rotations import rot_x, rot_y, rot_z
 from slopetrot.simenv import (
     STANCE_PAIRS, PushEvent, RandomizationConfig, SimParams, SlopedTerrainEnv, TerrainPlane,
 )
-from slopetrot.slopeest import angles_from_normal, angles_from_unit_normal
+from slopetrot.slopeest import (
+    CaptureBuffer, ContactSnapshot, DegenerateContacts, PlaneEstimate, angles_from_normal,
+    angles_from_unit_normal, plane_from_contacts,
+)
 from slopetrot.substeps import (
     CLEARANCE, COM, HEIGHT, IN_CONTACT, OMEGA, POINTS, RECORD, ROT, SERVE_FLAGS, SOURCE,
-    STANDING, TOUCHED, UP, VEL, build, serve_half_cycle, step_torso,
+    STANDING, TOUCHED, UP, VEL, build, capture_plane, serve_half_cycle, step_torso,
 )
 
 SAMPLES = 2000
@@ -644,10 +647,12 @@ def test_half_cycle_of_torso_steps_equals_single_steps(substeps):
         inertia = env._episode[-3:]
         touched = rng.random(4) < 0.5
         memory = np.concatenate((touched, rng.normal(size=(4, 3))), axis=None)
-        stances = env._stances[first % len(env._stances):][:count]
 
         s.step_index = first
-        block = env._advance(motion.ctypes.data, substeps, stances, memory)
+        out = np.empty(count * (RECORD + 1))
+        env._advance(motion.ctypes.data, substeps, first % len(env._stances), memory, out,
+                     out.ctypes.data)
+        block = out[:count * RECORD].reshape(count, RECORD)
 
         records = []
         record = _state_record((s.com, s.vel, s.omega, s.rot), memory)
@@ -1157,3 +1162,225 @@ def test_target_rejected_at_a_later_row_is_a_fall_there(latch_step):
         assert np.array_equal(_nan_canonical_bits(state), _nan_canonical_bits(state_cut))
     reward, fall, state = steps[-1]
     assert fall and not math.isfinite(reward) and not np.isfinite(state).all()
+
+
+
+# np.allclose(rot @ rot.T, np.eye(3), atol=1e-6) as an entrywise bound,
+# atol + rtol * |eye| with numpy's default rtol.
+_ORTHONORMAL_BOUND = 1e-6 + 1e-5 * np.eye(3)
+
+
+def _parent_snapshot(rot) -> None:
+    """ContactSnapshot's checks of its rotation before substeps.c made
+    them: numpy's rot @ rot.T against the bound, then the sign of det(rot)
+    as the triple product of its rows on floats."""
+    rot = np.asarray(rot, dtype=float)
+    if not (np.abs(rot @ rot.T - np.eye(3)) <= _ORTHONORMAL_BOUND).all():
+        raise ValueError("torso_rotation must be orthonormal")
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rot.tolist()
+    if a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0) < 0.0:
+        raise ValueError("torso_rotation must be right-handed")
+
+
+def _parent_normal(feet, rot) -> np.ndarray:
+    """The cross product of the diagonals FR - BL and FL - BR of the feet
+    rotated by numpy's matmul, as np.cross computes it on floats."""
+    rot = np.asarray(rot, dtype=float)
+    p_fl, p_fr, p_bl, p_br = (rot @ np.asarray(p, dtype=float) for p in feet)
+    (a0, a1, a2), (b0, b1, b2) = (p_fr - p_bl).tolist(), (p_fl - p_br).tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def _parent_plane(feet, rot) -> tuple:
+    """The snapshot's checks and plane_from_contacts before substeps.c
+    fitted the plane: the normal's norm as sqrt(n.dot(n)), the division
+    and the flip as numpy array operations. Returns the feet and the
+    plane."""
+    _parent_snapshot(rot)
+    n = _parent_normal(feet, rot)
+    norm = math.sqrt(n.dot(n))
+    if norm < 1e-9:
+        raise DegenerateContacts("diagonal contact vectors are parallel")
+    n = n / norm
+    if n[2] < 0.0:
+        n = -n
+    roll, pitch = angles_from_normal(n)
+    return feet, PlaneEstimate(normal=tuple(float(v) for v in n), roll=roll, pitch=pitch)
+
+
+def _parent_capture(record, offset) -> list:
+    """The body-frame feet of the environment's contact capture from a
+    step's record before substeps.c took it: each remembered world point
+    minus the body origin, rotated by numpy's matmul."""
+    rot = record[ROT:UP].reshape(3, 3)
+    body_origin = record[COM:VEL] - rot @ offset
+    return [rot.T @ (point - body_origin) for point in record[POINTS:].reshape(4, 3)]
+
+
+def _outcome(fit) -> tuple:
+    """The bits of the feet and the plane fit() returns, or the type and
+    message of the ValueError it raises."""
+    try:
+        feet, plane = fit()
+    except ValueError as error:
+        return type(error).__name__, str(error)
+    assert type(plane.normal) is tuple and all(type(v) is float for v in plane.normal)
+    return (_nan_canonical_bits(np.concatenate(feet)).tolist(),
+            _nan_canonical_bits((*plane.normal, plane.roll, plane.pitch)).tolist())
+
+
+def _in_layout(rng, rot, feet) -> tuple:
+    """rot and the feet with their values, each in a drawn memory layout:
+    C or Fortran order, a strided or reversed view, or nested lists."""
+    def vector(p):
+        kind = rng.integers(4)
+        if kind == 0:
+            wide = np.zeros((3, 2))
+            wide[:, 1] = p
+            return wide[:, 1]
+        if kind == 1:
+            return np.array(p[::-1])[::-1]
+        return p.tolist() if kind == 2 else np.array(p)
+
+    kind = rng.integers(5)
+    if kind == 0:
+        rot = np.asfortranarray(rot)
+    elif kind == 1:
+        wide = np.zeros((6, 6))
+        wide[::2, ::2] = rot
+        rot = wide[::2, ::2]
+    elif kind == 2:
+        rot = np.array(rot[:, ::-1])[:, ::-1]
+    elif kind == 3:
+        rot = rot.tolist()
+    return [vector(p) for p in feet], rot
+
+
+def _draw_rotation(rng, kind) -> np.ndarray:
+    """A rotation a record may hold, by kind: 0 drifted as the substeps
+    leave it; 1 and 2 with one entry of rot @ rot.T at the orthonormality
+    bound, off or on the diagonal, a relative 1e-3 to 1e-12 inside or
+    outside it; 3 left-handed; 4 with NaN, infinite or zero entries; 5 an
+    axis rotation with signed zeros; 6 any matrix; 7 the identity with
+    signed zeros, which rotates exactly."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q[0] *= np.sign(np.linalg.det(q))
+    if kind == 0:
+        return q + rng.normal(scale=1e-8, size=(3, 3))
+    if kind in (1, 2):
+        # (I + S) q for a symmetric S: rot @ rot.T is (I + S)^2 up to
+        # rounding, whose (i, j) entry is 2 s off the diagonal and
+        # 2 s + s^2 on it.
+        i, j = rng.choice(3, size=2, replace=False) if kind == 1 else (rng.integers(3),) * 2
+        scale = rng.choice((1e-3, 1e-7, 1e-10, 1e-12))
+        deviation = _ORTHONORMAL_BOUND[i, j] * (1.0 + scale * rng.uniform(-1.0, 1.0))
+        s = deviation / 2.0 * rng.choice((-1.0, 1.0)) if i != j else (
+            math.sqrt(1.0 + deviation) - 1.0)
+        skew = np.eye(3)
+        skew[i, j] += s
+        if i != j:
+            skew[j, i] += s
+        return skew @ q
+    if kind == 3:
+        q[rng.integers(3)] *= -1.0
+        return q + rng.normal(scale=1e-8, size=(3, 3))
+    if kind == 4:
+        return _with_specials(rng, q, 0.15)
+    if kind == 5:
+        rot = (rot_x, rot_y, rot_z)[rng.integers(3)](
+            rng.choice((0.0, 0.5 * math.pi, rng.uniform(-math.pi, math.pi))))
+        zeros = rot == 0.0
+        rot[zeros] = rng.choice((0.0, -0.0), size=int(zeros.sum()))
+        return rot
+    if kind == 7:
+        rot = np.eye(3)
+        rot[rot == 0.0] = rng.choice((0.0, -0.0), size=6)
+        return rot
+    return rng.normal(size=(3, 3))
+
+
+def _draw_points(rng, kind, com, rot) -> np.ndarray:
+    """The four remembered world contact points of a record, by kind: 0
+    feet under the torso; 1 at random; 2 with parallel diagonals FR - BL
+    and FL - BR; 3 a step off parallel that puts the norm of their cross
+    product within 10% of the 1e-9 threshold; 4 with NaN, infinite or
+    zero entries; 5 on one plane y = c, whose normal is horizontal, so
+    that with an exact rotation its z is zero and the flip does not
+    apply."""
+    if kind == 0:
+        stance = np.array([(0.2, 0.1, -0.24), (0.2, -0.1, -0.24), (-0.2, 0.1, -0.24),
+                           (-0.2, -0.1, -0.24)])
+        return com + (stance + rng.normal(scale=0.02, size=(4, 3))) @ np.nan_to_num(rot).T
+    points = rng.normal(scale=0.3, size=(4, 3))
+    if kind in (2, 3):
+        p_fl, _, p_bl, p_br = points
+        d = p_fl - p_br
+        points[1] = p_bl + rng.uniform(-2.0, 2.0) * d
+        if kind == 3:
+            off = np.cross(d, rng.normal(size=3))
+            size = 1e-9 / np.linalg.norm(d) * (1.0 + rng.uniform(-0.1, 0.1))
+            points[1] += off / np.linalg.norm(off) * size
+    if kind == 5:
+        points[:, 1] = points[0, 1]
+    return _with_specials(rng, points, 0.1) if kind == 4 else points
+
+
+def test_compiled_capture_equals_the_former_numpy_capture():
+    # substeps.capture_plane takes the contact capture of a step's record
+    # and fits its plane, and CaptureBuffer.snapshot and plane_from_contacts
+    # hand out what it found: the same feet, plane and errors, bit for
+    # bit, as the environment's former numpy capture, snapshot checks and
+    # fit. A snapshot built from the record's points, its rotation and
+    # feet in other memory layouts, by whose strides numpy's matmul
+    # picks its BLAS call, fits the plane the former fit gives them.
+    rng = np.random.default_rng(30)
+    seen = Counter()
+    record, captured = np.zeros(RECORD), CaptureBuffer()
+    for _ in range(SAMPLES):
+        rotation, points = rng.integers(8), rng.integers(6)
+        rot = _draw_rotation(rng, rotation)
+        com = _with_specials(rng, rng.normal(scale=0.3, size=3), 0.03)
+        offset = (np.array((rng.normal(scale=0.02), 0.0, 0.0)) if rng.random() < 0.7
+                  else rng.normal(scale=0.05, size=3))
+        record[ROT:UP] = rot.ravel()
+        record[COM:VEL] = com
+        record[POINTS:] = _draw_points(rng, points, com, rot).ravel()
+
+        def taken():
+            status = capture_plane(record.ctypes.data, offset.ctypes.data, captured.address)
+            snapshot = captured.snapshot(status)
+            feet = (snapshot.p_fl, snapshot.p_fr, snapshot.p_bl, snapshot.p_br)
+            rot_taken = snapshot.torso_rotation
+            assert not any(a.flags.writeable for a in (*feet, rot_taken))
+            assert np.array_equal(_nan_canonical_bits(rot_taken), _nan_canonical_bits(rot))
+            return feet, plane_from_contacts(snapshot)
+
+        with np.errstate(all="ignore"):
+            feet = _parent_capture(record, offset)
+            reference = _outcome(lambda: _parent_plane(feet, rot))
+        assert _outcome(taken) == reference, RERECORD.format(what="the compiled capture")
+
+        seen[rotation, points, reference[0] if isinstance(reference[0], str) else "fit"] += 1
+        with np.errstate(all="ignore"):
+            normal = _parent_normal(feet, rot)
+        seen["flipped" if normal[2] < 0.0 else "upward"] += reference[0] not in (
+            "ValueError", "DegenerateContacts") and np.isfinite(normal).all()
+
+        built_feet, built_rot = _in_layout(rng, rot, record[POINTS:].reshape(4, 3))
+        with np.errstate(all="ignore"):
+            expected = _outcome(lambda: _parent_plane(built_feet, built_rot))
+        assert _outcome(
+            lambda: (built_feet, plane_from_contacts(ContactSnapshot(*built_feet, built_rot)))
+        ) == expected, RERECORD.format(what="the compiled fit of a built snapshot")
+
+    def count(rotations=range(8), points=range(6), outcome="fit"):
+        return sum(seen[r, p, outcome] for r in rotations for p in points)
+
+    assert count(points=(2,), outcome="DegenerateContacts") > 50
+    assert count(points=(3,), outcome="DegenerateContacts") > 10 and count(points=(3,)) > 10
+    assert seen["flipped"] > 150 and seen["upward"] > 150
+    assert count(rotations=(1, 2)) > 50 and count(rotations=(1, 2), outcome="ValueError") > 50
+    assert count(rotations=(3,), outcome="ValueError") > 100
+    assert count(rotations=(4,)) > 20 and count(rotations=(4,), outcome="ValueError") > 50
+    assert count(rotations=(5,)) > 100 and count(points=(4,)) > 100
+    assert count(rotations=(7,), points=(5,)) > 10

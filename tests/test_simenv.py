@@ -674,6 +674,23 @@ class TestEditsBetweenSteps:
         assert jumped.state.step_index == replaced.state.step_index == 75
         assert steps[0] != _steps(unedited, 3, WALK)[2]
 
+    @pytest.mark.parametrize("index", [399, 400, 500])
+    def test_assigned_step_index_at_the_end_serves_one_last_row(self, index):
+        # A step index assigned in mid episode at or past its last step
+        # makes the next step serve one row and end the episode; the step
+        # after it raises NotReset. The row is the one a longer episode
+        # serves at that index, but done.
+        env, longer = _walking_env(), SlopedTerrainEnv(sim=SimParams(episode_len=1000))
+        longer.reset(TerrainPlane(7, 30), NO_PUSH, seed=3)
+        for e in (env, longer):
+            _steps(e, 10, WALK)
+            e.state.step_index = index
+        (served,), (expected,) = _steps(env, 1, WALK), _steps(longer, 1, WALK)
+        assert served[:2] == expected[:2] and served[2] and not expected[2]
+        assert env.state.step_index == index + 1 and not env.fall
+        with pytest.raises(NotReset):
+            env.step(WALK)
+
     def test_replaced_velocity_acts_at_next_step(self):
         env = SlopedTerrainEnv()
         env.reset(TerrainPlane(), NO_PUSH, seed=1)

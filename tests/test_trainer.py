@@ -19,6 +19,7 @@ from slopetrot.trainer import (
     ars_minimize,
     ars_step,
     ars_update,
+    bundle_env,
     curriculum_stage,
     derive_seed,
     evaluate,
@@ -242,6 +243,67 @@ class TestRollouts:
         _, _, steps = rollout_stats(zero_policy(), bundle, TerrainPlane(), NO_PUSH, 3)
         assert steps == 400
         assert len(calls) == 10
+
+    def test_reused_environment_equals_a_fresh_one(self, bundle):
+        # rollout_stats runs each episode in this process's environment for
+        # an equal bundle. Whatever that environment ran before, and
+        # whatever state it was left in, the episode has the bits the
+        # former rollout_stats gave it in an environment built for it.
+        def fresh(matrix, bundle, terrain, rand, seed):
+            env = bundle.make_env()
+            obs = env.reset(terrain=terrain, rand=rand, seed=seed)
+            x0 = float(env.state.com[0])
+            total = 0.0
+            for r, _ in env.run(obs, policy.linear_controller(matrix, bundle.scaling)):
+                total += r
+            return total, float(env.state.com[0]) - x0, env.state.step_index
+
+        def left_edited(bundle):
+            # An episode stopped in mid half cycle after edits to its state.
+            env = bundle_env(bundle)
+            env.reset(TerrainPlane(11, 60), RandomizationConfig(), 9)
+            action = policy.scale_clip_action(np.full(ACT_DIM, 0.3))
+            for _ in range(47):
+                env.step(action)
+            env.state.com = env.state.com + 0.01
+            env.state.step_index = 71
+            env.set_push(70, 75, -80.0)
+            env.step(action)
+
+        matrix = policy.load_policy(PERFBENCH / "policy_guided_seed7.txt")
+        nonfinite = matrix.copy()
+        nonfinite[3, 5] = math.nan
+        short, shorter = bundle.with_episode_len(120), bundle.with_episode_len(90)
+        pushed = RandomizationConfig(push_force_range=(150.0, 150.0))
+        episodes = [
+            (matrix, short, TerrainPlane(7, 30), NO_PUSH, 1),
+            (nonfinite, short, TerrainPlane(5, 0), NO_PUSH, 2),
+            (matrix, short, TerrainPlane(11, 90, 0.5), pushed, 3),
+            left_edited,
+            (matrix, short, TerrainPlane(9, 45), NO_PUSH, 4),
+            (zero_policy(), shorter, TerrainPlane(0, 0, 0.8), pushed, 5),
+            left_edited,
+            (matrix, short, TerrainPlane(7, 75), pushed, 6),
+        ]
+        results = []
+        for episode in episodes:
+            if callable(episode):
+                episode(short)
+                continue
+            got, expected = rollout_stats(*episode), fresh(*episode)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+            results.append(got)
+        assert math.isnan(results[1][0]) and results[1][2] == 1
+        assert results[2] != rollout_stats(matrix, short, TerrainPlane(11, 90, 0.5), NO_PUSH, 3)
+
+    def test_environment_reused_for_equal_bundles_only(self, bundle):
+        env = bundle_env(bundle)
+        assert bundle_env(bundle) is env and bundle_env(EnvBundle()) is env
+        longer = bundle_env(bundle.with_episode_len(500))
+        assert longer is not env and longer.sim.episode_len == 500
+        assert bundle_env(bundle.with_episode_len(500)) is longer
+        again = bundle_env(bundle)
+        assert again is not longer and again.sim.episode_len == bundle.sim.episode_len
 
 
 class TestRunIteration:
