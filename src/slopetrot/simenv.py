@@ -618,28 +618,31 @@ class SlopedTerrainEnv:
         s, substeps = self.state, self.sim.substeps
         served = s._row + 1
         count = self._run_length()
-        plan = count * (substeps + 4) * 12
-        rows = plan + count * RECORD
-        buf = np.empty(rows + 6 * count + (SERVE_FLAGS * count + 7) // 8)
+        # Where each part starts in buf, in floats: the plan's joints, feet
+        # and motion, the records, the push forces, the roll, pitch and yaw
+        # rows, the forward displacements, then the flags' bytes.
+        motion_at, records_at = 24 * count, (substeps + 4) * 12 * count
+        pushes_at = records_at + count * RECORD
+        angles_at = pushes_at + count
+        dx_at = angles_at + 3 * count
+        flags_at = dx_at + count
+        buf = np.empty(flags_at + (SERVE_FLAGS * count + 7) // 8)
         base = buf.ctypes.data
         self._plan_half_cycle(buf, base)
         first = s._step_index
         stance = first % len(self._stances)
-        block = buf[plan:rows].reshape(count, RECORD)
-        self._advance(base + 8 * count * 24, substeps, stance, self._record[TOUCHED:],
-                      buf[plan:rows + count], base + 8 * plan)
-        angles = buf[rows + count:rows + 4 * count].reshape(3, count)
-        roll, pitch, yaw = self._angles(block, angles)
-        dx = buf[rows + 4 * count:rows + 5 * count]
-        flags = buf[rows + 5 * count:].view(np.bool_)[:SERVE_FLAGS * count].reshape(
-            SERVE_FLAGS, count)
-        serve_half_cycle(self._serve_address, self._start_address, base + 8 * plan,
-                         base + 8 * (rows + count), base + 8 * (rows + 2 * count),
+        self._advance(base + 8 * motion_at, substeps, stance, self._record[TOUCHED:],
+                      buf[records_at:angles_at], base + 8 * records_at)
+        block = buf[records_at:pushes_at].reshape(count, RECORD)
+        roll, pitch, yaw = self._angles(block, buf[angles_at:dx_at].reshape(3, count))
+        serve_half_cycle(self._serve_address, self._start_address, base + 8 * records_at,
+                         base + 8 * angles_at, base + 8 * (angles_at + count),
                          self._stances_address + stance * self._stances.strides[0], first, count,
                          served, *(self._incoming or (-1, -1)), self._positions_address,
-                         base + 8 * (rows + 4 * count), base + 8 * (rows + 5 * count))
+                         base + 8 * dx_at, base + 8 * flags_at)
         buf.flags.writeable = False
-        height = block[:, HEIGHT]
+        height, dx = block[:, HEIGHT], buf[dx_at:flags_at]
+        flags = buf[flags_at:].view(np.bool_)[:SERVE_FLAGS * count].reshape(SERVE_FLAGS, count)
         rewards = compute_reward(
             RewardInputs(roll, pitch, yaw, self.plane_roll, self.plane_pitch, height, dx,
                          flags[STANDING]),
@@ -647,12 +650,12 @@ class SlopedTerrainEnv:
         self._rows = list(zip(rewards.tolist(), *flags.tolist()))
         self._measured = (roll.tolist(), pitch.tolist(), yaw.tolist(), height.tolist(), dx.tolist())
         self._first = first
-        self._block_address = base + 8 * plan
+        self._block_address = base + 8 * records_at
         s._assigned.clear()
         # Views made now that buf is read-only, so they are too.
-        s._block = buf[plan:rows].reshape(count, RECORD)
-        s._joints, s._feet = (buf[:count * 12].reshape(count, 4, 3),
-                              buf[count * 12:count * 24].reshape(count, 4, 3))
+        s._block = buf[records_at:pushes_at].reshape(count, RECORD)
+        s._joints, s._feet = (buf[:12 * count].reshape(count, 4, 3),
+                              buf[12 * count:motion_at].reshape(count, 4, 3))
         s.edited = False
 
     def mechanical_energy(self) -> float:

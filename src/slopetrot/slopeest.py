@@ -46,9 +46,8 @@ class ContactSnapshot:
     p_bl: np.ndarray
     p_br: np.ndarray
     torso_rotation: np.ndarray
-    # The fit of a snapshot a CaptureBuffer took, which
-    # plane_from_contacts returns; None for one built here, which it fits
-    # when called.
+    # The fit of a snapshot a CaptureBuffer took, which plane_from_contacts
+    # returns; None for one built here, which it fits when called.
     _fit: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -2,10 +2,10 @@
 
     python3 tools/step_split.py [--seed S] [--rounds R]
 
-Run from the repository root. Each round is one `slopetrot eval` of
-perfbench's fixed policy over the 29 combos, pushes off, in this process,
-as the benchmark's eval_grid workload runs it; one untimed round first
-compiles and warms up. Method timers on the program's own functions time
+Each round is one `slopetrot eval` of perfbench's fixed policy over the
+29 combos, pushes off, in this process, as the benchmark's eval_grid
+workload runs it; one untimed round first compiles and warms up. Method
+timers on the program's own functions time
 each part of the episodes: building the environment (make_env), reset,
 the compiled plan call (plan), the compiled torso call (torso), the rest
 of each half cycle's run (half_cycle), the contact captures (capture),
